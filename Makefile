@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke clean
+.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-ab clean
 
 all: build
 
@@ -156,6 +156,37 @@ sched-smoke:
 	@cmp /tmp/sched_smoke_a.txt /tmp/sched_smoke_b.txt
 	@grep -q '^fair,' /tmp/sched_slo_smoke.csv
 	@echo "sched-smoke OK"
+
+# Before/after host-performance pair against another revision:
+# `make perf-ab BASE=<rev>` builds <rev> in a git worktree under _perf/,
+# runs `perf run` once on each side and prints `perf compare` of the two
+# reports (base first). Which side runs first alternates from one
+# invocation to the next, so slow drift in host speed does not always
+# favour the same side. Reports: _perf/ab-base.json, _perf/ab-head.json.
+# Fails, as `perf compare` does, when a metric is marked `regressed`.
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev>"; exit 2; }
+	@mkdir -p _perf
+	git worktree remove --force _perf/ab-base 2>/dev/null || rm -rf _perf/ab-base
+	git worktree prune
+	git worktree add --detach _perf/ab-base $(BASE)
+	cd _perf/ab-base && dune build --root . ./perf/perf.exe
+	dune build ./perf/perf.exe
+	@if [ "$$(cat _perf/ab-first 2>/dev/null)" = base ]; then \
+	  order="head base"; echo head > _perf/ab-first; \
+	else \
+	  order="base head"; echo base > _perf/ab-first; \
+	fi; \
+	for side in $$order; do \
+	  echo "== perf run: $$side"; \
+	  if [ $$side = base ]; then \
+	    (cd _perf/ab-base && ./_build/default/perf/perf.exe run \
+	      --out "$(CURDIR)/_perf/ab-base.json") || exit 1; \
+	  else \
+	    ./_build/default/perf/perf.exe run --out _perf/ab-head.json || exit 1; \
+	  fi; \
+	done
+	./_build/default/perf/perf.exe compare _perf/ab-base.json _perf/ab-head.json
 
 clean:
 	dune clean

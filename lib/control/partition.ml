@@ -32,14 +32,18 @@ let rank_of t (cx, cy, cz) =
   let x, y, _ = t.dims in
   cx + (cy * x) + (cz * x * y)
 
+(* Member ranks of an in-bounds box, ascending: z-major, then y, then x
+   is rank order. *)
 let box_ranks t (bx, by, bz) (sx, sy, sz) =
-  List.concat_map
-    (fun dz ->
-      List.concat_map
-        (fun dy -> List.init sx (fun dx -> rank_of t (bx + dx, by + dy, bz + dz)))
-        (List.init sy Fun.id))
-    (List.init sz Fun.id)
-  |> List.sort compare
+  let acc = ref [] in
+  for dz = sz - 1 downto 0 do
+    for dy = sy - 1 downto 0 do
+      for dx = sx - 1 downto 0 do
+        acc := rank_of t (bx + dx, by + dy, bz + dz) :: !acc
+      done
+    done
+  done;
+  !acc
 
 let rank_free t r = (not t.occupied.(r)) && (not t.down.(r)) && not t.spare.(r)
 
@@ -47,27 +51,71 @@ let box_in_bounds t (bx, by, bz) (sx, sy, sz) =
   let x, y, z = t.dims in
   bx >= 0 && by >= 0 && bz >= 0 && bx + sx <= x && by + sy <= y && bz + sz <= z
 
+(* Is every member of the in-bounds box free? Scans the occupancy arrays
+   in place, stopping at the first taken rank; allocates nothing. *)
+let box_free_at t bx by bz sx sy sz =
+  let x, y, _ = t.dims in
+  match
+    for dz = 0 to sz - 1 do
+      for dy = 0 to sy - 1 do
+        let row = bx + ((by + dy) * x) + ((bz + dz) * x * y) in
+        for r = row to row + sx - 1 do
+          if not (rank_free t r) then raise_notrace Exit
+        done
+      done
+    done
+  with
+  | () -> true
+  | exception Exit -> false
+
 let free_box t ~base ~shape =
-  box_in_bounds t base shape && List.for_all (rank_free t) (box_ranks t base shape)
+  let bx, by, bz = base and sx, sy, sz = shape in
+  box_in_bounds t base shape && box_free_at t bx by bz sx sy sz
 
 let ranks_of_box t ~base ~shape =
   if not (box_in_bounds t base shape) then invalid_arg "Partition.ranks_of_box"
   else box_ranks t base shape
 
-let free_bases t ~shape =
+let shape_fits t (sx, sy, sz) =
   let x, y, z = t.dims in
-  let sx, sy, sz = shape in
-  if sx <= 0 || sy <= 0 || sz <= 0 || sx > x || sy > y || sz > z then []
+  sx > 0 && sy > 0 && sz > 0 && sx <= x && sy <= y && sz <= z
+
+let free_bases t ~shape =
+  if not (shape_fits t shape) then []
   else begin
+    let x, y, z = t.dims in
+    let sx, sy, sz = shape in
     let acc = ref [] in
     for bz = z - sz downto 0 do
       for by = y - sy downto 0 do
         for bx = x - sx downto 0 do
-          if free_box t ~base:(bx, by, bz) ~shape then acc := (bx, by, bz) :: !acc
+          if box_free_at t bx by bz sx sy sz then acc := (bx, by, bz) :: !acc
         done
       done
     done;
     !acc
+  end
+
+let first_free_base t ~shape =
+  if not (shape_fits t shape) then None
+  else begin
+    let x, y, z = t.dims in
+    let sx, sy, sz = shape in
+    (* first fit over base coordinates, z-major like rank order *)
+    let found = ref None in
+    (try
+       for bz = 0 to z - sz do
+         for by = 0 to y - sy do
+           for bx = 0 to x - sx do
+             if box_free_at t bx by bz sx sy sz then begin
+               found := Some (bx, by, bz);
+               raise_notrace Exit
+             end
+           done
+         done
+       done
+     with Exit -> ());
+    !found
   end
 
 let commit t base shape ranks =
@@ -89,28 +137,10 @@ let allocate ?base t ~shape =
          chose the box; allocate exactly there or fail *)
       if free_box t ~base:b ~shape then commit t b shape (box_ranks t b shape)
       else Error "requested base not free"
-    | None -> begin
-      (* first fit over base coordinates, z-major like rank order *)
-      let found = ref None in
-      (try
-         for bz = 0 to z - sz do
-           for by = 0 to y - sy do
-             for bx = 0 to x - sx do
-               if !found = None then begin
-                 let ranks = box_ranks t (bx, by, bz) shape in
-                 if List.for_all (rank_free t) ranks then begin
-                   found := Some ((bx, by, bz), ranks);
-                   raise Exit
-                 end
-               end
-             done
-           done
-         done
-       with Exit -> ());
-      match !found with
+    | None -> (
+      match first_free_base t ~shape with
       | None -> Error "no free partition of that shape"
-      | Some (base, ranks) -> commit t base shape ranks
-    end
+      | Some b -> commit t b shape (box_ranks t b shape))
 
 let release t id =
   match List.find_opt (fun a -> a.id = id) t.live with

@@ -33,6 +33,11 @@ val free_bases : t -> shape:int * int * int -> (int * int * int) list
 (** Every base coordinate where [shape] could be allocated right now,
     in z-major (rank) order. Empty for impossible shapes. *)
 
+val first_free_base : t -> shape:int * int * int -> (int * int * int) option
+(** The base first-fit {!allocate} would pick for [shape] right now: the
+    first entry of {!free_bases}, found without building the list. [None]
+    for impossible shapes or when no box is free. *)
+
 val ranks_of_box : t -> base:int * int * int -> shape:int * int * int -> int list
 (** Member ranks of the box, ascending — for scoring a candidate
     placement before committing to it. Raises [Invalid_argument] when

@@ -123,6 +123,10 @@ val set_shape_cap : t -> (int * int * int) option -> unit
 
 val shape_cap : t -> (int * int * int) option
 
+val within_cap : t -> int * int * int -> bool
+(** Does a box of this shape pass the current shape cap? Always [true]
+    without a cap. *)
+
 val shed_backfill : t -> job_id list
 (** Degradation tier 1: drop every queued [Backfill_class] job (each is
     declared [Failed] without running, counted in [scheduler.jobs_shed]).

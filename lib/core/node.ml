@@ -39,6 +39,7 @@ type thread = {
 and proc = {
   pid : int;
   map : Mapping.process_map;
+  static_tlb : Tlb.static_map;  (* [map]'s entries, validated once *)
   tracker : Mmap_tracker.t;
   cores : int list;  (* cores this process owns *)
   handlers : (int, int -> unit) Hashtbl.t;
@@ -405,13 +406,9 @@ let remap_core_for t core (p : proc) =
   if core.mapped_pid = Some p.pid then 0
   else begin
     let tlb = (Chip.core t.chip core.id).Chip.tlb in
-    Tlb.flush tlb;
-    List.iter
-      (fun e ->
-        match Tlb.install tlb e with
-        | Ok () -> ()
-        | Error msg -> failwith ("CNK remote-map install failed: " ^ msg))
-      (Mapping.tlb_entries p.map);
+    (match Tlb.load tlb p.static_tlb with
+    | Ok () -> ()
+    | Error msg -> failwith ("CNK remote-map install failed: " ^ msg));
     core.mapped_pid <- Some p.pid;
     emit t "cnk.tlb_swap" ((core.id * 100) + p.pid);
     let cost = tlb_swap_cycles_per_entry * List.length p.map.Mapping.regions in
@@ -1171,10 +1168,7 @@ let core_sets mode total =
 (* Deterministic pseudo-contents standing in for the program image. *)
 let image_pattern (image : Image.t) len =
   let b = Bytes.create len in
-  let seed = Rng.create (Rng.seed_of_string image.Image.name) in
-  for i = 0 to len - 1 do
-    Bytes.set_uint8 b i (Rng.int seed 256)
-  done;
+  Rng.fill_bytes (Rng.create (Rng.seed_of_string image.Image.name)) b;
   b
 
 let launch t (job : Job.t) =
@@ -1213,6 +1207,7 @@ let launch t (job : Job.t) =
             {
               pid;
               map = pm;
+              static_tlb = Tlb.prepare (Mapping.tlb_entries pm);
               tracker;
               cores;
               handlers = Hashtbl.create 4;
@@ -1228,13 +1223,9 @@ let launch t (job : Job.t) =
           List.iter
             (fun core_id ->
               let tlb = (Chip.core t.chip core_id).Chip.tlb in
-              Tlb.flush tlb;
-              List.iter
-                (fun e ->
-                  match Tlb.install tlb e with
-                  | Ok () -> ()
-                  | Error msg -> failwith ("CNK static map install failed: " ^ msg))
-                (Mapping.tlb_entries pm);
+              (match Tlb.load tlb p.static_tlb with
+              | Ok () -> ()
+              | Error msg -> failwith ("CNK static map install failed: " ^ msg));
               assert (Tlb.evictions tlb = 0);
               let now = Sim.now (sim t) in
               Obs.span_record (obs t) ~cat:"tlb" ~name:"static_install" ~rank:t.rank

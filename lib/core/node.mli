@@ -73,6 +73,11 @@ val launch : t -> Job.t -> (unit, string) result
     first core, and start everything. Fails if a job is active or the map
     cannot be built. *)
 
+val image_pattern : Image.t -> int -> Bytes.t
+(** The [len] bytes {!launch} writes at the text base: deterministic
+    pseudo-contents standing in for the program text, drawn from a
+    stream seeded by the image name. *)
+
 val job_active : t -> bool
 val on_job_complete : t -> (unit -> unit) -> unit
 (** [f] fires (once) when every process of the current job has exited. *)

@@ -1,6 +1,6 @@
 type t = { mutable state : int64; seed : int64 }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -9,8 +9,10 @@ let create seed = { state = seed; seed }
 let state t = t.state
 let seed t = t.seed
 
+let gamma = 0x9e3779b97f4a7c15L
+
 let next_int64 t =
-  t.state <- Int64.add t.state 0x9e3779b97f4a7c15L;
+  t.state <- Int64.add t.state gamma;
   mix t.state
 
 let seed_of_string s = Fnv.add_string Fnv.empty s
@@ -23,6 +25,17 @@ let int t bound =
   assert (bound > 0);
   let x = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   x mod bound
+
+let fill_bytes t b =
+  (* [int t 256] per byte: bits 2..9 of each output, with the state in
+     a local so the loop allocates nothing *)
+  let state = ref t.state in
+  for i = 0 to Bytes.length b - 1 do
+    state := Int64.add !state gamma;
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical (mix !state) 2) land 255))
+  done;
+  t.state <- !state
 
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in

@@ -29,6 +29,10 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). [bound] must be > 0. *)
 
+val fill_bytes : t -> Bytes.t -> unit
+(** Fill every byte of the buffer, in order, with what successive
+    [int t 256] draws would give, leaving [t] where those draws would. *)
+
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 

@@ -42,26 +42,68 @@ let overlaps a b =
   let b_end = b.vaddr + Page_size.bytes b.size in
   a.vaddr < b_end && b.vaddr < a_end
 
-let install t e =
+let check_aligned e =
   if not (Page_size.aligned e.size e.vaddr) then
-    Error
+    Some
       (Printf.sprintf "vaddr 0x%x not aligned to %s page" e.vaddr
          (Page_size.to_string e.size))
   else if not (Page_size.aligned e.size e.paddr) then
-    Error
+    Some
       (Printf.sprintf "paddr 0x%x not aligned to %s page" e.paddr
          (Page_size.to_string e.size))
-  else if List.exists (overlaps e) t.entries then
-    Error (Printf.sprintf "entry at 0x%x overlaps an installed mapping" e.vaddr)
+  else None
+
+let overlap_error e = Printf.sprintf "entry at 0x%x overlaps an installed mapping" e.vaddr
+
+(* Every entry but the last (the oldest), in one pass. *)
+let rec drop_oldest = function [] | [ _ ] -> [] | e :: rest -> e :: drop_oldest rest
+
+let install t e =
+  match check_aligned e with
+  | Some msg -> Error msg
+  | None ->
+    if List.exists (overlaps e) t.entries then Error (overlap_error e)
+    else begin
+      if List.compare_length_with t.entries t.capacity >= 0 then begin
+        (* FIFO eviction of the oldest entry. *)
+        t.entries <- drop_oldest t.entries;
+        t.evictions <- t.evictions + 1
+      end;
+      t.entries <- e :: t.entries;
+      t.on_refill ();
+      Ok ()
+    end
+
+(* A static map validated once, ready to load onto any number of cores:
+   the entries that a sequential [install] loop from an empty TLB would
+   accept (newest first, as [t.entries] holds them) and the error that
+   stops the loop, if any. *)
+type static_map = { accepted : entry list; accepted_count : int; error : string option }
+
+let prepare entries =
+  let rec walk accepted n = function
+    | [] -> (accepted, n, None)
+    | e :: rest -> (
+      match check_aligned e with
+      | Some msg -> (accepted, n, Some msg)
+      | None ->
+        if List.exists (overlaps e) accepted then (accepted, n, Some (overlap_error e))
+        else walk (e :: accepted) (n + 1) rest)
+  in
+  let accepted, accepted_count, error = walk [] 0 entries in
+  { accepted; accepted_count; error }
+
+let load t m =
+  if m.accepted_count > t.capacity then
+    Error
+      (Printf.sprintf "static map of %d entries exceeds TLB capacity %d" m.accepted_count
+         t.capacity)
   else begin
-    if List.length t.entries >= t.capacity then begin
-      (* FIFO eviction of the oldest entry. *)
-      t.entries <- List.filteri (fun i _ -> i < List.length t.entries - 1) t.entries;
-      t.evictions <- t.evictions + 1
-    end;
-    t.entries <- e :: t.entries;
-    t.on_refill ();
-    Ok ()
+    t.entries <- m.accepted;
+    for _ = 1 to m.accepted_count do
+      t.on_refill ()
+    done;
+    match m.error with None -> Ok () | Some msg -> Error msg
   end
 
 let permitted access perm =

@@ -39,6 +39,20 @@ val install : t -> entry -> (unit, string) Stdlib.result
     is full, the oldest entry is evicted (FIFO) and the eviction counter is
     bumped — CNK never triggers this; the FWK does. *)
 
+type static_map
+(** A fixed list of entries validated once (alignment and pairwise
+    overlap), to be loaded onto any number of cores — how CNK installs a
+    process's static map on every core it owns. *)
+
+val prepare : entry list -> static_map
+
+val load : t -> static_map -> (unit, string) Stdlib.result
+(** Replace [t]'s entries with the map's: the same result as {!flush}
+    followed by {!install} of each entry in order, stopping at the first
+    error — the same entries, refill-hook calls and error message. A map
+    that would not fit without evictions is an error instead, and [t] is
+    left unchanged: a static map never evicts (CNK treats it as a fault). *)
+
 val translate : t -> access -> int -> result
 
 val flush : t -> unit

@@ -48,18 +48,20 @@ type open_span = {
   o_depth : int;
 }
 
-(* CNK-style fixed-memory record store: parallel arrays sized once at
-   creation, overwritten in place when full. Nothing here grows during
-   steady state; only the (bounded) per-scope ring table is populated
-   lazily, once per (rank, core) ever seen. *)
+(* CNK-style bounded record store: parallel arrays overwritten in place
+   once full. A ring starts small and doubles on demand up to [cap], so a
+   scope that records a handful of spans costs a handful of slots; at
+   [cap] it stops growing and wraps, overwriting the oldest span. Until
+   then slot [i] holds the [i]th span pushed. The per-scope ring table
+   itself is populated lazily, once per (rank, core) ever seen. *)
 type ring = {
   cap : int;
-  cats : string array;
-  names : string array;
-  starts : int array;
-  finishes : int array;
-  depths : int array;
-  seqs : int array;  (* global completion sequence number per slot *)
+  mutable cats : string array;
+  mutable names : string array;
+  mutable starts : int array;
+  mutable finishes : int array;
+  mutable depths : int array;
+  mutable seqs : int array;  (* global completion sequence number per slot *)
   mutable written : int;  (* total spans ever pushed through this ring *)
 }
 
@@ -99,25 +101,44 @@ let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 let ring_capacity t = t.ring_capacity
 
+let initial_ring_slots = 8
+
 let ring_for t scope =
   match Hashtbl.find_opt t.rings scope with
   | Some r -> r
   | None ->
     let cap = t.ring_capacity in
+    let n = min cap initial_ring_slots in
     let r =
       {
         cap;
-        cats = Array.make cap "";
-        names = Array.make cap "";
-        starts = Array.make cap 0;
-        finishes = Array.make cap 0;
-        depths = Array.make cap 0;
-        seqs = Array.make cap 0;
+        cats = Array.make n "";
+        names = Array.make n "";
+        starts = Array.make n 0;
+        finishes = Array.make n 0;
+        depths = Array.make n 0;
+        seqs = Array.make n 0;
         written = 0;
       }
     in
     Hashtbl.add t.rings scope r;
     r
+
+(* Called when every slot holds a span and the ring is below [cap]: no
+   wraparound has happened yet, so the spans keep their slots. *)
+let grow r =
+  let n = min r.cap (2 * Array.length r.starts) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  r.cats <- extend r.cats "";
+  r.names <- extend r.names "";
+  r.starts <- extend r.starts 0;
+  r.finishes <- extend r.finishes 0;
+  r.depths <- extend r.depths 0;
+  r.seqs <- extend r.seqs 0
 
 let depth_for t scope =
   match Hashtbl.find_opt t.depths scope with
@@ -129,6 +150,7 @@ let depth_for t scope =
 
 let push_span t ~cat ~name ~rank ~core ~start ~finish ~depth =
   let ring = ring_for t (rank, core) in
+  if ring.written = Array.length ring.starts && ring.written < ring.cap then grow ring;
   let i = ring.written mod ring.cap in
   (* Ring wraparound overwrites the oldest span. That loss used to be
      visible only through arithmetic on [written]; count it as a

@@ -11,8 +11,9 @@
       draws randomness, and never touches the architectural {!Trace} —
       so for a fixed seed the [Sim] trace digest is bit-identical with
       collection on or off.
-    - {b Bounded.} Completed spans land in fixed-capacity per-(rank,core)
-      rings (oldest overwritten, CNK-style: no allocation growth in
+    - {b Bounded.} Completed spans land in per-(rank,core) rings that
+      start small and double on demand up to a fixed capacity, then
+      overwrite the oldest span (CNK-style: no allocation growth in
       steady state); metrics are O(distinct keys).
 
     The stream of completed spans folds into its own FNV digest

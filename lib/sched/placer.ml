@@ -42,37 +42,32 @@ let congestion_score torus partition ~base ~shape =
 
 type placement = { shape : int * int * int; base : (int * int * int) option }
 
-let place torus partition ~nodes ~comm =
-  let dims = Torus.dims torus in
-  let shapes = shapes_for ~dims ~nodes in
-  if not comm then
-    (* compute-only: cheapest path — most compact shape that fits now,
-       allocator's own first-fit base *)
-    List.find_map
-      (fun shape ->
-        match Partition.free_bases partition ~shape with
-        | [] -> None
-        | _ -> Some { shape; base = None })
+(* The free base whose member links are quietest. free_bases is rank-
+   ordered, so min-score ties resolve to the lowest base. *)
+let least_congested torus partition ~shape =
+  List.fold_left
+    (fun acc base ->
+      let score = congestion_score torus partition ~base ~shape in
+      match acc with
+      | Some (_, best_score) when best_score <= score -> acc
+      | _ -> Some (base, score))
+    None
+    (Partition.free_bases partition ~shape)
+  |> Option.map fst
+
+let place ~fits torus partition ~nodes ~comm =
+  let shapes = shapes_for ~dims:(Torus.dims torus) ~nodes in
+  match
+    List.find_opt
+      (fun shape -> Option.is_some (Partition.first_free_base partition ~shape))
       shapes
-  else
-    (* communication-heavy: most compact shape with a free box, scored
-       base. free_bases is rank-ordered, so min-score ties resolve to
-       the lowest base deterministically. *)
-    List.find_map
-      (fun shape ->
-        match Partition.free_bases partition ~shape with
-        | [] -> None
-        | bases ->
-          let best =
-            List.fold_left
-              (fun acc base ->
-                let score = congestion_score torus partition ~base ~shape in
-                match acc with
-                | Some (_, best_score) when best_score <= score -> acc
-                | _ -> Some (base, score))
-              None bases
-          in
-          (match best with
-          | Some (base, _) -> Some { shape; base = Some base }
-          | None -> None))
-      shapes
+  with
+  | None -> Error "no free box"
+  | Some shape when not (fits shape) ->
+    (* refused before any congestion scoring *)
+    Error "blocked by shape cap"
+  | Some shape ->
+    (* compute-only jobs take the allocator's own first fit: any free
+       box is as good as another for pure compute *)
+    let base = if comm then least_congested torus partition ~shape else None in
+    Ok { shape; base }

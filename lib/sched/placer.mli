@@ -35,15 +35,17 @@ val congestion_score :
 type placement = { shape : int * int * int; base : (int * int * int) option }
 
 val place :
+  fits:(int * int * int -> bool) ->
   Bg_hw.Torus.t ->
   Bg_control.Partition.t ->
   nodes:int ->
   comm:bool ->
-  placement option
-(** Choose where to put a job of [nodes] nodes right now. For [comm]
-    jobs: the most compact shape with a free box, at its
-    least-congested base (deterministic tie-break: lowest base in rank
-    order). For compute-only jobs: the most compact shape that has any
-    free box, first-fit base ([base = None] — the allocator's default).
-    [None] when nothing fits at the moment (or ever, for impossible
-    counts). *)
+  (placement, string) result
+(** Choose where to put a job of [nodes] nodes right now: the most
+    compact shape that has a free box. If [fits] refuses that shape
+    (strategies pass the scheduler's shape cap), the result is an
+    [Error] before any base is scored. For [comm] jobs the base is the
+    least-congested free one (deterministic tie-break: lowest base in
+    rank order); for compute-only jobs it is [None], the allocator's
+    first fit. [Error] when nothing fits at the moment (or ever, for
+    impossible counts). *)

@@ -34,6 +34,8 @@ type t = {
   reservations : (Sch.job_id, int) Hashtbl.t;
   mutable backfilled : int;
   mutable gangs_started : int;
+  failed_in : int array;  (* node count -> the pass its placement last failed in *)
+  mutable pass : int;
 }
 
 let kind_of t = t.kind
@@ -54,15 +56,32 @@ let bound_of (i : Sch.job_info) =
 let obs t = (Cnk.Cluster.machine (Sch.cluster t.sched)).Machine.obs
 let now t = Bg_engine.Sim.now (Cnk.Cluster.sim (Sch.cluster t.sched))
 
+(* A dispatch pass runs from a kick (or a start) to the next start.
+   Within one, the partition, the shape cap and the torus stand still,
+   and whether a job places depends on its node count alone, so a count
+   that failed fails again for every later job of that size: [failed_in]
+   remembers it until the pass ends. Starts must end the pass: filling
+   nodes can turn a capped failure into a success. *)
+let new_pass t = t.pass <- t.pass + 1
+
+let failed_this_pass t n = n < Array.length t.failed_in && t.failed_in.(n) = t.pass
+
 (* Place one queued job through the torus-aware placer and start it. *)
 let place_and_start t (i : Sch.job_info) =
-  let jid = i.Sch.info_jid in
-  match
-    Placer.place t.torus (Sch.partition t.sched) ~nodes:(nodes_of i)
-      ~comm:(t.config.comm_of jid)
-  with
-  | None -> Error "no free box"
-  | Some { Placer.shape; base } -> Sch.start_job t.sched ?base ~shape jid
+  let n = nodes_of i in
+  if failed_this_pass t n then Error "no placement for this size this pass"
+  else
+    match
+      Placer.place ~fits:(Sch.within_cap t.sched) t.torus (Sch.partition t.sched) ~nodes:n
+        ~comm:(t.config.comm_of i.Sch.info_jid)
+    with
+    | Error e ->
+      if n < Array.length t.failed_in then t.failed_in.(n) <- t.pass;
+      Error e
+    | Ok { Placer.shape; base } ->
+      let r = Sch.start_job t.sched ?base ~shape i.Sch.info_jid in
+      if Result.is_ok r then new_pass t;
+      r
 
 let count_backfill t started_head =
   if not started_head then begin
@@ -194,6 +213,7 @@ let start_unit t u =
         (List.map (fun (j : Sch.job_info) -> (j.Sch.info_jid, None, None)) members)
     with
     | Ok () ->
+      new_pass t;
       t.gangs_started <- t.gangs_started + 1;
       true
     | Error _ -> false)
@@ -289,6 +309,8 @@ let install ?(config = default_config) kind sched =
       reservations = Hashtbl.create 64;
       backfilled = 0;
       gangs_started = 0;
+      failed_in = Array.make (Partition.total_nodes (Sch.partition sched) + 1) 0;
+      pass = 1;
     }
   in
   let dispatch =
@@ -298,7 +320,11 @@ let install ?(config = default_config) kind sched =
     | Gang -> dispatch_gang t
     | Fair -> dispatch_fair t
   in
-  Sch.set_dispatch sched (Some dispatch);
+  Sch.set_dispatch sched
+    (Some
+       (fun () ->
+         new_pass t;
+         dispatch ()));
   t
 
 let uninstall t = Sch.set_dispatch t.sched None

@@ -888,12 +888,38 @@ let test_reset_self_refresh_preserves_persist () =
   Alcotest.(check int64) "self-refresh preserved DRAM" 123456L v
 
 (* ------------------------------------------------------------------ *)
+(* Image text *)
+
+let test_image_pattern_matches_rng_draws () =
+  List.iter
+    (fun (name, len) ->
+      let image = Image.executable ~name (fun () -> ()) in
+      let r = Rng.create (Rng.seed_of_string name) in
+      let expected = Bytes.create len in
+      for i = 0 to len - 1 do
+        Bytes.set_uint8 expected i (Rng.int r 256)
+      done;
+      Alcotest.(check bytes)
+        (Printf.sprintf "%s, %d bytes" name len)
+        expected (Node.image_pattern image len))
+    [ ("fwq", 4096); ("halo", 4096); ("iobench", 7); ("a", 1); ("a", 0) ];
+  (* and the stream is left where the per-byte draws leave it *)
+  let a = Rng.create 42L and b = Rng.create 42L in
+  Rng.fill_bytes a (Bytes.create 13);
+  for _ = 1 to 13 do
+    ignore (Rng.int b 256)
+  done;
+  Alcotest.(check int64) "stream position" (Rng.next_int64 b) (Rng.next_int64 a)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest [ prop_tile_alignment; prop_tracker_mmap_disjoint ]
 
 let suite =
   [
     Alcotest.test_case "mapping: smp layout" `Quick test_mapping_smp;
+    Alcotest.test_case "image: text = per-byte rng draws" `Quick
+      test_image_pattern_matches_rng_draws;
     Alcotest.test_case "mapping: pa disjoint" `Quick test_mapping_no_overlap_pa;
     Alcotest.test_case "mapping: vn even split" `Quick test_mapping_vn_equal_split;
     Alcotest.test_case "mapping: escalates floor" `Quick test_mapping_escalates_floor;

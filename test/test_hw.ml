@@ -127,6 +127,128 @@ let test_tlb_fifo_eviction () =
   | Tlb.Hit _ -> ()
   | _ -> Alcotest.fail "newest must be present"
 
+let test_tlb_fifo_evicts_exactly_oldest () =
+  let tlb = Tlb.create ~capacity:3 in
+  let mb = 1024 * 1024 in
+  let e i = entry (i * mb) (i * mb) Page_size.P1m Tlb.perm_rwx in
+  let ok = function Ok () -> () | Error e -> Alcotest.fail e in
+  let resident () = List.map (fun (x : Tlb.entry) -> x.Tlb.vaddr / mb) (Tlb.entries tlb) in
+  List.iter (fun i -> ok (Tlb.install tlb (e i))) [ 0; 1; 2 ];
+  check_int "filling evicts nothing" 0 (Tlb.evictions tlb);
+  ok (Tlb.install tlb (e 3));
+  check_int "one eviction" 1 (Tlb.evictions tlb);
+  Alcotest.(check (list int)) "only the oldest went" [ 3; 2; 1 ] (resident ());
+  ok (Tlb.install tlb (e 4));
+  check_int "two evictions" 2 (Tlb.evictions tlb);
+  Alcotest.(check (list int)) "then the next oldest" [ 4; 3; 2 ] (resident ())
+
+(* What [Tlb.load] must reproduce: a flush, then one [install] per entry
+   in order, stopping at the first error. *)
+let install_sequentially tlb entries =
+  Tlb.flush tlb;
+  let rec go = function
+    | [] -> Ok ()
+    | e :: rest -> ( match Tlb.install tlb e with Ok () -> go rest | Error _ as err -> err)
+  in
+  go entries
+
+(* Load one prepared map onto two TLBs and install it sequentially on a
+   third, every TLB holding [preload] first. When the sequential loop
+   stays within capacity, all observable state must agree; when it would
+   evict, [load] must fail and leave the TLB as it was. *)
+let load_matches_sequential ~capacity ~preload entries =
+  let make () =
+    let tlb = Tlb.create ~capacity in
+    let refills = ref 0 in
+    Tlb.set_refill_hook tlb (fun () -> incr refills);
+    List.iter (fun e -> ignore (Tlb.install tlb e)) preload;
+    refills := 0;
+    (tlb, refills)
+  in
+  let untouched, _ = make () in
+  let reference, ref_refills = make () in
+  let expected = install_sequentially reference entries in
+  let fits = Tlb.evictions reference = Tlb.evictions untouched in
+  let map = Tlb.prepare entries in
+  List.for_all
+    (fun _ ->
+      let tlb, refills = make () in
+      let got = Tlb.load tlb map in
+      if fits then
+        got = expected
+        && Tlb.entries tlb = Tlb.entries reference
+        && Tlb.evictions tlb = Tlb.evictions reference
+        && !refills = !ref_refills
+      else
+        Result.is_error got
+        && Tlb.entries tlb = Tlb.entries untouched
+        && Tlb.evictions tlb = Tlb.evictions untouched
+        && !refills = 0)
+    [ 1; 2 ]
+
+let test_tlb_load_matches_sequential () =
+  let mb = 1024 * 1024 in
+  let map = List.init 34 (fun i -> entry (i * 16 * mb) (i * 16 * mb) Page_size.P16m Tlb.perm_rwx) in
+  (* a static map as CNK builds it, loaded onto a chip's cores: the UPC
+     refill counters must read as if every entry had been installed *)
+  let chip_a = Chip.create ~id:0 () and chip_b = Chip.create ~id:0 () in
+  Upc.start (Chip.upc chip_a);
+  Upc.start (Chip.upc chip_b);
+  let prepared = Tlb.prepare map in
+  for core = 0 to 3 do
+    (match Tlb.load (Chip.core chip_a core).Chip.tlb prepared with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    match install_sequentially (Chip.core chip_b core).Chip.tlb map with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  for core = 0 to 3 do
+    check_int "refills per core" 34 (Upc.read (Chip.upc chip_a) ~core Upc.Tlb_refill);
+    Alcotest.(check bool)
+      "same entries" true
+      (Tlb.entries (Chip.core chip_a core).Chip.tlb
+      = Tlb.entries (Chip.core chip_b core).Chip.tlb)
+  done;
+  Alcotest.(check bool)
+    "same UPC state" true
+    (Fnv.equal (Upc.digest (Chip.upc chip_a)) (Upc.digest (Chip.upc chip_b)));
+  let check name ~capacity ?(preload = []) entries =
+    Alcotest.(check bool) name true (load_matches_sequential ~capacity ~preload entries)
+  in
+  check "clean map" ~capacity:64 map;
+  check "overlap in the middle" ~capacity:64
+    (List.filteri (fun i _ -> i < 5) map @ [ entry mb (1 lsl 30) Page_size.P1m Tlb.perm_rwx ]
+    @ List.filteri (fun i _ -> i >= 5) map);
+  check "misaligned vaddr" ~capacity:64 [ List.hd map; entry 4096 0 Page_size.P1m Tlb.perm_rwx ];
+  check "misaligned paddr" ~capacity:64 [ entry 0 4096 Page_size.P1m Tlb.perm_rwx ];
+  check "loading replaces what was there" ~capacity:64 ~preload:[ List.nth map 3 ] map;
+  check "more entries than capacity" ~capacity:8 map;
+  match Tlb.load (Tlb.create ~capacity:8) (Tlb.prepare map) with
+  | Ok () -> Alcotest.fail "an over-capacity static map loaded"
+  | Error msg ->
+    Alcotest.(check string)
+      "capacity error" "static map of 34 entries exceeds TLB capacity 8" msg
+
+let tlb_entry_gen =
+  let open QCheck.Gen in
+  oneofl [ Page_size.P4k; Page_size.P64k; Page_size.P1m; Page_size.P16m ] >>= fun size ->
+  let page = Page_size.bytes size in
+  frequency
+    [
+      (* mostly aligned, on a small grid so overlaps are common *)
+      (9, map2 (fun v p -> entry (v * page) (p * page) size Tlb.perm_rwx) (0 -- 15) (0 -- 15));
+      (1, map2 (fun v p -> entry (v * 4096) (p * 4096) size Tlb.perm_rw) (0 -- 4095) (0 -- 4095));
+    ]
+
+let prop_tlb_load_matches_sequential =
+  QCheck.Test.make ~name:"tlb: prepared load = flush + sequential installs, or a capacity error"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple (1 -- 10) (list_size (0 -- 4) tlb_entry_gen) (list_size (0 -- 14) tlb_entry_gen)))
+    (fun (capacity, preload, entries) -> load_matches_sequential ~capacity ~preload entries)
+
 (* ------------------------------------------------------------------ *)
 (* Dac *)
 
@@ -452,7 +574,12 @@ let test_clock_stop_disarm () =
 
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_memory_roundtrip; prop_torus_hops_symmetric; prop_torus_hops_bounded ]
+    [
+      prop_memory_roundtrip;
+      prop_torus_hops_symmetric;
+      prop_torus_hops_bounded;
+      prop_tlb_load_matches_sequential;
+    ]
 
 let suite =
   [
@@ -469,6 +596,10 @@ let suite =
     Alcotest.test_case "tlb: alignment" `Quick test_tlb_alignment_rejected;
     Alcotest.test_case "tlb: overlap" `Quick test_tlb_overlap_rejected;
     Alcotest.test_case "tlb: fifo eviction" `Quick test_tlb_fifo_eviction;
+    Alcotest.test_case "tlb: fifo evicts exactly the oldest" `Quick
+      test_tlb_fifo_evicts_exactly_oldest;
+    Alcotest.test_case "tlb: prepared load = sequential installs" `Quick
+      test_tlb_load_matches_sequential;
     Alcotest.test_case "dac: store watch" `Quick test_dac_store_watch;
     Alcotest.test_case "dac: clear" `Quick test_dac_clear;
     Alcotest.test_case "cache: modulo mapping" `Quick test_cache_modulo_spreads_lines;

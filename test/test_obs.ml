@@ -33,6 +33,40 @@ let test_ring_wraparound () =
   let starts = List.map (fun s -> s.Obs.start) spans in
   check_bool "oldest first" true (starts = List.sort compare starts)
 
+(* Rings grow on demand up to their capacity. What a scope retains,
+   drops, digests and captures must read exactly as from rings sized to
+   the capacity up front; the hex values were taken from those. *)
+let test_ring_growth_is_invisible () =
+  let cap = 20 in
+  List.iter
+    (fun (n, digest, capture) ->
+      let o = Obs.create ~ring_capacity:cap ~enabled:true () in
+      for i = 0 to n - 1 do
+        Obs.span_record o ~cat:"ring" ~name:(Printf.sprintf "s%d" i) ~rank:3 ~core:1
+          ~start:(i * 10)
+          ~finish:((i * 10) + 5)
+      done;
+      let what = Printf.sprintf "%d spans" n in
+      let kept = min n cap in
+      Alcotest.(check (list string))
+        (what ^ ": newest retained, oldest first")
+        (List.init kept (fun j -> Printf.sprintf "s%d" (n - kept + j)))
+        (List.map (fun (s : Obs.span) -> s.Obs.name) (Obs.spans o));
+      check_int (what ^ ": dropped") (max 0 (n - cap)) (Obs.dropped_spans o);
+      Alcotest.(check string) (what ^ ": digest") digest (Fnv.to_hex (Obs.digest o));
+      let b = Buffer.create 256 in
+      Obs.capture o b;
+      Alcotest.(check string)
+        (what ^ ": capture bytes")
+        capture
+        (Fnv.to_hex (Fnv.add_string Fnv.empty (Buffer.contents b))))
+    [
+      (cap - 1, "6cc2d290f90a5887", "6b05a2232c6f635d");
+      (cap, "61ebc14cb2c499a3", "467a062011ae1bc6");
+      (cap + 1, "72e3bf945f723677", "0b0c0fc69941e261");
+      (3 * cap, "174134f8fe53e876", "62657a4fb97cb7ae");
+    ]
+
 let test_nested_span_balance () =
   let o = Obs.create ~enabled:true () in
   let outer = Obs.span_begin o ~cat:"k" ~name:"outer" ~rank:1 ~core:2 ~now:100 in
@@ -473,6 +507,7 @@ let test_perf_syscall_fwk () =
 let suite =
   [
     Alcotest.test_case "span ring: wraparound" `Quick test_ring_wraparound;
+    Alcotest.test_case "span ring: growth is invisible" `Quick test_ring_growth_is_invisible;
     Alcotest.test_case "spans: nested balance" `Quick test_nested_span_balance;
     Alcotest.test_case "disabled collector is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "timer: single sample" `Quick test_timer_single_sample;

@@ -172,14 +172,169 @@ let test_placer_scores_congestion () =
   let busy = Placer.congestion_score torus p ~base:(0, 0, 0) ~shape:(2, 1, 1) in
   let quiet = Placer.congestion_score torus p ~base:(2, 0, 0) ~shape:(2, 1, 1) in
   check_bool "traffic raises the score" true (busy > quiet);
-  match Placer.place torus p ~nodes:2 ~comm:true with
-  | Some { Placer.base = Some (2, 0, 0); _ } -> ()
-  | Some { Placer.base; _ } ->
+  match Placer.place ~fits:(fun _ -> true) torus p ~nodes:2 ~comm:true with
+  | Ok { Placer.base = Some (2, 0, 0); _ } -> ()
+  | Ok { Placer.base; _ } ->
     Alcotest.fail
       (match base with
       | Some (x, y, z) -> Printf.sprintf "comm job placed at (%d,%d,%d)" x y z
       | None -> "comm job got no scored base")
-  | None -> Alcotest.fail "nothing placed"
+  | Error e -> Alcotest.fail ("nothing placed: " ^ e)
+
+(* A reference copy of placement as it stood before the cap check moved
+   ahead of scoring: every free base listed from the rank masks, the
+   congestion score summed over each box's ranks, and the shape cap
+   applied afterwards (as the scheduler's start did). *)
+type place_case = {
+  dims : int * int * int;
+  states : int array;  (* per rank: 0 free, 1 occupied, 2 down, 3 spare *)
+  cap : (int * int * int) option;
+  nodes : int;
+  comm : bool;
+  traffic : (int * int * int) list;  (* src, dst, bytes *)
+  events : int;  (* how far the traffic runs before placing *)
+}
+
+let ref_rank (x, y, _) (cx, cy, cz) = cx + (cy * x) + (cz * x * y)
+
+let ref_box_ranks dims (bx, by, bz) (sx, sy, sz) =
+  List.sort compare
+    (List.concat
+       (List.init sz (fun dz ->
+            List.concat
+              (List.init sy (fun dy ->
+                   List.init sx (fun dx -> ref_rank dims (bx + dx, by + dy, bz + dz)))))))
+
+let ref_free_bases dims states ((sx, sy, sz) as shape) =
+  let x, y, z = dims in
+  let bases = ref [] in
+  for bz = z - sz downto 0 do
+    for by = y - sy downto 0 do
+      for bx = x - sx downto 0 do
+        if List.for_all (fun r -> states.(r) = 0) (ref_box_ranks dims (bx, by, bz) shape)
+        then bases := (bx, by, bz) :: !bases
+      done
+    done
+  done;
+  !bases
+
+let ref_score torus ranks =
+  List.fold_left
+    (fun acc rank ->
+      let per_rank = ref 0 in
+      for dir = 0 to 5 do
+        per_rank :=
+          !per_rank
+          + Bg_hw.Torus.link_busy_cycles torus ~rank ~dir
+          + (10_000 * Bg_hw.Torus.link_in_flight torus ~rank ~dir)
+      done;
+      acc + !per_rank)
+    0 ranks
+
+let ref_place torus c =
+  List.find_map
+    (fun shape ->
+      match ref_free_bases c.dims c.states shape with
+      | [] -> None
+      | _ :: _ when not c.comm -> Some (shape, None)
+      | bases ->
+        let best =
+          List.fold_left
+            (fun acc base ->
+              let score = ref_score torus (ref_box_ranks c.dims base shape) in
+              match acc with
+              | Some (_, s) when s <= score -> acc
+              | _ -> Some (base, score))
+            None bases
+        in
+        Some (shape, Option.map fst best))
+    (Placer.shapes_for ~dims:c.dims ~nodes:c.nodes)
+
+let within cap (sx, sy, sz) =
+  match cap with None -> true | Some (cx, cy, cz) -> sx <= cx && sy <= cy && sz <= cz
+
+let place_case_gen =
+  let open QCheck.Gen in
+  triple (1 -- 4) (1 -- 4) (1 -- 4) >>= fun ((x, y, z) as dims) ->
+  let n = x * y * z in
+  array_repeat n (frequency [ (6, return 0); (2, return 1); (1, return 2); (1, return 3) ])
+  >>= fun states ->
+  opt (triple (1 -- 4) (1 -- 4) (1 -- 4)) >>= fun cap ->
+  pair (1 -- (n + 1)) bool >>= fun (nodes, comm) ->
+  list_size (0 -- 8) (triple (0 -- (n - 1)) (0 -- (n - 1)) (1 -- 65536)) >>= fun traffic ->
+  map (fun events -> { dims; states; cap; nodes; comm; traffic; events }) (0 -- 200)
+
+let print_place_case c =
+  let x, y, z = c.dims in
+  Printf.sprintf "dims=%dx%dx%d states=%s cap=%s nodes=%d comm=%b traffic=%d events=%d" x y z
+    (String.concat "" (Array.to_list (Array.map string_of_int c.states)))
+    (match c.cap with Some (a, b, d) -> Printf.sprintf "%dx%dx%d" a b d | None -> "none")
+    c.nodes c.comm (List.length c.traffic) c.events
+
+(* The partition and torus a case describes. *)
+let build_place_case c =
+  let x, y, _ = c.dims in
+  let p = Ctl.Partition.create ~dims:c.dims in
+  Array.iteri
+    (fun r st ->
+      match st with
+      | 1 ->
+        ignore
+          (Ctl.Partition.allocate p
+             ~base:(r mod x, r / x mod y, r / (x * y))
+             ~shape:(1, 1, 1))
+      | 2 -> Ctl.Partition.set_down p ~rank:r true
+      | 3 -> Ctl.Partition.set_spare p ~rank:r true
+      | _ -> ())
+    c.states;
+  let sim = Sim.create () in
+  let torus = Bg_hw.Torus.create sim ~dims:c.dims () in
+  List.iter (fun (src, dst, bytes) -> Bg_hw.Torus.transfer torus ~src ~dst ~bytes ()) c.traffic;
+  ignore (Sim.run ~max_events:c.events sim);
+  (p, torus)
+
+let prop_placer_matches_reference =
+  QCheck.Test.make ~name:"placer: cap-first placement = reference place, then cap" ~count:500
+    (QCheck.make ~print:print_place_case place_case_gen)
+    (fun c ->
+      let p, torus = build_place_case c in
+      let got = Placer.place ~fits:(within c.cap) torus p ~nodes:c.nodes ~comm:c.comm in
+      match (ref_place torus c, got) with
+      | None, Error "no free box" -> true
+      | Some (shape, _), Error "blocked by shape cap" -> not (within c.cap shape)
+      | Some (shape, base), Ok pl when within c.cap shape ->
+        (* a compute-only job's first fit is the lowest free base *)
+        let expected_base =
+          match base with
+          | Some b -> Some b
+          | None -> List.nth_opt (ref_free_bases c.dims c.states shape) 0
+        in
+        pl = { Placer.shape; base }
+        &&
+        (match Ctl.Partition.allocate ?base p ~shape with
+        | Ok a ->
+          Some a.Ctl.Partition.base = expected_base
+          && a.Ctl.Partition.ranks = ref_box_ranks c.dims a.Ctl.Partition.base shape
+        | Error _ -> false)
+      | _ -> false)
+
+(* The invariant behind the strategy's per-pass failure set. Between two
+   starts the partition, the torus and the cap stand still, and whether
+   a job places depends on its node count alone: not on whether it is
+   communication-heavy, nor on what was placed (and not started)
+   before. Filling nodes does not preserve failure, though: a capped
+   shape can lose its free box and let a smaller-extent shape through,
+   so the set must be cleared on every start. *)
+let prop_failure_depends_on_size_alone =
+  QCheck.Test.make ~name:"placer: between starts, success depends on the size alone"
+    ~count:300
+    (QCheck.make ~print:print_place_case place_case_gen)
+    (fun c ->
+      let p, torus = build_place_case c in
+      let place comm = Placer.place ~fits:(within c.cap) torus p ~nodes:c.nodes ~comm in
+      let outcome = function Ok pl -> Ok pl.Placer.shape | Error e -> Error e in
+      let first = outcome (place c.comm) in
+      first = outcome (place (not c.comm)) && first = outcome (place c.comm))
 
 (* ------------------------------------------------------------------ *)
 (* Strategy invariants *)
@@ -268,6 +423,30 @@ let test_gang_all_or_none () =
   | [] -> ());
   check_bool "blocker finished first" true
     (match Sch.state sched blocker with Sch.Completed _ -> true | _ -> false)
+
+(* A start must end the strategy's failure-set pass. Ranks 0-2 are down
+   and the cap is 2x1x1. The 2-node job's most compact free box is the
+   1x2 column at x=3, over the cap, so it fails. The 1-node job then
+   takes rank 3, which closes that column and leaves the 2x1 boxes of
+   row y=1, inside the cap, as the most compact free shape. So both
+   start in the same kick. *)
+let test_start_ends_failure_pass () =
+  let cluster = mk_cluster ~seed:24L (4, 2, 1) in
+  let sched = Sch.create cluster in
+  ignore (Strategy.install Strategy.Fair sched);
+  List.iter (fun rank -> Sch.mark_down sched ~rank) [ 0; 1; 2 ];
+  Sch.set_shape_cap sched (Some (2, 1, 1));
+  let submit name shape =
+    Sch.submit_factory sched ~est_cycles:100_000 ~shape (factory ~name ~runtime:50_000)
+  in
+  let pair = submit "pair" (2, 1, 1) in
+  let single = submit "single" (1, 1, 1) in
+  Sch.kick sched;
+  List.iter
+    (fun (name, j) ->
+      check_bool (name ^ " started in the first kick") true
+        (match Sch.state sched j with Sch.Running _ -> true | _ -> false))
+    [ ("single", single); ("pair", pair) ]
 
 let test_fair_share_weights () =
   let cluster = mk_cluster ~seed:23L (2, 2, 1) in
@@ -443,9 +622,12 @@ let suite =
     ("easy: head reservation never delayed", `Quick, test_easy_head_reservation);
     ("gang: all-or-none co-scheduling", `Quick, test_gang_all_or_none);
     ("fair: weighted shares within tolerance", `Quick, test_fair_share_weights);
+    ("strategy: a start ends the failure-set pass", `Quick, test_start_ends_failure_pass);
     ( "scheduler: duplicate completions idempotent",
       `Quick,
       test_duplicate_completions_idempotent );
     ("scheduler: scan visits stay linear", `Quick, test_scan_visits_stay_linear);
     ("service: same-seed SLO bill reproduces", `Quick, test_service_deterministic_slo);
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_placer_matches_reference; prop_failure_depends_on_size_alone ]
