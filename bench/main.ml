@@ -893,6 +893,28 @@ let run_micro () =
              ()
            done))
   in
+  let test_sim_run =
+    (* 64 chains, each thunk rescheduling itself, so the queue holds 64
+       live events until 10k have fired *)
+    Test.make ~name:"Sim.run 10k events at depth 64"
+      (Staged.stage (fun () ->
+           let sim = Sim.create () in
+           let left = ref 10_000 in
+           let rec tick () =
+             decr left;
+             if !left >= 64 then ignore (Sim.schedule_in sim (1 + (!left * 7919 mod 97)) tick)
+           in
+           for i = 1 to 64 do
+             ignore (Sim.schedule_at sim i tick)
+           done;
+           ignore (Sim.run sim)))
+  in
+  let test_fnv =
+    Test.make ~name:"Fnv.add_string 16 B label"
+      (Staged.stage
+         (let label = "cio.pwrite.reply" in
+          fun () -> ignore (Sys.opaque_identity (Fnv.add_string Fnv.empty label))))
+  in
   let test_memory =
     Test.make ~name:"memory write+read 4K"
       (Staged.stage
@@ -921,7 +943,8 @@ let run_micro () =
              (Job.create ~name:"f" (Image.executable ~name:"f" entry))))
   in
   let tests =
-    Test.make_grouped ~name:"sim" [ test_queue; test_memory; test_proto; test_fwq_sim ]
+    Test.make_grouped ~name:"sim"
+      [ test_queue; test_sim_run; test_fnv; test_memory; test_proto; test_fwq_sim ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in

@@ -1,103 +1,183 @@
-type handle = int
+type state = Pending | Fired | Cancelled
+type handle = { mutable state : state }
 
-type 'a entry = { time : Cycles.t; seq : int; payload : 'a }
-
-(* Binary min-heap on (time, seq). [alive] tracks scheduled-but-not-fired
-   sequence numbers; cancellation removes from [alive] and the stale heap
-   entry is dropped lazily when it reaches the top. *)
+(* Binary min-heap on (time, seq) kept in parallel int arrays, so a sift
+   compares and moves only unboxed ints and never runs the write
+   barrier. Each heap entry names a slot; payloads and handles live in
+   slot-indexed arrays, written once per [add]. Positions [size ..] of
+   [slots] hold the free slot ids, so the free list costs no extra
+   storage. Cancelling flips the handle and the live count; the stale
+   entry is dropped lazily when it reaches the top. Every entry in the
+   heap is pending or a stale cancelled one. *)
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable times : int array;  (* heap order *)
+  mutable seqs : int array;  (* heap order *)
+  mutable slots : int array;  (* heap order, then the free slot ids *)
+  mutable cells : handle array;  (* by slot *)
+  mutable payloads : 'a array;  (* by slot *)
   mutable size : int;
+  mutable live : int;
   mutable next_seq : int;
-  alive : (int, unit) Hashtbl.t;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; alive = Hashtbl.create 64 }
+let create () =
+  {
+    times = [||];
+    seqs = [||];
+    slots = [||];
+    cells = [||];
+    payloads = [||];
+    size = 0;
+    live = 0;
+    next_seq = 0;
+  }
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Only called when full, so slots [0, size) are all in use and the new
+   ones are free. The pending cell and payload fill the fresh tails, so
+   no dummy value of type ['a] is needed. *)
+let grow q cell payload =
+  let n = q.size in
+  let capacity = max 16 (2 * n) in
+  let extend a fill =
+    let b = Array.make capacity fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  q.times <- extend q.times 0;
+  q.seqs <- extend q.seqs 0;
+  q.slots <- Array.init capacity (fun i -> if i < n then q.slots.(i) else i);
+  q.cells <- extend q.cells cell;
+  q.payloads <- extend q.payloads payload
 
-let grow q =
-  let capacity = max 16 (2 * Array.length q.heap) in
-  let heap = Array.make capacity q.heap.(0) in
-  Array.blit q.heap 0 heap 0 q.size;
-  q.heap <- heap
+(* The sift loops index only within [0, size), inside every array, so
+   they skip the bounds checks. *)
+let[@inline] move q ~src ~dst =
+  Array.unsafe_set q.times dst (Array.unsafe_get q.times src);
+  Array.unsafe_set q.seqs dst (Array.unsafe_get q.seqs src);
+  Array.unsafe_set q.slots dst (Array.unsafe_get q.slots src)
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before q.heap.(i) q.heap.(parent) then begin
-      let tmp = q.heap.(i) in
-      q.heap.(i) <- q.heap.(parent);
-      q.heap.(parent) <- tmp;
-      sift_up q parent
-    end
-  end
+let[@inline] set q i ~time ~seq ~slot =
+  Array.unsafe_set q.times i time;
+  Array.unsafe_set q.seqs i seq;
+  Array.unsafe_set q.slots i slot
 
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.size && before q.heap.(l) q.heap.(!smallest) then smallest := l;
-  if r < q.size && before q.heap.(r) q.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = q.heap.(i) in
-    q.heap.(i) <- q.heap.(!smallest);
-    q.heap.(!smallest) <- tmp;
-    sift_down q !smallest
-  end
+(* Entry [a] fires before entry [b]. *)
+let[@inline] before q a b =
+  let ta = Array.unsafe_get q.times a and tb = Array.unsafe_get q.times b in
+  ta < tb || (ta = tb && Array.unsafe_get q.seqs a < Array.unsafe_get q.seqs b)
+
+(* [1] when [x < 0], else [0]: bit 62 is the sign of a 63-bit int. *)
+let[@inline] negative x = (x asr 62) land 1
+
+(* [1] when entry [l + 1] fires before its sibling [l], else [0]. The
+   pick is a coin flip on real heaps, so it is computed without a
+   branch; times and seqs are [>= 0], so the differences cannot
+   overflow. *)
+let[@inline] right_first q l =
+  let dt = Array.unsafe_get q.times (l + 1) - Array.unsafe_get q.times l in
+  let ds = Array.unsafe_get q.seqs (l + 1) - Array.unsafe_get q.seqs l in
+  let differ = negative (dt lor -dt) in
+  (differ land negative dt) lor ((1 - differ) land negative ds)
 
 let add q ~time payload =
+  if time < 0 then invalid_arg "Event_queue.add: negative time";
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
-  let entry = { time; seq; payload } in
-  if q.size = Array.length q.heap then
-    if q.size = 0 then q.heap <- Array.make 16 entry else grow q;
-  q.heap.(q.size) <- entry;
+  let cell = { state = Pending } in
+  if q.size = Array.length q.times then grow q cell payload;
+  let slot = q.slots.(q.size) in
+  q.cells.(slot) <- cell;
+  q.payloads.(slot) <- payload;
+  (* Sift the hole up. [seq] is the largest ever issued, so an equal
+     time never orders the new event before its parent. *)
+  let i = ref q.size in
   q.size <- q.size + 1;
-  sift_up q (q.size - 1);
-  Hashtbl.add q.alive seq ();
-  seq
+  while !i > 0 && time < Array.unsafe_get q.times ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    move q ~src:parent ~dst:!i;
+    i := parent
+  done;
+  set q !i ~time ~seq ~slot;
+  q.live <- q.live + 1;
+  cell
 
-let cancel q h = Hashtbl.remove q.alive h
+let cancel q h =
+  match h.state with
+  | Pending ->
+    h.state <- Cancelled;
+    q.live <- q.live - 1
+  | Fired | Cancelled -> ()
 
-let pop_raw q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    Some top
-  end
+(* Remove the root entry, bottom-up: walk the hole from the root to a
+   leaf along the earlier child (one comparison a level), then sift the
+   last entry up from there. The last entry is usually late, so the
+   second walk is short. The root's slot is parked at the vacated
+   position [n], on the free list. *)
+let remove_top q =
+  let freed = q.slots.(0) in
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then begin
+    let i = ref 0 and l = ref 1 in
+    while !l < n do
+      let c = if !l + 1 < n then !l + right_first q !l else !l in
+      move q ~src:c ~dst:!i;
+      i := c;
+      l := (2 * c) + 1
+    done;
+    let time = q.times.(n) and seq = q.seqs.(n) and slot = q.slots.(n) in
+    while !i > 0 && before q n ((!i - 1) / 2) do
+      let parent = (!i - 1) / 2 in
+      move q ~src:parent ~dst:!i;
+      i := parent
+    done;
+    set q !i ~time ~seq ~slot
+  end;
+  q.slots.(n) <- freed
 
-let rec pop q =
-  match pop_raw q with
-  | None -> None
-  | Some e ->
-    if Hashtbl.mem q.alive e.seq then begin
-      Hashtbl.remove q.alive e.seq;
-      Some (e.time, e.payload)
-    end
-    else pop q
+let rec drop_stale q =
+  if q.size = 0 then -1
+  else
+    match q.cells.(q.slots.(0)).state with
+    | Pending -> q.times.(0)
+    | Fired | Cancelled ->
+      remove_top q;
+      drop_stale q
 
-let rec peek_time q =
-  if q.size = 0 then None
-  else if Hashtbl.mem q.alive q.heap.(0).seq then Some q.heap.(0).time
-  else begin
-    ignore (pop_raw q);
-    peek_time q
-  end
+(* The common case, a live root, inlines into the callers. *)
+let[@inline] top_time q =
+  if q.size > 0 && q.cells.(q.slots.(0)).state == Pending then q.times.(0) else drop_stale q
 
-let is_empty q = Hashtbl.length q.alive = 0
-let length q = Hashtbl.length q.alive
+(* Fire the root entry, which [top_time] found live. *)
+let[@inline] take_root q =
+  let slot = q.slots.(0) in
+  let payload = q.payloads.(slot) in
+  q.cells.(slot).state <- Fired;
+  q.live <- q.live - 1;
+  remove_top q;
+  payload
 
+let take_top q =
+  if top_time q < 0 then invalid_arg "Event_queue.take_top: no live event";
+  take_root q
+
+let pop q =
+  let time = top_time q in
+  if time < 0 then None else Some (time, take_root q)
+
+let peek_time q =
+  let time = top_time q in
+  if time < 0 then None else Some time
+
+let is_empty q = q.live = 0
+let length q = q.live
 let next_seq q = q.next_seq
 
 let live q =
   let out = ref [] in
   for i = 0 to q.size - 1 do
-    let e = q.heap.(i) in
-    if Hashtbl.mem q.alive e.seq then out := (e.time, e.seq) :: !out
+    match q.cells.(q.slots.(i)).state with
+    | Pending -> out := (q.times.(i), q.seqs.(i)) :: !out
+    | Fired | Cancelled -> ()
   done;
   List.sort compare !out

@@ -8,12 +8,17 @@
 type 'a t
 
 type handle
-(** Identifies a scheduled event so it can be cancelled. *)
+(** Identifies a scheduled event so it can be cancelled. A handle is the
+    event's own state cell (pending, fired or cancelled), so it is only
+    valid on the queue that issued it: cancelling it on another queue
+    corrupts that queue's live count. *)
 
 val create : unit -> 'a t
 
 val add : 'a t -> time:Cycles.t -> 'a -> handle
-(** [add q ~time payload] schedules [payload] at [time]. *)
+(** [add q ~time payload] schedules [payload] at [time], which must be
+    [>= 0]: {!top_time} uses [-1] to signal an empty queue.
+    @raise Invalid_argument on a negative [time]. *)
 
 val cancel : 'a t -> handle -> unit
 (** [cancel q h] removes the event, if it has not already fired. Cancelling
@@ -24,6 +29,16 @@ val pop : 'a t -> (Cycles.t * 'a) option
 
 val peek_time : 'a t -> Cycles.t option
 (** Timestamp of the earliest live event, without removing it. *)
+
+val top_time : 'a t -> Cycles.t
+(** Like {!peek_time} without the option: the timestamp of the earliest
+    live event, or [-1] when none is live. Allocates nothing. *)
+
+val take_top : 'a t -> 'a
+(** Like {!pop} without the option and tuple: remove the earliest live
+    event and return its payload, its time being {!top_time}. Allocates
+    nothing.
+    @raise Invalid_argument when no event is live. *)
 
 val is_empty : 'a t -> bool
 

@@ -3,24 +3,31 @@ type t = int64
 let empty = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
-let add_byte h b =
-  let h = Int64.logxor h (Int64.of_int (b land 0xff)) in
-  Int64.mul h prime
+(* Each fold runs over a local [ref] that ocamlopt keeps unboxed, so a
+   call allocates only its boxed result. *)
+let[@inline] add_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
 let add_int64 h x =
-  let rec go h i =
-    if i = 8 then h
-    else
-      let b = Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff in
-      go (add_byte h b) (i + 1)
-  in
-  go h 0
+  let h = ref h in
+  for i = 0 to 7 do
+    h := add_byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+  done;
+  !h
 
-let add_int h x = add_int64 h (Int64.of_int x)
+(* [x asr (8 * i)] yields the same low byte as the sign-extended int64,
+   so this folds exactly the bytes of [add_int64 h (Int64.of_int x)]. *)
+let add_int h x =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := add_byte !h (x asr (8 * i))
+  done;
+  !h
 
 let add_string h s =
   let h = ref h in
-  String.iter (fun c -> h := add_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := add_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let add_bytes h b = add_string h (Bytes.unsafe_to_string b)

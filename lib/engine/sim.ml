@@ -37,46 +37,46 @@ let schedule_in t delta thunk =
 let cancel t h = Event_queue.cancel t.queue h
 let pending t = Event_queue.length t.queue
 
+let fire t time thunk =
+  t.clock <- time;
+  t.fired <- t.fired + 1;
+  thunk ()
+
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, thunk) ->
-    t.clock <- time;
-    t.fired <- t.fired + 1;
-    thunk ();
+  let time = Event_queue.top_time t.queue in
+  if time < 0 then false
+  else begin
+    fire t time (Event_queue.take_top t.queue);
     true
+  end
 
 let halt t reason = t.halt_reason <- Some reason
 
-let run ?until ?max_events t =
-  let fired = ref 0 in
-  let rec loop () =
-    match t.halt_reason with
-    | Some reason ->
-      t.halt_reason <- None;
-      Halted reason
-    | None ->
-      let budget_ok =
-        match max_events with None -> true | Some m -> !fired < m
-      in
-      if not budget_ok then Reached_limit
-      else begin
-        match Event_queue.peek_time t.queue with
-        | None -> Completed
-        | Some time ->
-          let beyond = match until with None -> false | Some u -> time > u in
-          if beyond then begin
-            (match until with Some u -> t.clock <- max t.clock u | None -> ());
-            Reached_limit
-          end
-          else begin
-            ignore (step t);
-            incr fired;
-            loop ()
-          end
+(* Top level, with every input an argument, so a run allocates no
+   closure; [top_time]/[take_top] allocate nothing per event. *)
+let rec run_loop t ~until ~max_events fired =
+  match t.halt_reason with
+  | Some reason ->
+    t.halt_reason <- None;
+    Halted reason
+  | None ->
+    if fired >= max_events then Reached_limit
+    else begin
+      let time = Event_queue.top_time t.queue in
+      if time < 0 then Completed
+      else if time > until then begin
+        t.clock <- max t.clock until;
+        Reached_limit
       end
-  in
-  loop ()
+      else begin
+        fire t time (Event_queue.take_top t.queue);
+        run_loop t ~until ~max_events (fired + 1)
+      end
+    end
+
+(* [max_int] stands for "no limit" in both: no time exceeds it, and no
+   run fires that many events. *)
+let run ?(until = max_int) ?(max_events = max_int) t = run_loop t ~until ~max_events 0
 
 let trace t = t.trace
 let emit t ~label ~value = Trace.emit t.trace ~cycle:t.clock ~label ~value

@@ -37,6 +37,7 @@ type edge = { kind : kind; src : ctx; dst : ctx }
 type t = {
   mutable enabled : bool;
   seed : int;
+  seed_prefix : Fnv.t;  (* [Fnv.add_int Fnv.empty seed], folded once *)
   max_nodes : int;
   by_id : (ctx, node) Hashtbl.t;
   mutable nodes_rev : node list;
@@ -54,6 +55,7 @@ let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
   {
     enabled;
     seed;
+    seed_prefix = Fnv.add_int Fnv.empty seed;
     max_nodes;
     by_id = Hashtbl.create 256;
     nodes_rev = [];
@@ -86,7 +88,7 @@ let reset t =
 let fresh_id t =
   let rec go () =
     t.minted <- t.minted + 1;
-    let h = Fnv.add_int (Fnv.add_int Fnv.empty t.seed) t.minted in
+    let h = Fnv.add_int t.seed_prefix t.minted in
     let id = Int64.to_int h land max_int in
     if id = none || Hashtbl.mem t.by_id id then go () else id
   in

@@ -46,6 +46,7 @@ type open_span = {
   o_core : int;
   o_start : Cycles.t;
   o_depth : int;
+  o_scope_depth : int ref;  (* the scope's [depths] cell, looked up once *)
 }
 
 (* CNK-style bounded record store: parallel arrays overwritten in place
@@ -183,7 +184,15 @@ let span_begin t ~cat ~name ~rank ~core ~now =
     let h = t.next_handle in
     t.next_handle <- h + 1;
     Hashtbl.add t.opens h
-      { o_cat = cat; o_name = name; o_rank = rank; o_core = core; o_start = now; o_depth = !d };
+      {
+        o_cat = cat;
+        o_name = name;
+        o_rank = rank;
+        o_core = core;
+        o_start = now;
+        o_depth = !d;
+        o_scope_depth = d;
+      };
     incr d;
     h
   end
@@ -194,7 +203,7 @@ let span_end t h ~now =
     | None -> ()
     | Some o ->
       Hashtbl.remove t.opens h;
-      let d = depth_for t (o.o_rank, o.o_core) in
+      let d = o.o_scope_depth in
       if !d > 0 then decr d;
       push_span t ~cat:o.o_cat ~name:o.o_name ~rank:o.o_rank ~core:o.o_core
         ~start:o.o_start ~finish:now ~depth:o.o_depth
@@ -213,7 +222,7 @@ let abandon_open t h =
     | None -> ()
     | Some o ->
       Hashtbl.remove t.opens h;
-      let d = depth_for t (o.o_rank, o.o_core) in
+      let d = o.o_scope_depth in
       if !d > 0 then decr d
 
 let span_count t = t.completed

@@ -26,6 +26,57 @@ let test_fnv_int_int64_consistent () =
   let h2 = Fnv.add_int64 Fnv.empty 12345L in
   Alcotest.(check bool) "int matches int64" true (Fnv.equal h1 h2)
 
+(* The byte-at-a-time FNV-1a the simulator's digests were first pinned
+   with, kept as the reference the unboxed [Fnv] must match bit for bit. *)
+module Fnv_ref = struct
+  let prime = 0x100000001b3L
+
+  let add_byte h b =
+    let h = Int64.logxor h (Int64.of_int (b land 0xff)) in
+    Int64.mul h prime
+
+  let add_int64 h x =
+    let rec go h i =
+      if i = 8 then h
+      else
+        let b = Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff in
+        go (add_byte h b) (i + 1)
+    in
+    go h 0
+
+  let add_int h x = add_int64 h (Int64.of_int x)
+
+  let add_string h s =
+    let h = ref h in
+    String.iter (fun c -> h := add_byte !h (Char.code c)) s;
+    !h
+end
+
+let prop_fnv_matches_reference =
+  let edge_ints = QCheck.Gen.oneofl [ 0; 1; -1; 255; 256; -256; min_int; max_int ] in
+  let edge_int64s =
+    QCheck.Gen.oneofl [ 0L; 1L; -1L; 0xffL; Int64.min_int; Int64.max_int ]
+  in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (frequency [ (1, edge_ints); (3, int) ])
+        (frequency [ (1, edge_int64s); (3, ui64); (1, map Int64.neg ui64) ])
+        (frequency
+           [ (1, return ""); (1, return "\xc3\xa9\xff\x00"); (3, string_size (0 -- 40)) ])
+        ui64)
+  in
+  QCheck.Test.make ~name:"fnv equals the byte-at-a-time reference" ~count:500
+    (QCheck.make
+       ~print:(fun (i, j, s, h) -> Printf.sprintf "(%d, %LdL, %S, %LdL)" i j s h)
+       gen)
+    (fun (i, j, s, h) ->
+      Fnv.add_int h i = Fnv_ref.add_int h i
+      && Fnv.add_int64 h j = Fnv_ref.add_int64 h j
+      && Fnv.add_string h s = Fnv_ref.add_string h s
+      && Fnv.add_bytes h (Bytes.of_string s) = Fnv_ref.add_string h s
+      && Fnv.add_int Fnv.empty i = Fnv.add_int64 Fnv.empty (Int64.of_int i))
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -177,6 +228,85 @@ let prop_queue_sorted =
       let popped = drain 0 [] in
       List.length popped = List.length times)
 
+(* Model-based check: [Event_queue] against a sorted list of live
+   (time, seq) pairs driven by the same ops. Times come from a tiny
+   range so ties are common; cancels pick any handle ever issued, so
+   they hit live, fired and already-cancelled events alike. *)
+type queue_op = Add of int | Cancel of int | Pop | Peek | Top | Take
+
+let show_queue_op = function
+  | Add t -> Printf.sprintf "Add %d" t
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Pop -> "Pop"
+  | Peek -> "Peek"
+  | Top -> "Top"
+  | Take -> "Take"
+
+let prop_queue_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun t -> Add t) (int_bound 6));
+          (3, map (fun k -> Cancel k) nat);
+          (2, return Pop);
+          (1, return Peek);
+          (1, return Top);
+          (2, return Take);
+        ])
+  in
+  QCheck.Test.make ~name:"event_queue matches a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+       QCheck.Gen.(list_size (0 -- 300) gen_op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* model: live (time, seq) pairs, sorted; payload = seq *)
+      let model = ref [] and next = ref 0 and handles = ref [||] in
+      let pop_model () =
+        match !model with
+        | [] -> None
+        | top :: rest ->
+          model := rest;
+          Some top
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add time ->
+            let h = Event_queue.add q ~time !next in
+            model := List.merge compare !model [ (time, !next) ];
+            handles := Array.append !handles [| (h, !next) |];
+            incr next
+          | Cancel k ->
+            if Array.length !handles > 0 then begin
+              let h, seq = !handles.(k mod Array.length !handles) in
+              Event_queue.cancel q h;
+              model := List.filter (fun (_, s) -> s <> seq) !model
+            end
+          | Pop ->
+            if Event_queue.pop q <> pop_model () then failwith "pop differs"
+          | Peek ->
+            if Event_queue.peek_time q <> Option.map fst (List.nth_opt !model 0) then
+              failwith "peek_time differs"
+          | Top ->
+            let want = match !model with [] -> -1 | (t, _) :: _ -> t in
+            if Event_queue.top_time q <> want then failwith "top_time differs"
+          | Take -> (
+            match pop_model () with
+            | None -> (
+              match Event_queue.take_top q with
+              | _ -> failwith "take_top on an empty queue returned"
+              | exception Invalid_argument _ -> ())
+            | Some (_, seq) ->
+              if Event_queue.take_top q <> seq then failwith "take_top differs"));
+          if Event_queue.length q <> List.length !model then failwith "length differs";
+          if Event_queue.is_empty q <> (!model = []) then failwith "is_empty differs";
+          if Event_queue.next_seq q <> !next then failwith "next_seq differs";
+          if Event_queue.live q <> !model then failwith "live differs")
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Sim *)
 
@@ -220,6 +350,102 @@ let test_sim_halt () =
   match Sim.run sim with
   | Sim.Halted reason -> Alcotest.(check string) "reason" "scan" reason
   | _ -> Alcotest.fail "expected halt"
+
+let test_sim_until_cancelled_head () =
+  (* A cancelled event at the head must not stop or advance the run:
+     the first live event decides. *)
+  let sim = Sim.create () in
+  let log = ref [] in
+  let dead = Sim.schedule_at sim 10 (fun () -> Alcotest.fail "cancelled event fired") in
+  ignore (Sim.schedule_at sim 20 (fun () -> log := Sim.now sim :: !log));
+  ignore (Sim.schedule_at sim 90 (fun () -> log := Sim.now sim :: !log));
+  Sim.cancel sim dead;
+  (match Sim.run ~until:50 sim with
+  | Sim.Reached_limit -> ()
+  | _ -> Alcotest.fail "expected limit");
+  Alcotest.(check (list int)) "live event before the limit fired" [ 20 ] !log;
+  check_int "clock at limit" 50 (Sim.now sim);
+  (* cancelled head beyond the limit: the clock still stops at [until] *)
+  let late = Sim.schedule_at sim 60 (fun () -> Alcotest.fail "cancelled event fired") in
+  Sim.cancel sim late;
+  (match Sim.run ~until:70 sim with
+  | Sim.Reached_limit -> ()
+  | _ -> Alcotest.fail "expected limit");
+  check_int "clock at second limit" 70 (Sim.now sim);
+  check_int "one pending" 1 (Sim.pending sim);
+  (* an [until] behind the clock leaves the clock alone *)
+  (match Sim.run ~until:30 sim with
+  | Sim.Reached_limit -> ()
+  | _ -> Alcotest.fail "expected limit");
+  check_int "clock never moves back" 70 (Sim.now sim);
+  (match Sim.run sim with Sim.Completed -> () | _ -> Alcotest.fail "expected completion");
+  Alcotest.(check (list int)) "rest fired" [ 90; 20 ] !log;
+  check_int "clock at last event" 90 (Sim.now sim)
+
+let test_sim_until_inclusive () =
+  (* an event exactly at [until] fires; the clock is left at it *)
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  ignore (Sim.schedule_at sim 40 (fun () -> incr fired));
+  (match Sim.run ~until:40 sim with
+  | Sim.Completed -> ()
+  | _ -> Alcotest.fail "expected completion");
+  check_int "fired at the limit" 1 !fired;
+  check_int "clock" 40 (Sim.now sim)
+
+let test_sim_max_events_per_call () =
+  (* the budget counts events fired by this call, not since creation *)
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  for i = 1 to 10 do
+    ignore (Sim.schedule_at sim i (fun () -> incr fired))
+  done;
+  for round = 1 to 2 do
+    (match Sim.run ~max_events:3 sim with
+    | Sim.Reached_limit -> ()
+    | _ -> Alcotest.fail "expected limit");
+    check_int "three more" (3 * round) !fired;
+    check_int "clock at last fired" (3 * round) (Sim.now sim)
+  done;
+  (match Sim.run ~max_events:0 sim with
+  | Sim.Reached_limit -> ()
+  | _ -> Alcotest.fail "zero budget is a limit");
+  check_int "none fired" 6 !fired;
+  (match Sim.run ~max_events:4 sim with
+  | Sim.Reached_limit -> ()
+  | _ -> Alcotest.fail "budget met as the queue drains is still a limit");
+  (match Sim.run ~max_events:4 sim with
+  | Sim.Completed -> ()
+  | _ -> Alcotest.fail "expected completion");
+  check_int "all fired" 10 !fired;
+  check_int "events_fired across calls" 10 (Sim.events_fired sim)
+
+let test_sim_halt_resumes () =
+  (* a halt from inside a thunk stops after that thunk; the next run
+     resumes with the following event *)
+  let sim = Sim.create () in
+  let log = ref [] in
+  ignore
+    (Sim.schedule_at sim 5 (fun () ->
+         log := 5 :: !log;
+         Sim.halt sim "stop"));
+  ignore (Sim.schedule_at sim 5 (fun () -> log := 6 :: !log));
+  (match Sim.run ~until:100 ~max_events:100 sim with
+  | Sim.Halted "stop" -> ()
+  | _ -> Alcotest.fail "expected halt");
+  Alcotest.(check (list int)) "halting thunk ran alone" [ 5 ] !log;
+  check_int "clock at the halting event" 5 (Sim.now sim);
+  (match Sim.run sim with Sim.Completed -> () | _ -> Alcotest.fail "expected completion");
+  Alcotest.(check (list int)) "resumed" [ 6; 5 ] !log
+
+let test_sim_max_int_event () =
+  let sim = Sim.create () in
+  let fired = ref false in
+  ignore (Sim.schedule_at sim max_int (fun () -> fired := true));
+  (match Sim.run sim with Sim.Completed -> () | _ -> Alcotest.fail "expected completion");
+  Alcotest.(check bool) "fired" true !fired;
+  check_int "clock" max_int (Sim.now sim);
+  Alcotest.(check bool) "step on an empty queue" false (Sim.step sim)
 
 let test_sim_rng_stream_persistent () =
   let sim = Sim.create ~seed:9L () in
@@ -324,8 +550,58 @@ let prop_percentile_bounds =
       v >= s.Stats.min -. 1e-9 && v <= s.Stats.max +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation guards: the per-event path must stay unboxed. *)
 
-let qcheck = List.map QCheck_alcotest.to_alcotest [ prop_queue_sorted; prop_percentile_bounds ]
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_alloc name ~calls ~per_call words =
+  if words > float_of_int (calls * per_call) then
+    Alcotest.failf "%s: %.0f words over %d calls, more than %d per call" name words calls
+      per_call
+
+let test_fnv_alloc () =
+  let calls = 10_000 in
+  let label = "cio.pwrite.span!" in
+  let x = Sys.opaque_identity 0x0123_4567_89ab_cdefL in
+  let h = ref Fnv.empty in
+  (* a boxed int64 is 3 words: header, custom-ops pointer, payload *)
+  check_alloc "add_int" ~calls ~per_call:3
+    (minor_words (fun () ->
+         for i = 1 to calls do
+           h := Fnv.add_int !h i
+         done));
+  check_alloc "add_int64" ~calls ~per_call:3
+    (minor_words (fun () ->
+         for _ = 1 to calls do
+           h := Fnv.add_int64 !h x
+         done));
+  check_alloc "add_string" ~calls ~per_call:3
+    (minor_words (fun () ->
+         for _ = 1 to calls do
+           h := Fnv.add_string !h label
+         done));
+  ignore (Sys.opaque_identity !h)
+
+let test_sim_run_alloc () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let thunk () = incr fired in
+  for i = 1 to n do
+    ignore (Sim.schedule_at sim (i mod 97) thunk)
+  done;
+  let words = minor_words (fun () -> ignore (Sys.opaque_identity (Sim.run sim))) in
+  check_int "all fired" n !fired;
+  if words > 0. then Alcotest.failf "Sim.run allocated %.0f words over %d events" words n
+
+(* ------------------------------------------------------------------ *)
+
+let qcheck =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_queue_sorted; prop_queue_model; prop_fnv_matches_reference; prop_percentile_bounds ]
 
 let suite =
   [
@@ -351,6 +627,13 @@ let suite =
     Alcotest.test_case "sim: schedule from event" `Quick test_sim_schedule_from_event;
     Alcotest.test_case "sim: until limit" `Quick test_sim_until;
     Alcotest.test_case "sim: halt" `Quick test_sim_halt;
+    Alcotest.test_case "sim: until with a cancelled head" `Quick test_sim_until_cancelled_head;
+    Alcotest.test_case "sim: until is inclusive" `Quick test_sim_until_inclusive;
+    Alcotest.test_case "sim: max events per call" `Quick test_sim_max_events_per_call;
+    Alcotest.test_case "sim: halt from a thunk resumes" `Quick test_sim_halt_resumes;
+    Alcotest.test_case "sim: event at max_int fires" `Quick test_sim_max_int_event;
+    Alcotest.test_case "fnv: allocates only its result" `Quick test_fnv_alloc;
+    Alcotest.test_case "sim: run allocates nothing per event" `Quick test_sim_run_alloc;
     Alcotest.test_case "sim: rng stream persistent" `Quick test_sim_rng_stream_persistent;
     Alcotest.test_case "trace: record retention" `Quick test_trace_record_retention;
     Alcotest.test_case "sim: trace digest reproducible" `Quick test_sim_trace_digest_reproducible;
