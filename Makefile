@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-ab clean
+.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-ab perf-pairs clean
 
 all: build
 
@@ -187,6 +187,52 @@ perf-ab:
 	  fi; \
 	done
 	./_build/default/perf/perf.exe compare _perf/ab-base.json _perf/ab-head.json
+
+# `make perf-pairs BASE=<rev> W=<workload> [N=10] [SEED=1] [S=25]` runs
+# the benchmark's single-workload form (`perf.exe --workload W --seed s
+# --seconds S --trace 0`) on a git worktree build of <rev> and on this
+# tree, one pair per seed s = SEED .. SEED+N-1, alternating which side
+# runs first. It prints each pair's wall_s, how many pairs this tree won
+# (lower wall_s; ties count for neither side), and each side's median
+# and quartiles. Raw lines: _perf/pairs.txt.
+N ?= 10
+SEED ?= 1
+S ?= 25
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make perf-pairs BASE=<rev> W=<workload> [N=10]"; exit 2; }
+	@mkdir -p _perf
+	git worktree remove --force _perf/pairs-base 2>/dev/null || rm -rf _perf/pairs-base
+	git worktree prune
+	git worktree add --detach _perf/pairs-base $(BASE)
+	cd _perf/pairs-base && dune build --root . ./perf/perf.exe
+	dune build ./perf/perf.exe
+	@wall() { tail -n 1 | sed -n 's/.*"wall_s":{"value":\([^,}]*\).*/\1/p'; }; \
+	run() { "$$1" --workload $(W) --seed $$2 --seconds $(S) --trace 0 | wall; }; \
+	base=$(CURDIR)/_perf/pairs-base/_build/default/perf/perf.exe; \
+	head=$(CURDIR)/_build/default/perf/perf.exe; \
+	: > _perf/pairs.txt; \
+	i=0; while [ $$i -lt $(N) ]; do \
+	  s=$$(( $(SEED) + i )); \
+	  if [ $$(( i % 2 )) -eq 0 ]; then \
+	    b=$$(cd _perf/pairs-base && run $$base $$s); h=$$(run $$head $$s); \
+	  else \
+	    h=$$(run $$head $$s); b=$$(cd _perf/pairs-base && run $$base $$s); \
+	  fi; \
+	  test -n "$$b" -a -n "$$h" || { echo "seed $$s: no wall_s"; exit 1; }; \
+	  echo "$$s $$b $$h" | tee -a _perf/pairs.txt; \
+	  i=$$(( i + 1 )); \
+	done
+	@awk 'function q(a, n, p,  x, k) { x = (n - 1) * p; k = int(x); \
+	        return a[k] + (x - k) * (k + 1 < n ? a[k + 1] - a[k] : 0) } \
+	      function sorted(a, n,  i, j, v) { for (i = 1; i < n; i++) { v = a[i]; \
+	        for (j = i - 1; j >= 0 && a[j] > v; j--) a[j + 1] = a[j]; a[j + 1] = v } } \
+	      BEGIN { n = w = l = 0 } \
+	      { b[n] = $$2; h[n] = $$3; n++; if ($$3 < $$2) w++; else if ($$3 > $$2) l++ } \
+	      END { sorted(b, n); sorted(h, n); \
+	        printf "$(W) wall_s over %d pairs: this tree won %d, lost %d\n", n, w, l; \
+	        printf "  base %s: median %.4f [q1 %.4f, q3 %.4f] s\n", "$(BASE)", q(b, n, .5), q(b, n, .25), q(b, n, .75); \
+	        printf "  head:  median %.4f [q1 %.4f, q3 %.4f] s\n", q(h, n, .5), q(h, n, .25), q(h, n, .75); \
+	        printf "  median change %+.1f%%\n", 100 * (q(h, n, .5) / q(b, n, .5) - 1) }' _perf/pairs.txt
 
 clean:
 	dune clean

@@ -915,6 +915,38 @@ let run_micro () =
          (let label = "cio.pwrite.reply" in
           fun () -> ignore (Sys.opaque_identity (Fnv.add_string Fnv.empty label))))
   in
+  let test_causal =
+    (* one run builds a 50k-node graph from empty: 50k mints, each also
+       chained to its scope's previous node, plus 50k links *)
+    Test.make ~name:"Causal.mint+link at 50k nodes"
+      (Staged.stage
+         (let g = Bg_obs.Causal.create ~enabled:true () in
+          fun () ->
+            Bg_obs.Causal.reset g;
+            let prev = ref Bg_obs.Causal.none in
+            for i = 0 to 49_999 do
+              let id =
+                Bg_obs.Causal.mint g ~cat:"syscall" ~name:"pwrite.entry" ~rank:(i land 31)
+                  ~core:(i land 3) ~now:i ()
+              in
+              Bg_obs.Causal.link g Bg_obs.Causal.Request_reply ~src:!prev ~dst:id;
+              prev := id
+            done))
+  in
+  let test_obs_spans =
+    (* one run records a span in each of 256 scopes; 8-slot rings, so in
+       steady state every record overwrites its scope's oldest span *)
+    Test.make ~name:"Obs.span_record over 256 scopes"
+      (Staged.stage
+         (let o = Bg_obs.Obs.create ~ring_capacity:8 ~enabled:true () in
+          let t = ref 0 in
+          fun () ->
+            for s = 0 to 255 do
+              Bg_obs.Obs.span_record o ~cat:"cio" ~name:"service.pwrite" ~rank:(s lsr 2)
+                ~core:(s land 3) ~start:!t ~finish:(!t + 5)
+            done;
+            t := !t + 10))
+  in
   let test_memory =
     Test.make ~name:"memory write+read 4K"
       (Staged.stage
@@ -944,7 +976,10 @@ let run_micro () =
   in
   let tests =
     Test.make_grouped ~name:"sim"
-      [ test_queue; test_sim_run; test_fnv; test_memory; test_proto; test_fwq_sim ]
+      [
+        test_queue; test_sim_run; test_fnv; test_causal; test_obs_spans; test_memory; test_proto;
+        test_fwq_sim;
+      ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in

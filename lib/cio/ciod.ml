@@ -155,7 +155,7 @@ let submit_raw t data =
       Obs.span_record o ~cat:"cio" ~name:"queue_wait" ~rank:hdr.Proto.rank ~core:lane
         ~start:now ~finish:start;
     Obs.span_record o ~cat:"cio"
-      ~name:("service." ^ Sysreq.request_name req)
+      ~name:(Sysreq.request_service_name req)
       ~rank:hdr.Proto.rank ~core:lane ~start ~finish;
     Obs.observe_cycles o ~rank:hdr.Proto.rank ~subsystem:"cio" ~name:"service_cycles"
       (finish - start);
@@ -226,7 +226,7 @@ let service t (f : Frame.t) req =
             Obs.span_record o ~cat:"cio" ~name:"queue_wait" ~rank:f.Frame.rank
               ~core:lane ~start:now ~finish:start;
           Obs.span_record o ~cat:"cio"
-            ~name:("service." ^ Sysreq.request_name req)
+            ~name:(Sysreq.request_service_name req)
             ~rank:f.Frame.rank ~core:lane ~start ~finish;
           Obs.observe_cycles o ~rank:f.Frame.rank ~subsystem:"cio" ~name:"service_cycles"
             (finish - start);
@@ -251,7 +251,7 @@ let service t (f : Frame.t) req =
           if C.enabled causal then begin
             let s =
               C.mint causal ~chain:false ~cat:"cio"
-                ~name:("service." ^ Sysreq.request_name req)
+                ~name:(Sysreq.request_service_name req)
                 ~rank:f.Frame.rank ~core:(worker_tid_base + worker) ~now:finish ()
             in
             C.link causal C.Request_reply ~src:f.Frame.ctx ~dst:s;

@@ -655,7 +655,7 @@ let rec step_thread t (th : thread) (s : Coro.step) =
         Buffer.add_string buf
           (Format.asprintf "[%d] tid %d: %a@." (Sim.now (sim t)) th.tid Sysreq.pp_request req)
       | None -> ());
-      emit t "cnk.syscall" ((th.tid * 1000) + (Hashtbl.hash (Sysreq.request_name req) mod 1000));
+      emit t "cnk.syscall" ((th.tid * 1000) + (Sysreq.request_name_hash req mod 1000));
       let k = instrument_syscall t th req k in
       let k = account_syscall t th req k in
       ignore
@@ -685,7 +685,7 @@ and instrument_syscall t (th : thread) req k =
       (* Causal: entry and exit are program-order chained on this core's
          lane, so whatever the syscall caused in between (a function
          ship, a DMA injection) hangs between two anchors. *)
-      ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".entry") ~core:th.core_id);
+      ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_entry_name req) ~core:th.core_id);
       fun reply ->
         let now = Sim.now (sim t) in
         (match h with
@@ -694,7 +694,7 @@ and instrument_syscall t (th : thread) req k =
           Obs.observe_cycles o ~rank:t.rank ~subsystem:"syscall" ~name (now - start);
           Obs.incr o ~rank:t.rank ~core:th.core_id ~subsystem:"syscall" ~name ()
         | None -> ());
-        ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".exit") ~core:th.core_id);
+        ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_exit_name req) ~core:th.core_id);
         k reply
 
 (* Charge trap-to-reply to [Syscall] in the cycle ledger. Exit syscalls

@@ -478,7 +478,7 @@ and instrument_syscall t (th : thread) req k =
           Some (Obs.span_begin o ~cat:"syscall" ~name ~rank:t.rank ~core:th.core_id ~now:start)
         else None
       in
-      ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".entry") ~core:th.core_id);
+      ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_entry_name req) ~core:th.core_id);
       fun reply ->
         let now = Sim.now (sim t) in
         (match h with
@@ -487,7 +487,7 @@ and instrument_syscall t (th : thread) req k =
           Obs.observe_cycles o ~rank:t.rank ~subsystem:"syscall" ~name (now - start);
           Obs.incr o ~rank:t.rank ~core:th.core_id ~subsystem:"syscall" ~name ()
         | None -> ());
-        ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".exit") ~core:th.core_id);
+        ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_exit_name req) ~core:th.core_id);
         k reply
 
 (* Charge trap-to-reply to [Syscall] in the cycle ledger; same contract

@@ -154,52 +154,76 @@ let is_file_io = function
   | Dma_poll _ | Uname | Get_personality | Gettimeofday ->
     false
 
-let request_name = function
-  | Getpid -> "getpid"
-  | Gettid -> "gettid"
-  | Get_rank -> "get_rank"
-  | Clone _ -> "clone"
-  | Set_tid_address _ -> "set_tid_address"
-  | Exit_thread _ -> "exit_thread"
-  | Exit_group _ -> "exit_group"
-  | Sigaction _ -> "sigaction"
-  | Tgkill _ -> "tgkill"
-  | Sched_yield -> "sched_yield"
-  | Futex_wait _ -> "futex_wait"
-  | Futex_wake _ -> "futex_wake"
-  | Brk _ -> "brk"
-  | Mmap _ -> "mmap"
-  | Munmap _ -> "munmap"
-  | Mprotect _ -> "mprotect"
-  | Shm_open _ -> "shm_open"
-  | Query_map -> "query_map"
-  | Query_vtop _ -> "query_vtop"
-  | Query_dirty _ -> "query_dirty"
-  | Query_perf _ -> "query_perf"
-  | Dma_inject _ -> "dma_inject"
-  | Dma_poll _ -> "dma_poll"
-  | Uname -> "uname"
-  | Get_personality -> "get_personality"
-  | Gettimeofday -> "gettimeofday"
-  | Open _ -> "open"
-  | Close _ -> "close"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Pread _ -> "pread"
-  | Pwrite _ -> "pwrite"
-  | Lseek _ -> "lseek"
-  | Fstat _ -> "fstat"
-  | Stat _ -> "stat"
-  | Ftruncate _ -> "ftruncate"
-  | Unlink _ -> "unlink"
-  | Mkdir _ -> "mkdir"
-  | Rmdir _ -> "rmdir"
-  | Readdir _ -> "readdir"
-  | Chdir _ -> "chdir"
-  | Getcwd -> "getcwd"
-  | Rename _ -> "rename"
-  | Dup _ -> "dup"
-  | Fsync _ -> "fsync"
+(* A request's kind indexes every per-kind string, so the syscall path
+   builds and hashes each name once per kind, not once per request. *)
+let request_kind = function
+  | Getpid -> 0
+  | Gettid -> 1
+  | Get_rank -> 2
+  | Clone _ -> 3
+  | Set_tid_address _ -> 4
+  | Exit_thread _ -> 5
+  | Exit_group _ -> 6
+  | Sigaction _ -> 7
+  | Tgkill _ -> 8
+  | Sched_yield -> 9
+  | Futex_wait _ -> 10
+  | Futex_wake _ -> 11
+  | Brk _ -> 12
+  | Mmap _ -> 13
+  | Munmap _ -> 14
+  | Mprotect _ -> 15
+  | Shm_open _ -> 16
+  | Query_map -> 17
+  | Query_vtop _ -> 18
+  | Query_dirty _ -> 19
+  | Query_perf _ -> 20
+  | Dma_inject _ -> 21
+  | Dma_poll _ -> 22
+  | Uname -> 23
+  | Get_personality -> 24
+  | Gettimeofday -> 25
+  | Open _ -> 26
+  | Close _ -> 27
+  | Read _ -> 28
+  | Write _ -> 29
+  | Pread _ -> 30
+  | Pwrite _ -> 31
+  | Lseek _ -> 32
+  | Fstat _ -> 33
+  | Stat _ -> 34
+  | Ftruncate _ -> 35
+  | Unlink _ -> 36
+  | Mkdir _ -> 37
+  | Rmdir _ -> 38
+  | Readdir _ -> 39
+  | Chdir _ -> 40
+  | Getcwd -> 41
+  | Rename _ -> 42
+  | Dup _ -> 43
+  | Fsync _ -> 44
+
+let kind_names =
+  [|
+    "getpid"; "gettid"; "get_rank"; "clone"; "set_tid_address"; "exit_thread";
+    "exit_group"; "sigaction"; "tgkill"; "sched_yield"; "futex_wait"; "futex_wake";
+    "brk"; "mmap"; "munmap"; "mprotect"; "shm_open"; "query_map"; "query_vtop";
+    "query_dirty"; "query_perf"; "dma_inject"; "dma_poll"; "uname"; "get_personality";
+    "gettimeofday"; "open"; "close"; "read"; "write"; "pread"; "pwrite"; "lseek";
+    "fstat"; "stat"; "ftruncate"; "unlink"; "mkdir"; "rmdir"; "readdir"; "chdir";
+    "getcwd"; "rename"; "dup"; "fsync";
+  |]
+
+let request_name r = kind_names.(request_kind r)
+let per_kind f = Array.map f kind_names
+let entry_names = per_kind (fun n -> n ^ ".entry")
+let exit_names = per_kind (fun n -> n ^ ".exit")
+let service_names = per_kind (fun n -> "service." ^ n)
+let name_hashes = per_kind Hashtbl.hash
+let request_entry_name r = entry_names.(request_kind r)
+let request_exit_name r = exit_names.(request_kind r)
+let request_service_name r = service_names.(request_kind r)
+let request_name_hash r = name_hashes.(request_kind r)
 
 let pp_flags ppf (f : open_flags) =
   let bits =

@@ -195,6 +195,21 @@ val is_file_io : request -> bool
 val request_name : request -> string
 (** Short name for traces and protocol framing. *)
 
+(** Per-kind strings for the instrumented syscall path, built once per
+    request kind rather than once per request. *)
+
+val request_entry_name : request -> string
+(** [request_name r ^ ".entry"] *)
+
+val request_exit_name : request -> string
+(** [request_name r ^ ".exit"] *)
+
+val request_service_name : request -> string
+(** ["service." ^ request_name r] *)
+
+val request_name_hash : request -> int
+(** [Hashtbl.hash (request_name r)] *)
+
 val pp_request : Format.formatter -> request -> unit
 (** strace-style rendering: ["write(fd=3, 4096 bytes)"]. Payload contents
     are elided (length only); closures render as ["<fn>"]. *)

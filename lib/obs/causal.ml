@@ -23,6 +23,12 @@ let kind_code = function
   | Request_reply -> 2
   | Parent_child -> 3
 
+let kind_of_code = function
+  | 0 -> Send_recv
+  | 1 -> Inject_complete
+  | 2 -> Request_reply
+  | _ -> Parent_child
+
 type node = {
   id : ctx;
   cat : string;
@@ -34,19 +40,53 @@ type node = {
 
 type edge = { kind : kind; src : ctx; dst : ctx }
 
+(* Storage is struct-of-arrays: node [i] (mint order) is slot [i] of the
+   six node columns, edge [e] (record order) slot [e] of the three edge
+   columns, whose ends are node indices. Each column is a spine of
+   fixed-size chunks; a full column gets one more chunk, so no slot is
+   ever copied and growth never holds an old and a new copy of a column
+   at once, which a doubling array does at every resize. Records are
+   built only when [nodes], [edges], [find] or [critical_path] ask. *)
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+(* Append a chunk to a spine whose chunks are all full; only the spine,
+   one pointer per chunk, is ever copied. *)
+let add_chunk spine fill =
+  let k = Array.length spine in
+  let grown = Array.make (k + 1) [||] in
+  Array.blit spine 0 grown 0 k;
+  grown.(k) <- Array.make chunk_size fill;
+  grown
+
+let initial_slots = 16
+
 type t = {
   mutable enabled : bool;
   seed : int;
   seed_prefix : Fnv.t;  (* [Fnv.add_int Fnv.empty seed], folded once *)
   max_nodes : int;
-  by_id : (ctx, node) Hashtbl.t;
-  mutable nodes_rev : node list;
-  mutable edges_rev : edge list;
+  (* node columns *)
+  mutable ids : int array array;
+  mutable cats : string array array;
+  mutable names : string array array;
+  mutable ranks : int array array;
+  mutable cores : int array array;
+  mutable ats : int array array;
+  (* edge columns *)
+  mutable kinds : int array array;  (* [kind_code] *)
+  mutable srcs : int array array;
+  mutable dsts : int array array;
+  (* id -> node index, open addressing with linear probing; [-1] is an
+     empty slot. Ids are FNV outputs, so their low bits already spread
+     and index the table directly. At most half full. *)
+  mutable slots : int array;
   mutable n_nodes : int;
   mutable n_edges : int;
   mutable minted : int;  (* feeds the id stream; never reused *)
   mutable dropped : int;
-  tails : (int * int, ctx) Hashtbl.t;  (* (rank, core) -> last minted node *)
+  tails : int ref Scope_tbl.t;  (* (rank, core) -> index of its last minted node *)
   mutable digest : Fnv.t;
 }
 
@@ -57,14 +97,21 @@ let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
     seed;
     seed_prefix = Fnv.add_int Fnv.empty seed;
     max_nodes;
-    by_id = Hashtbl.create 256;
-    nodes_rev = [];
-    edges_rev = [];
+    ids = [||];
+    cats = [||];
+    names = [||];
+    ranks = [||];
+    cores = [||];
+    ats = [||];
+    kinds = [||];
+    srcs = [||];
+    dsts = [||];
+    slots = Array.make initial_slots (-1);
     n_nodes = 0;
     n_edges = 0;
     minted = 0;
     dropped = 0;
-    tails = Hashtbl.create 16;
+    tails = Scope_tbl.create 16;
     digest = Fnv.empty;
   }
 
@@ -72,40 +119,85 @@ let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 
 let reset t =
-  Hashtbl.reset t.by_id;
-  Hashtbl.reset t.tails;
-  t.nodes_rev <- [];
-  t.edges_rev <- [];
+  t.ids <- [||];
+  t.cats <- [||];
+  t.names <- [||];
+  t.ranks <- [||];
+  t.cores <- [||];
+  t.ats <- [||];
+  t.kinds <- [||];
+  t.srcs <- [||];
+  t.dsts <- [||];
+  t.slots <- Array.make initial_slots (-1);
+  Scope_tbl.reset t.tails;
   t.n_nodes <- 0;
   t.n_edges <- 0;
   t.minted <- 0;
   t.dropped <- 0;
   t.digest <- Fnv.empty
 
+let node_id t i = t.ids.(i lsr chunk_bits).(i land chunk_mask)
+let node_at_cycle t i = t.ats.(i lsr chunk_bits).(i land chunk_mask)
+
+(* --- id table ----------------------------------------------------------- *)
+
+let rec probe t id i =
+  let s = t.slots.(i) in
+  if s < 0 || node_id t s = id then s else probe t id ((i + 1) land (Array.length t.slots - 1))
+
+(* Node index of [id], or [-1]. *)
+let index_of t id = if id = none then -1 else probe t id (id land (Array.length t.slots - 1))
+
+let rec place slots id i =
+  if slots.(i) < 0 then i else place slots id ((i + 1) land (Array.length slots - 1))
+
+let insert_index t id i =
+  if 2 * (i + 1) > Array.length t.slots then begin
+    let slots = Array.make (2 * Array.length t.slots) (-1) in
+    for j = 0 to i - 1 do
+      let jd = node_id t j in
+      slots.(place slots jd (jd land (Array.length slots - 1))) <- j
+    done;
+    t.slots <- slots
+  end;
+  t.slots.(place t.slots id (id land (Array.length t.slots - 1))) <- i
+
+(* --- recording ---------------------------------------------------------- *)
+
 (* Deterministic non-zero id: FNV(seed, counter), masked positive. A
    collision with a live id (astronomically unlikely but cheap to rule
    out) just advances the counter. *)
-let fresh_id t =
-  let rec go () =
-    t.minted <- t.minted + 1;
-    let h = Fnv.add_int t.seed_prefix t.minted in
-    let id = Int64.to_int h land max_int in
-    if id = none || Hashtbl.mem t.by_id id then go () else id
-  in
-  go ()
+let rec fresh_id t =
+  t.minted <- t.minted + 1;
+  let id = Int64.to_int (Fnv.add_int t.seed_prefix t.minted) land max_int in
+  if id = none || index_of t id >= 0 then fresh_id t else id
 
-let record_edge t kind ~src ~dst =
-  t.edges_rev <- { kind; src; dst } :: t.edges_rev;
-  t.n_edges <- t.n_edges + 1;
-  let d = Fnv.add_int t.digest (kind_code kind) in
-  let d = Fnv.add_int d src in
-  t.digest <- Fnv.add_int d dst
+(* [si] and [di] are node indices. *)
+let record_edge t kind ~si ~di =
+  let e = t.n_edges in
+  if e land chunk_mask = 0 then begin
+    t.kinds <- add_chunk t.kinds 0;
+    t.srcs <- add_chunk t.srcs 0;
+    t.dsts <- add_chunk t.dsts 0
+  end;
+  let k = e lsr chunk_bits and j = e land chunk_mask in
+  let code = kind_code kind in
+  t.kinds.(k).(j) <- code;
+  t.srcs.(k).(j) <- si;
+  t.dsts.(k).(j) <- di;
+  t.n_edges <- e + 1;
+  let d = Fnv.add_int t.digest code in
+  let d = Fnv.add_int d (node_id t si) in
+  t.digest <- Fnv.add_int d (node_id t di)
 
 let link t kind ~src ~dst =
-  if
-    t.enabled && src <> none && dst <> none
-    && Hashtbl.mem t.by_id src && Hashtbl.mem t.by_id dst
-  then record_edge t kind ~src ~dst
+  if t.enabled then begin
+    let si = index_of t src in
+    if si >= 0 then begin
+      let di = index_of t dst in
+      if di >= 0 then record_edge t kind ~si ~di
+    end
+  end
 
 let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
   if not t.enabled then none
@@ -115,37 +207,78 @@ let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
   end
   else begin
     let id = fresh_id t in
-    let n = { id; cat; name; rank; core; at = now } in
-    Hashtbl.add t.by_id id n;
-    t.nodes_rev <- n :: t.nodes_rev;
-    t.n_nodes <- t.n_nodes + 1;
+    let i = t.n_nodes in
+    if i land chunk_mask = 0 then begin
+      t.ids <- add_chunk t.ids 0;
+      t.cats <- add_chunk t.cats "";
+      t.names <- add_chunk t.names "";
+      t.ranks <- add_chunk t.ranks 0;
+      t.cores <- add_chunk t.cores 0;
+      t.ats <- add_chunk t.ats 0
+    end;
+    let k = i lsr chunk_bits and j = i land chunk_mask in
+    t.ids.(k).(j) <- id;
+    t.cats.(k).(j) <- cat;
+    t.names.(k).(j) <- name;
+    t.ranks.(k).(j) <- rank;
+    t.cores.(k).(j) <- core;
+    t.ats.(k).(j) <- now;
+    t.n_nodes <- i + 1;
+    insert_index t id i;
     let d = Fnv.add_int t.digest id in
     let d = Fnv.add_string d cat in
     let d = Fnv.add_string d name in
     let d = Fnv.add_int d rank in
     let d = Fnv.add_int d core in
     t.digest <- Fnv.add_int d now;
-    (if chain then
-       match Hashtbl.find_opt t.tails (rank, core) with
-       | Some prev -> record_edge t Parent_child ~src:prev ~dst:id
-       | None -> ());
-    Hashtbl.replace t.tails (rank, core) id;
+    (match Scope_tbl.find t.tails (rank, core) with
+    | tail ->
+      if chain then record_edge t Parent_child ~si:!tail ~di:i;
+      tail := i
+    | exception Not_found -> Scope_tbl.add t.tails (rank, core) (ref i));
     id
   end
 
 let node_count t = t.n_nodes
 let edge_count t = t.n_edges
 let dropped t = t.dropped
-let nodes t = List.rev t.nodes_rev
-let edges t = List.rev t.edges_rev
-let find t id = Hashtbl.find_opt t.by_id id
+
+let node_at t i =
+  let k = i lsr chunk_bits and j = i land chunk_mask in
+  {
+    id = t.ids.(k).(j);
+    cat = t.cats.(k).(j);
+    name = t.names.(k).(j);
+    rank = t.ranks.(k).(j);
+    core = t.cores.(k).(j);
+    at = t.ats.(k).(j);
+  }
+
+let edge_at t e =
+  let k = e lsr chunk_bits and j = e land chunk_mask in
+  {
+    kind = kind_of_code t.kinds.(k).(j);
+    src = node_id t t.srcs.(k).(j);
+    dst = node_id t t.dsts.(k).(j);
+  }
+
+let nodes t = List.init t.n_nodes (node_at t)
+let edges t = List.init t.n_edges (edge_at t)
+
+let find t id =
+  let i = index_of t id in
+  if i < 0 then None else Some (node_at t i)
 
 let last_matching t ~cat ~name =
-  let rec go = function
-    | [] -> None
-    | n :: rest -> if n.cat = cat && n.name = name then Some n.id else go rest
+  let rec go i =
+    if i < 0 then None
+    else
+      let k = i lsr chunk_bits and j = i land chunk_mask in
+      if String.equal t.cats.(k).(j) cat && String.equal t.names.(k).(j) name then
+        Some t.ids.(k).(j)
+      else go (i - 1)
   in
-  go t.nodes_rev
+  go (t.n_nodes - 1)
 
 let digest t = t.digest
 
@@ -162,7 +295,8 @@ let capture t b =
   (* nodes and edges are already folded into the digest; only the
      per-scope chaining tails add restart-relevant state beyond it *)
   let tails =
-    Hashtbl.fold (fun k id acc -> (k, id) :: acc) t.tails [] |> List.sort compare
+    Scope_tbl.fold (fun k tail acc -> (k, node_id t !tail) :: acc) t.tails []
+    |> List.sort compare
   in
   w_i (List.length tails);
   List.iter
@@ -179,33 +313,31 @@ let capture t b =
    actually gated progress (ties break toward the earliest-recorded
    edge, a deterministic order). *)
 let critical_path t target =
-  match Hashtbl.find_opt t.by_id target with
-  | None -> []
-  | Some tn ->
-    let preds = Hashtbl.create 64 in
-    (* edges_rev is newest first; iterate oldest-first so the earliest-
-       recorded edge wins ties via the strict [>] below *)
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt t.by_id e.src with
-        | None -> ()
-        | Some sn -> (
-          match Hashtbl.find_opt preds e.dst with
-          | Some (best : node) when sn.at <= best.at -> ()
-          | _ -> Hashtbl.replace preds e.dst sn))
-      (List.rev t.edges_rev)
-    |> ignore;
-    let visited = Hashtbl.create 64 in
-    let rec walk acc (n : node) =
-      if Hashtbl.mem visited n.id then acc
+  let target = index_of t target in
+  if target < 0 then []
+  else begin
+    (* [preds.(i)]: index of node [i]'s latest-arriving predecessor, or
+       [-1]; edges are scanned oldest first, so the strict [>] keeps the
+       earliest-recorded edge on ties *)
+    let preds = Array.make t.n_nodes (-1) in
+    for e = 0 to t.n_edges - 1 do
+      let k = e lsr chunk_bits and j = e land chunk_mask in
+      let s = t.srcs.(k).(j) and d = t.dsts.(k).(j) in
+      let best = preds.(d) in
+      if best < 0 || node_at_cycle t s > node_at_cycle t best then preds.(d) <- s
+    done;
+    let visited = Bytes.make t.n_nodes '\000' in
+    let rec walk acc i =
+      if Bytes.get visited i <> '\000' then acc
       else begin
-        Hashtbl.add visited n.id ();
-        match Hashtbl.find_opt preds n.id with
-        | Some p when p.at <= n.at -> walk (n :: acc) p
-        | _ -> n :: acc
+        Bytes.set visited i '\001';
+        let n = node_at t i in
+        let p = preds.(i) in
+        if p >= 0 && node_at_cycle t p <= n.at then walk (n :: acc) p else n :: acc
       end
     in
-    walk [] tn
+    walk [] target
+  end
 
 (* --- path attribution -------------------------------------------------- *)
 

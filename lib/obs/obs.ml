@@ -22,6 +22,27 @@ let compare_key a b =
       let c = compare a.rank b.rank in
       if c <> 0 then c else compare a.core b.core
 
+(* Metric tables compare keys field by field with [String.equal] and
+   integer equality, never with the polymorphic [compare]. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.rank = b.rank && a.core = b.core && String.equal a.name b.name
+    && String.equal a.subsystem b.subsystem
+
+  let hash k =
+    (Hashtbl.hash k.name + (31 * Hashtbl.hash k.subsystem) + (961 * k.rank) + (29_791 * k.core))
+    land max_int
+end)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash h = h land max_int
+end)
+
 (* --- spans ------------------------------------------------------------ *)
 
 type span = {
@@ -39,23 +60,21 @@ type handle = int
 
 let null_handle = -1
 
-type open_span = {
-  o_cat : string;
-  o_name : string;
-  o_rank : int;
-  o_core : int;
-  o_start : Cycles.t;
-  o_depth : int;
-  o_scope_depth : int ref;  (* the scope's [depths] cell, looked up once *)
-}
+(* Everything the collector keeps per (rank, core): the nesting depth of
+   its open spans and its ring of completed ones. A span looks its scope
+   up once, at begin or record time, and an open span carries it to its
+   end.
 
-(* CNK-style bounded record store: parallel arrays overwritten in place
-   once full. A ring starts small and doubles on demand up to [cap], so a
-   scope that records a handful of spans costs a handful of slots; at
-   [cap] it stops growing and wraps, overwriting the oldest span. Until
-   then slot [i] holds the [i]th span pushed. The per-scope ring table
-   itself is populated lazily, once per (rank, core) ever seen. *)
-type ring = {
+   The ring is the CNK-style bounded record store: parallel arrays
+   overwritten in place once full. It starts empty and doubles on demand
+   (first to [initial_ring_slots]) up to [cap], so a scope that records a
+   handful of spans costs a handful of slots; at [cap] it stops growing
+   and wraps, overwriting the oldest span. Until then slot [i] holds the
+   [i]th span pushed. *)
+type scope = {
+  s_rank : int;
+  s_core : int;
+  mutable depth : int;
   cap : int;
   mutable cats : string array;
   mutable names : string array;
@@ -66,20 +85,27 @@ type ring = {
   mutable written : int;  (* total spans ever pushed through this ring *)
 }
 
+type open_span = {
+  o_cat : string;
+  o_name : string;
+  o_start : Cycles.t;
+  o_depth : int;
+  o_scope : scope;
+}
+
 type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
 
 type t = {
   mutable enabled : bool;
   ring_capacity : int;
-  rings : (int * int, ring) Hashtbl.t;
-  opens : (handle, open_span) Hashtbl.t;
-  depths : (int * int, int ref) Hashtbl.t;
+  scopes : scope Scope_tbl.t;
+  opens : open_span Int_tbl.t;
   mutable next_handle : int;
   mutable digest : Fnv.t;
   mutable completed : int;
-  counters : (key, int ref) Hashtbl.t;
-  gauges : (key, int ref) Hashtbl.t;
-  timers : (key, timer) Hashtbl.t;
+  counters : int ref Key_tbl.t;
+  gauges : int ref Key_tbl.t;
+  timers : timer Key_tbl.t;
 }
 
 let create ?(ring_capacity = 1024) ?(enabled = false) () =
@@ -87,15 +113,14 @@ let create ?(ring_capacity = 1024) ?(enabled = false) () =
   {
     enabled;
     ring_capacity;
-    rings = Hashtbl.create 16;
-    opens = Hashtbl.create 32;
-    depths = Hashtbl.create 16;
+    scopes = Scope_tbl.create 16;
+    opens = Int_tbl.create 32;
     next_handle = 0;
     digest = Fnv.empty;
     completed = 0;
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    timers = Hashtbl.create 32;
+    counters = Key_tbl.create 64;
+    gauges = Key_tbl.create 16;
+    timers = Key_tbl.create 32;
   }
 
 let enabled t = t.enabled
@@ -104,159 +129,145 @@ let ring_capacity t = t.ring_capacity
 
 let initial_ring_slots = 8
 
-let ring_for t scope =
-  match Hashtbl.find_opt t.rings scope with
-  | Some r -> r
-  | None ->
-    let cap = t.ring_capacity in
-    let n = min cap initial_ring_slots in
-    let r =
+let scope_for t ~rank ~core =
+  match Scope_tbl.find t.scopes (rank, core) with
+  | s -> s
+  | exception Not_found ->
+    let s =
       {
-        cap;
-        cats = Array.make n "";
-        names = Array.make n "";
-        starts = Array.make n 0;
-        finishes = Array.make n 0;
-        depths = Array.make n 0;
-        seqs = Array.make n 0;
+        s_rank = rank;
+        s_core = core;
+        depth = 0;
+        cap = t.ring_capacity;
+        cats = [||];
+        names = [||];
+        starts = [||];
+        finishes = [||];
+        depths = [||];
+        seqs = [||];
         written = 0;
       }
     in
-    Hashtbl.add t.rings scope r;
-    r
+    Scope_tbl.add t.scopes (rank, core) s;
+    s
 
 (* Called when every slot holds a span and the ring is below [cap]: no
    wraparound has happened yet, so the spans keep their slots. *)
-let grow r =
-  let n = min r.cap (2 * Array.length r.starts) in
+let grow s =
+  let n = min s.cap (max initial_ring_slots (2 * Array.length s.starts)) in
   let extend a fill =
     let b = Array.make n fill in
     Array.blit a 0 b 0 (Array.length a);
     b
   in
-  r.cats <- extend r.cats "";
-  r.names <- extend r.names "";
-  r.starts <- extend r.starts 0;
-  r.finishes <- extend r.finishes 0;
-  r.depths <- extend r.depths 0;
-  r.seqs <- extend r.seqs 0
+  s.cats <- extend s.cats "";
+  s.names <- extend s.names "";
+  s.starts <- extend s.starts 0;
+  s.finishes <- extend s.finishes 0;
+  s.depths <- extend s.depths 0;
+  s.seqs <- extend s.seqs 0
 
-let depth_for t scope =
-  match Hashtbl.find_opt t.depths scope with
-  | Some d -> d
-  | None ->
-    let d = ref 0 in
-    Hashtbl.add t.depths scope d;
-    d
+let incr_counter table key by =
+  match Key_tbl.find table key with
+  | r -> r := !r + by
+  | exception Not_found -> Key_tbl.add table key (ref by)
 
-let push_span t ~cat ~name ~rank ~core ~start ~finish ~depth =
-  let ring = ring_for t (rank, core) in
-  if ring.written = Array.length ring.starts && ring.written < ring.cap then grow ring;
-  let i = ring.written mod ring.cap in
+let push_span t s ~cat ~name ~start ~finish ~depth =
+  if s.written = Array.length s.starts && s.written < s.cap then grow s;
+  let i = s.written mod s.cap in
   (* Ring wraparound overwrites the oldest span. That loss used to be
      visible only through arithmetic on [written]; count it as a
      first-class per-scope metric so exports and tools can warn. *)
-  if ring.written >= ring.cap then begin
-    let key = { subsystem = "obs"; name = "dropped_spans"; rank; core } in
-    match Hashtbl.find_opt t.counters key with
-    | Some r -> Stdlib.incr r
-    | None -> Hashtbl.add t.counters key (ref 1)
-  end;
-  ring.cats.(i) <- cat;
-  ring.names.(i) <- name;
-  ring.starts.(i) <- start;
-  ring.finishes.(i) <- finish;
-  ring.depths.(i) <- depth;
-  ring.seqs.(i) <- t.completed;
-  ring.written <- ring.written + 1;
+  if s.written >= s.cap then
+    incr_counter t.counters
+      { subsystem = "obs"; name = "dropped_spans"; rank = s.s_rank; core = s.s_core }
+      1;
+  s.cats.(i) <- cat;
+  s.names.(i) <- name;
+  s.starts.(i) <- start;
+  s.finishes.(i) <- finish;
+  s.depths.(i) <- depth;
+  s.seqs.(i) <- t.completed;
+  s.written <- s.written + 1;
   t.completed <- t.completed + 1;
   let d = Fnv.add_string t.digest cat in
   let d = Fnv.add_string d name in
-  let d = Fnv.add_int d rank in
-  let d = Fnv.add_int d core in
+  let d = Fnv.add_int d s.s_rank in
+  let d = Fnv.add_int d s.s_core in
   let d = Fnv.add_int d start in
   t.digest <- Fnv.add_int d finish
 
 let span_begin t ~cat ~name ~rank ~core ~now =
   if not t.enabled then null_handle
   else begin
-    let d = depth_for t (rank, core) in
+    let s = scope_for t ~rank ~core in
     let h = t.next_handle in
     t.next_handle <- h + 1;
-    Hashtbl.add t.opens h
-      {
-        o_cat = cat;
-        o_name = name;
-        o_rank = rank;
-        o_core = core;
-        o_start = now;
-        o_depth = !d;
-        o_scope_depth = d;
-      };
-    incr d;
+    Int_tbl.add t.opens h
+      { o_cat = cat; o_name = name; o_start = now; o_depth = s.depth; o_scope = s };
+    s.depth <- s.depth + 1;
     h
   end
 
+(* Close an open span: forget the handle and unwind its scope's depth.
+   [None] for an unknown or already-closed handle. *)
+let close t h =
+  match Int_tbl.find t.opens h with
+  | exception Not_found -> None
+  | o ->
+    Int_tbl.remove t.opens h;
+    let s = o.o_scope in
+    if s.depth > 0 then s.depth <- s.depth - 1;
+    Some o
+
+(* A handle opened while enabled is closed even if the collector has been
+   disabled since, so the open table and the scope's depth stay balanced;
+   only the recording of the span depends on [enabled]. *)
 let span_end t h ~now =
-  if t.enabled && h <> null_handle then
-    match Hashtbl.find_opt t.opens h with
-    | None -> ()
-    | Some o ->
-      Hashtbl.remove t.opens h;
-      let d = o.o_scope_depth in
-      if !d > 0 then decr d;
-      push_span t ~cat:o.o_cat ~name:o.o_name ~rank:o.o_rank ~core:o.o_core
-        ~start:o.o_start ~finish:now ~depth:o.o_depth
+  if h <> null_handle then
+    match close t h with
+    | Some o when t.enabled ->
+      push_span t o.o_scope ~cat:o.o_cat ~name:o.o_name ~start:o.o_start ~finish:now
+        ~depth:o.o_depth
+    | Some _ | None -> ()
 
 let span_record t ~cat ~name ~rank ~core ~start ~finish =
   if t.enabled then begin
-    let d = depth_for t (rank, core) in
-    push_span t ~cat ~name ~rank ~core ~start ~finish ~depth:!d
+    let s = scope_for t ~rank ~core in
+    push_span t s ~cat ~name ~start ~finish ~depth:s.depth
   end
 
-let open_count t = Hashtbl.length t.opens
-
-let abandon_open t h =
-  if h <> null_handle then
-    match Hashtbl.find_opt t.opens h with
-    | None -> ()
-    | Some o ->
-      Hashtbl.remove t.opens h;
-      let d = o.o_scope_depth in
-      if !d > 0 then decr d
-
+let open_count t = Int_tbl.length t.opens
+let abandon_open t h = if h <> null_handle then ignore (close t h)
 let span_count t = t.completed
 
 let dropped_spans t =
-  Hashtbl.fold (fun _ r acc -> acc + max 0 (r.written - r.cap)) t.rings 0
-
-let iter_scope_spans r f =
-  let retained = min r.written r.cap in
-  let first = r.written - retained in
-  for j = first to r.written - 1 do
-    let i = j mod r.cap in
-    f
-      {
-        cat = r.cats.(i);
-        name = r.names.(i);
-        rank = 0;  (* overwritten below by caller-side scope *)
-        core = 0;
-        start = r.starts.(i);
-        finish = r.finishes.(i);
-        depth = r.depths.(i);
-        seq = r.seqs.(i);
-      }
-  done
+  Scope_tbl.fold (fun _ s acc -> acc + max 0 (s.written - s.cap)) t.scopes 0
 
 let spans t =
   let scopes =
-    Hashtbl.fold (fun scope r acc -> (scope, r) :: acc) t.rings []
+    Scope_tbl.fold (fun key s acc -> (key, s) :: acc) t.scopes []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let out = ref [] in
   List.iter
-    (fun ((rank, core), r) ->
-      iter_scope_spans r (fun s -> out := { s with rank; core } :: !out))
+    (fun (_, s) ->
+      let retained = min s.written s.cap in
+      for j = s.written - retained to s.written - 1 do
+        let i = j mod s.cap in
+        out :=
+          {
+            cat = s.cats.(i);
+            name = s.names.(i);
+            rank = s.s_rank;
+            core = s.s_core;
+            start = s.starts.(i);
+            finish = s.finishes.(i);
+            depth = s.depths.(i);
+            seq = s.seqs.(i);
+          }
+          :: !out
+      done)
     scopes;
   (* total order: start cycle, then scope, then global completion
      sequence — equal-start spans sort deterministically no matter what
@@ -275,19 +286,14 @@ let digest t = t.digest
 (* --- metrics ----------------------------------------------------------- *)
 
 let incr t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name ?(by = 1) () =
-  if t.enabled then begin
-    let key = { subsystem; name; rank; core } in
-    match Hashtbl.find_opt t.counters key with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t.counters key (ref by)
-  end
+  if t.enabled then incr_counter t.counters { subsystem; name; rank; core } by
 
 let set_gauge t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name v =
   if t.enabled then begin
     let key = { subsystem; name; rank; core } in
-    match Hashtbl.find_opt t.gauges key with
-    | Some r -> r := v
-    | None -> Hashtbl.add t.gauges key (ref v)
+    match Key_tbl.find t.gauges key with
+    | r -> r := v
+    | exception Not_found -> Key_tbl.add t.gauges key (ref v)
   end
 
 let default_hist_hi = 1_048_576.0
@@ -298,13 +304,13 @@ let observe_cycles t ?(rank = node_scope) ?(core = node_scope) ?(hi = default_hi
   if t.enabled then begin
     let key = { subsystem; name; rank; core } in
     let timer =
-      match Hashtbl.find_opt t.timers key with
-      | Some tm -> tm
-      | None ->
+      match Key_tbl.find t.timers key with
+      | tm -> tm
+      | exception Not_found ->
         let tm =
           { online = Stats.Online.create (); hist = Stats.Histogram.create ~lo:0.0 ~hi ~bins }
         in
-        Hashtbl.add t.timers key tm;
+        Key_tbl.add t.timers key tm;
         tm
     in
     let x = float_of_int cycles in
@@ -313,25 +319,26 @@ let observe_cycles t ?(rank = node_scope) ?(core = node_scope) ?(hi = default_hi
   end
 
 let counter_value t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  match Hashtbl.find_opt t.counters { subsystem; name; rank; core } with
+  match Key_tbl.find_opt t.counters { subsystem; name; rank; core } with
   | Some r -> !r
   | None -> 0
 
 let counter_total t ~subsystem ~name =
-  Hashtbl.fold
-    (fun k r acc -> if k.subsystem = subsystem && k.name = name then acc + !r else acc)
+  Key_tbl.fold
+    (fun k r acc ->
+      if String.equal k.subsystem subsystem && String.equal k.name name then acc + !r else acc)
     t.counters 0
 
 let gauge_value t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  match Hashtbl.find_opt t.gauges { subsystem; name; rank; core } with
+  match Key_tbl.find_opt t.gauges { subsystem; name; rank; core } with
   | Some r -> Some !r
   | None -> None
 
 let timer_stats t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  Option.map (fun tm -> tm.online) (Hashtbl.find_opt t.timers { subsystem; name; rank; core })
+  Option.map (fun tm -> tm.online) (Key_tbl.find_opt t.timers { subsystem; name; rank; core })
 
 let timer_histogram t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  Option.map (fun tm -> tm.hist) (Hashtbl.find_opt t.timers { subsystem; name; rank; core })
+  Option.map (fun tm -> tm.hist) (Key_tbl.find_opt t.timers { subsystem; name; rank; core })
 
 (* --- snapshot ----------------------------------------------------------- *)
 
@@ -354,9 +361,9 @@ type metric = { key : key; value : value }
 
 let snapshot t =
   let out = ref [] in
-  Hashtbl.iter (fun key r -> out := { key; value = Counter !r } :: !out) t.counters;
-  Hashtbl.iter (fun key r -> out := { key; value = Gauge !r } :: !out) t.gauges;
-  Hashtbl.iter
+  Key_tbl.iter (fun key r -> out := { key; value = Counter !r } :: !out) t.counters;
+  Key_tbl.iter (fun key r -> out := { key; value = Gauge !r } :: !out) t.gauges;
+  Key_tbl.iter
     (fun key tm ->
       let o = tm.online in
       let h = tm.hist in
@@ -415,7 +422,8 @@ let capture t b =
       w_i s.seq)
     sp;
   let opens =
-    Hashtbl.fold (fun h o acc -> (h, o) :: acc) t.opens [] |> List.sort compare
+    Int_tbl.fold (fun h o acc -> (h, o) :: acc) t.opens []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   w_i (List.length opens);
   List.iter
@@ -423,13 +431,13 @@ let capture t b =
       w_i h;
       w_s o.o_cat;
       w_s o.o_name;
-      w_i o.o_rank;
-      w_i o.o_core;
+      w_i o.o_scope.s_rank;
+      w_i o.o_scope.s_core;
       w_i o.o_start;
       w_i o.o_depth)
     opens;
   let depths =
-    Hashtbl.fold (fun k d acc -> (k, !d) :: acc) t.depths [] |> List.sort compare
+    Scope_tbl.fold (fun k s acc -> (k, s.depth) :: acc) t.scopes [] |> List.sort compare
   in
   w_i (List.length depths);
   List.iter
@@ -467,12 +475,11 @@ let capture t b =
     ms
 
 let reset t =
-  Hashtbl.reset t.rings;
-  Hashtbl.reset t.opens;
-  Hashtbl.reset t.depths;
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.timers;
+  Scope_tbl.reset t.scopes;
+  Int_tbl.reset t.opens;
+  Key_tbl.reset t.counters;
+  Key_tbl.reset t.gauges;
+  Key_tbl.reset t.timers;
   t.next_handle <- 0;
   t.digest <- Fnv.empty;
   t.completed <- 0

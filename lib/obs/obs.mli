@@ -63,7 +63,9 @@ val span_begin :
 
 val span_end : t -> handle -> now:Bg_engine.Cycles.t -> unit
 (** Completes the span and pushes it into its scope's ring. Ending an
-    unknown (or already-ended) handle is a no-op. *)
+    unknown (or already-ended) handle is a no-op. A handle opened while
+    the collector was enabled is closed even if it has been disabled
+    since; the span is then not recorded. *)
 
 val span_record :
   t ->

@@ -60,6 +60,23 @@ let test_sim_digest_unperturbed_by_causal () =
   check_bool "and the graph actually recorded" true
     (Causal.node_count (Machine.causal on_machine) > 0)
 
+(* Golden digests of the collectors-on allreduce: the DMA and collective
+   path's span and causal streams, pinned as literals so a storage change
+   in the collectors must leave them byte-identical. (CNK without noise
+   draws no randomness, so the span digest does not depend on the seed;
+   causal ids do.) *)
+let test_allreduce_golden_digests () =
+  List.iter
+    (fun (seed, spans, causal) ->
+      let _, m = allreduce_run ~seed ~causal_on:true in
+      let o = Machine.obs m and g = Machine.causal m in
+      check_string "span digest" spans (Fnv.to_hex (Obs.digest o));
+      check_string "causal digest" causal (Fnv.to_hex (Causal.digest g));
+      check_int "spans" 28 (Obs.span_count o);
+      check_int "causal nodes" 35 (Causal.node_count g);
+      check_int "causal edges" 52 (Causal.edge_count g))
+    [ (5L, "7fd291ecce2b408d", "c318b0dc3dfcf4de"); (7L, "7fd291ecce2b408d", "3715323cf3b3c09e") ]
+
 (* ------------------------------------------------------------------ *)
 (* Critical path + attribution *)
 
@@ -218,6 +235,8 @@ let suite =
     Alcotest.test_case "same seed, same causal digest" `Quick test_same_seed_same_digest;
     Alcotest.test_case "sim digest unperturbed by causal" `Quick
       test_sim_digest_unperturbed_by_causal;
+    Alcotest.test_case "allreduce span and causal digests: goldens" `Quick
+      test_allreduce_golden_digests;
     Alcotest.test_case "critical path: attribution tiles exactly" `Quick
       test_critical_path_attribution_exact;
     Alcotest.test_case "retransmit reuses ctx: one Request->Reply edge" `Quick

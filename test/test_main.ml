@@ -19,6 +19,7 @@ let () =
       ("obs", Test_obs.suite);
       ("health", Test_health.suite);
       ("causal", Test_causal.suite);
+      ("obs-model", Test_obs_model.suite);
       ("resilience", Test_resilience.suite);
       ("heal", Test_heal.suite);
       ("sched", Test_sched.suite);
