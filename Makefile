@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-ab perf-pairs clean
+.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-base perf-ab perf-pairs clean
 
 all: build
 
@@ -157,21 +157,26 @@ sched-smoke:
 	@grep -q '^fair,' /tmp/sched_slo_smoke.csv
 	@echo "sched-smoke OK"
 
-# Before/after host-performance pair against another revision:
-# `make perf-ab BASE=<rev>` builds <rev> in a git worktree under _perf/,
-# runs `perf run` once on each side and prints `perf compare` of the two
-# reports (base first). Which side runs first alternates from one
-# invocation to the next, so slow drift in host speed does not always
-# favour the same side. Reports: _perf/ab-base.json, _perf/ab-head.json.
-# Fails, as `perf compare` does, when a metric is marked `regressed`.
-perf-ab:
-	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev>"; exit 2; }
+# `make perf-base BASE=<rev>` checks <rev> out in a git worktree at
+# _perf/base and builds perf.exe there and in this tree; perf-ab and
+# perf-pairs run it first.
+perf-base:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab|perf-pairs BASE=<rev> ..."; exit 2; }
 	@mkdir -p _perf
-	git worktree remove --force _perf/ab-base 2>/dev/null || rm -rf _perf/ab-base
+	git worktree remove --force _perf/base 2>/dev/null || rm -rf _perf/base
 	git worktree prune
-	git worktree add --detach _perf/ab-base $(BASE)
-	cd _perf/ab-base && dune build --root . ./perf/perf.exe
+	git worktree add --detach _perf/base $(BASE)
+	cd _perf/base && dune build --root . ./perf/perf.exe
 	dune build ./perf/perf.exe
+
+# Before/after host-performance pair against another revision:
+# `make perf-ab BASE=<rev>` runs `perf run` once on the _perf/base build
+# and once on this tree and prints `perf compare` of the two reports
+# (base first). Which side runs first alternates from one invocation to
+# the next, so slow drift in host speed does not always favour the same
+# side. Reports: _perf/ab-base.json, _perf/ab-head.json. Fails, as
+# `perf compare` does, when a metric is marked `regressed`.
+perf-ab: perf-base
 	@if [ "$$(cat _perf/ab-first 2>/dev/null)" = base ]; then \
 	  order="head base"; echo head > _perf/ab-first; \
 	else \
@@ -180,7 +185,7 @@ perf-ab:
 	for side in $$order; do \
 	  echo "== perf run: $$side"; \
 	  if [ $$side = base ]; then \
-	    (cd _perf/ab-base && ./_build/default/perf/perf.exe run \
+	    (cd _perf/base && ./_build/default/perf/perf.exe run \
 	      --out "$(CURDIR)/_perf/ab-base.json") || exit 1; \
 	  else \
 	    ./_build/default/perf/perf.exe run --out _perf/ab-head.json || exit 1; \
@@ -188,35 +193,28 @@ perf-ab:
 	done
 	./_build/default/perf/perf.exe compare _perf/ab-base.json _perf/ab-head.json
 
-# `make perf-pairs BASE=<rev> W=<workload> [N=10] [SEED=1] [S=25]` runs
-# the benchmark's single-workload form (`perf.exe --workload W --seed s
-# --seconds S --trace 0`) on a git worktree build of <rev> and on this
-# tree, one pair per seed s = SEED .. SEED+N-1, alternating which side
-# runs first. It prints each pair's wall_s, how many pairs this tree won
-# (lower wall_s; ties count for neither side), and each side's median
-# and quartiles. Raw lines: _perf/pairs.txt.
+# `make perf-pairs BASE=<rev> W=<workload> [N=10] [SEED=1]` runs the
+# benchmark's single-workload form (`perf.exe --workload W --seed s
+# --seconds 25 --trace 0`, the benchmark's run length) on the _perf/base
+# build and on this tree, one pair per seed s = SEED .. SEED+N-1,
+# alternating which side runs first. It prints each pair's wall_s, how
+# many pairs this tree won (lower wall_s; ties count for neither side),
+# and each side's median and quartiles. Raw lines: _perf/pairs.txt.
 N ?= 10
 SEED ?= 1
-S ?= 25
-perf-pairs:
-	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make perf-pairs BASE=<rev> W=<workload> [N=10]"; exit 2; }
-	@mkdir -p _perf
-	git worktree remove --force _perf/pairs-base 2>/dev/null || rm -rf _perf/pairs-base
-	git worktree prune
-	git worktree add --detach _perf/pairs-base $(BASE)
-	cd _perf/pairs-base && dune build --root . ./perf/perf.exe
-	dune build ./perf/perf.exe
+perf-pairs: perf-base
+	@test -n "$(W)" || { echo "usage: make perf-pairs BASE=<rev> W=<workload> [N=10] [SEED=1]"; exit 2; }
 	@wall() { tail -n 1 | sed -n 's/.*"wall_s":{"value":\([^,}]*\).*/\1/p'; }; \
-	run() { "$$1" --workload $(W) --seed $$2 --seconds $(S) --trace 0 | wall; }; \
-	base=$(CURDIR)/_perf/pairs-base/_build/default/perf/perf.exe; \
+	run() { "$$1" --workload $(W) --seed $$2 --seconds 25 --trace 0 | wall; }; \
+	base=$(CURDIR)/_perf/base/_build/default/perf/perf.exe; \
 	head=$(CURDIR)/_build/default/perf/perf.exe; \
 	: > _perf/pairs.txt; \
 	i=0; while [ $$i -lt $(N) ]; do \
 	  s=$$(( $(SEED) + i )); \
 	  if [ $$(( i % 2 )) -eq 0 ]; then \
-	    b=$$(cd _perf/pairs-base && run $$base $$s); h=$$(run $$head $$s); \
+	    b=$$(cd _perf/base && run $$base $$s); h=$$(run $$head $$s); \
 	  else \
-	    h=$$(run $$head $$s); b=$$(cd _perf/pairs-base && run $$base $$s); \
+	    h=$$(run $$head $$s); b=$$(cd _perf/base && run $$base $$s); \
 	  fi; \
 	  test -n "$$b" -a -n "$$h" || { echo "seed $$s: no wall_s"; exit 1; }; \
 	  echo "$$s $$b $$h" | tee -a _perf/pairs.txt; \

@@ -99,6 +99,9 @@ type t = {
   mutable ipis : int;
   mutable faults : (int * string) list;
   mutable exit_codes : (int * int) list;
+  mutable layouts : (Mapping.config * Mapping.t * Tlb.static_map array) list;
+      (* one entry per layout config launched so far: its map and each
+         process's validated static TLB entries *)
 }
 
 let sim t = t.machine.Machine.sim
@@ -276,6 +279,7 @@ let create ?mapping_config machine ~rank ~ciod () =
       ipis = 0;
       faults = [];
       exit_codes = [];
+      layouts = [];
     }
   in
   Bg_cio.Ciod.register_node ciod ~rank ~deliver:(fun reply_bytes ->
@@ -1171,6 +1175,24 @@ let image_pattern (image : Image.t) len =
   Rng.fill_bytes (Rng.create (Rng.seed_of_string image.Image.name)) b;
   b
 
+(* A map is a pure function of its config, and both it and the validated
+   TLB entries are immutable, so every launch with the same config shares
+   one copy. Exited processes stay in [procs] until the next reset, and a
+   node that runs a thousand jobs of a few shapes would otherwise keep a
+   thousand copies. *)
+let layout t config =
+  match List.find_opt (fun (c, _, _) -> c = config) t.layouts with
+  | Some (_, mapping, static_tlbs) -> Ok (mapping, static_tlbs)
+  | None -> (
+    match Mapping.compute config with
+    | Error e -> Error e
+    | Ok mapping ->
+      let static_tlbs =
+        Array.map (fun pm -> Tlb.prepare (Mapping.tlb_entries pm)) mapping.Mapping.procs
+      in
+      t.layouts <- (config, mapping, static_tlbs) :: t.layouts;
+      Ok (mapping, static_tlbs))
+
 let launch t (job : Job.t) =
   if not t.booted then Error "node not booted"
   else if t.job_active then Error "a job is already active"
@@ -1185,9 +1207,9 @@ let launch t (job : Job.t) =
         shared_bytes = job.Job.shared_bytes;
       }
     in
-    match Mapping.compute config with
+    match layout t config with
     | Error e -> Error e
-    | Ok mapping ->
+    | Ok (mapping, static_tlbs) ->
       t.job_active <- true;
       t.exit_codes <- [];
       let sets = core_sets job.Job.mode (Array.length t.cores) in
@@ -1207,7 +1229,7 @@ let launch t (job : Job.t) =
             {
               pid;
               map = pm;
-              static_tlb = Tlb.prepare (Mapping.tlb_entries pm);
+              static_tlb = static_tlbs.(i);
               tracker;
               cores;
               handlers = Hashtbl.create 4;

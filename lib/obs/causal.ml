@@ -23,12 +23,6 @@ let kind_code = function
   | Request_reply -> 2
   | Parent_child -> 3
 
-let kind_of_code = function
-  | 0 -> Send_recv
-  | 1 -> Inject_complete
-  | 2 -> Request_reply
-  | _ -> Parent_child
-
 type node = {
   id : ctx;
   cat : string;
@@ -75,7 +69,7 @@ type t = {
   mutable cores : int array array;
   mutable ats : int array array;
   (* edge columns *)
-  mutable kinds : int array array;  (* [kind_code] *)
+  mutable kinds : kind array array;
   mutable srcs : int array array;
   mutable dsts : int array array;
   (* id -> node index, open addressing with linear probing; [-1] is an
@@ -176,17 +170,16 @@ let rec fresh_id t =
 let record_edge t kind ~si ~di =
   let e = t.n_edges in
   if e land chunk_mask = 0 then begin
-    t.kinds <- add_chunk t.kinds 0;
+    t.kinds <- add_chunk t.kinds Send_recv;
     t.srcs <- add_chunk t.srcs 0;
     t.dsts <- add_chunk t.dsts 0
   end;
   let k = e lsr chunk_bits and j = e land chunk_mask in
-  let code = kind_code kind in
-  t.kinds.(k).(j) <- code;
+  t.kinds.(k).(j) <- kind;
   t.srcs.(k).(j) <- si;
   t.dsts.(k).(j) <- di;
   t.n_edges <- e + 1;
-  let d = Fnv.add_int t.digest code in
+  let d = Fnv.add_int t.digest (kind_code kind) in
   let d = Fnv.add_int d (node_id t si) in
   t.digest <- Fnv.add_int d (node_id t di)
 
@@ -257,7 +250,7 @@ let node_at t i =
 let edge_at t e =
   let k = e lsr chunk_bits and j = e land chunk_mask in
   {
-    kind = kind_of_code t.kinds.(k).(j);
+    kind = t.kinds.(k).(j);
     src = node_id t t.srcs.(k).(j);
     dst = node_id t t.dsts.(k).(j);
   }

@@ -663,6 +663,29 @@ let test_vn_mode_four_processes () =
   check_int "four processes ran" 4 (List.length !pids);
   Alcotest.(check (list int)) "distinct pids" [ 1; 2; 3; 4 ] (List.sort compare !pids)
 
+(* Exited processes stay in the node's table, so jobs launched with the
+   same layout share one copy of the map instead of keeping one each. *)
+let test_same_layout_shares_map () =
+  let cluster = Cluster.create ~dims:(1, 1, 1) () in
+  Cluster.boot_all cluster;
+  let node = Cluster.node cluster 0 in
+  let image name = Image.executable ~name (fun () -> ()) in
+  Cluster.run_job cluster (Job.create ~name:"a" (image "a"));
+  Cluster.run_job cluster (Job.create ~name:"b" (image "b"));
+  Cluster.run_job cluster (Job.create ~mode:Job.Dual ~name:"c" (image "c"));
+  let map pid =
+    match Node.process_map node ~pid with
+    | Some m -> m
+    | None -> Alcotest.failf "no map for pid %d" pid
+  in
+  check_int "every process kept" 4 (Node.process_count node);
+  check_bool "same config, same map" true (map 1 == map 2);
+  check_bool "other config, own map" false (map 1 == map 3);
+  check_bool "dual ranks differ" false (map 3 == map 4);
+  Alcotest.(check (list int))
+    "each process gets its own slot of the map" [ 0; 0; 0; 1 ]
+    (List.map (fun pid -> (map pid).Mapping.proc_index) [ 1; 2; 3; 4 ])
+
 let test_io_holds_the_core () =
   (* SSVI.C: "I/O function shipping is made trivial by not yielding the
      core to another thread during an I/O system call" — a ready thread
@@ -962,6 +985,7 @@ let suite =
     Alcotest.test_case "node: query map / vtop" `Quick test_query_map_and_vtop;
     Alcotest.test_case "node: exit_group" `Quick test_exit_group_kills_all;
     Alcotest.test_case "node: vn mode" `Quick test_vn_mode_four_processes;
+    Alcotest.test_case "node: same layout shares its map" `Quick test_same_layout_shares_map;
     Alcotest.test_case "node: io holds the core" `Quick test_io_holds_the_core;
     Alcotest.test_case "node: same-core yield" `Quick test_same_core_yield_alternation;
     Alcotest.test_case "node: no fork/exec" `Quick test_no_fork_exec;
