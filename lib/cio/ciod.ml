@@ -6,13 +6,15 @@ module Obs = Bg_obs.Obs
    never collides with the rank's own core lanes. *)
 let worker_tid_base = 16
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   machine : Machine.t;
   fs : Fs.t;
   io_node : int;
   config : Reliable.config;
   manifest : Manifest.t;
-  proxies : (int * int, Ioproxy.t) Hashtbl.t;  (* (rank, pid) -> proxy *)
+  proxies : Ioproxy.t Itbl.t Itbl.t;  (* rank -> pid -> proxy *)
   deliver : (int, bytes -> unit) Hashtbl.t;    (* rank -> reply delivery *)
   worker_busy : Cycles.t array;                 (* 4 I/O-node cores *)
   (* in-flight service events, cancellable on crash *)
@@ -44,7 +46,7 @@ let create machine ?fs ?(config = Reliable.off) ~io_node () =
     io_node;
     config;
     manifest = Manifest.create ();
-    proxies = Hashtbl.create 64;
+    proxies = Itbl.create 64;
     deliver = Hashtbl.create 64;
     worker_busy = Array.make 4 0;
     inflight = Hashtbl.create 16;
@@ -67,12 +69,21 @@ let alive t = t.alive
 
 let register_node t ~rank ~deliver = Hashtbl.replace t.deliver rank deliver
 
+let rank_proxies t rank =
+  match Itbl.find_opt t.proxies rank with
+  | Some by_pid -> by_pid
+  | None ->
+    let by_pid = Itbl.create 4 in
+    Itbl.add t.proxies rank by_pid;
+    by_pid
+
 let proxy t ~rank ~pid =
-  match Hashtbl.find_opt t.proxies (rank, pid) with
+  let by_pid = rank_proxies t rank in
+  match Itbl.find_opt by_pid pid with
   | Some p -> p
   | None ->
     let p = Ioproxy.create t.fs ~rank ~pid in
-    Hashtbl.add t.proxies (rank, pid) p;
+    Itbl.add by_pid pid p;
     p
 
 let obs t = t.machine.Machine.obs
@@ -99,16 +110,11 @@ let job_start t ~rank ~pids =
 
 let job_end t ~rank =
   mark t ~rank "job_end";
-  let doomed =
-    Hashtbl.fold (fun (r, p) _ acc -> if r = rank then (r, p) :: acc else acc) t.proxies []
-  in
-  List.iter
-    (fun key ->
-      (match Hashtbl.find_opt t.proxies key with
-      | Some p -> Ioproxy.close_all p
-      | None -> ());
-      Hashtbl.remove t.proxies key)
-    doomed;
+  (match Itbl.find_opt t.proxies rank with
+  | Some by_pid ->
+    Itbl.iter (fun _ p -> Ioproxy.close_all p) by_pid;
+    Itbl.remove t.proxies rank
+  | None -> ());
   Manifest.remove_rank t.manifest ~rank
 
 let request_cost req =
@@ -360,7 +366,7 @@ let crash t =
     Hashtbl.reset t.inflight;
     Hashtbl.reset t.executing;
     depth_gauge t;
-    Hashtbl.reset t.proxies;
+    Itbl.reset t.proxies;
     Array.fill t.worker_busy 0 (Array.length t.worker_busy) 0
   end
 
@@ -378,7 +384,7 @@ let restart t =
           | Some snap -> Ioproxy.restore t.fs ~rank ~pid snap
           | None -> Ioproxy.create t.fs ~rank ~pid
         in
-        Hashtbl.replace t.proxies (rank, pid) p)
+        Itbl.replace (rank_proxies t rank) pid p)
       (Manifest.procs t.manifest);
     t.restarts <- t.restarts + 1;
     List.iter (fun f -> f ()) t.restart_subscribers
@@ -392,7 +398,7 @@ let retransmits_seen t = t.retransmits_seen
 let queue_rejects t = t.queue_rejects
 let crashes t = t.crashes
 let queue_depth t = Hashtbl.length t.inflight
-let proxy_count t = Hashtbl.length t.proxies
+let proxy_count t = Itbl.fold (fun _ by_pid n -> n + Itbl.length by_pid) t.proxies 0
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -420,7 +426,9 @@ let capture t b =
       w_i seq)
     executing;
   let proxies =
-    Hashtbl.fold (fun k p acc -> (k, p) :: acc) t.proxies []
+    Itbl.fold
+      (fun rank by_pid acc -> Itbl.fold (fun pid p acc -> ((rank, pid), p) :: acc) by_pid acc)
+      t.proxies []
     |> List.sort (fun (k, _) (k', _) -> compare k k')
   in
   w_i (List.length proxies);

@@ -1,4 +1,10 @@
-type file = { mutable data : bytes; mutable len : int; mutable perm : int }
+(* File contents live in fixed-size pages that never move once
+   allocated, so a growing file never copies what it already holds.
+   [pages.(k)] covers bytes [k * page_size, (k + 1) * page_size); a page
+   never written is [absent] and reads as zeros. Bytes at or past [len]
+   are always zero, so a file that grows again (write past EOF, truncate
+   up) exposes zeros without clearing anything. *)
+type file = { mutable pages : bytes array; mutable len : int; mutable perm : int }
 type dir = { entries : (string, int) Hashtbl.t; mutable dperm : int }
 
 type node_data = File of file | Dir of dir
@@ -101,7 +107,7 @@ let open_file t ~cwd path ~flags ~mode =
       | Dir _ -> if flags.Sysreq.wr then Error Errno.EISDIR else Ok i
       | File f ->
         if flags.Sysreq.trunc then begin
-          f.data <- Bytes.empty;
+          f.pages <- [||];
           f.len <- 0
         end;
         Ok i)
@@ -112,13 +118,46 @@ let open_file t ~cwd path ~flags ~mode =
       match node t parent with
       | File _ -> Error Errno.ENOTDIR
       | Dir d ->
-        let i = alloc t (File { data = Bytes.empty; len = 0; perm = mode }) in
+        let i = alloc t (File { pages = [||]; len = 0; perm = mode }) in
         Hashtbl.replace d.entries name i;
         Ok i))
   | Error e -> Error e
 
 let with_file t i f =
   match node t i with File file -> f file | Dir _ -> Error Errno.EISDIR
+
+let page_bits = 12
+let page_size = 1 lsl page_bits
+
+(* Shared, never written: stands for every page not yet allocated. *)
+let absent = Bytes.make page_size '\000'
+
+let page f k = if k < Array.length f.pages then f.pages.(k) else absent
+
+(* [f k ~pos ~at ~n] for each page piece of the byte range [off, off+len):
+   page [k], bytes [pos, pos+n) of it, which sit [at] bytes into the
+   range. *)
+let iter_pieces ~off ~len f =
+  let stop = off + len in
+  let rec go o =
+    if o < stop then begin
+      let k = o lsr page_bits in
+      let pos = o land (page_size - 1) in
+      let n = min (page_size - pos) (stop - o) in
+      f k ~pos ~at:(o - off) ~n;
+      go (o + n)
+    end
+  in
+  go off
+
+let writable_page f k =
+  if k >= Array.length f.pages then begin
+    let grown = Array.make (max (k + 1) (2 * Array.length f.pages)) absent in
+    Array.blit f.pages 0 grown 0 (Array.length f.pages);
+    f.pages <- grown
+  end;
+  if f.pages.(k) == absent then f.pages.(k) <- Bytes.make page_size '\000';
+  f.pages.(k)
 
 let read t i ~offset ~len =
   if offset < 0 || len < 0 then Error Errno.EINVAL
@@ -127,40 +166,39 @@ let read t i ~offset ~len =
         if offset >= f.len then Ok Bytes.empty
         else begin
           let n = min len (f.len - offset) in
-          Ok (Bytes.sub f.data offset n)
+          let out = Bytes.create n in
+          iter_pieces ~off:offset ~len:n (fun k ~pos ~at ~n ->
+              Bytes.blit (page f k) pos out at n);
+          Ok out
         end)
-
-let ensure_capacity f n =
-  if Bytes.length f > n then f
-  else begin
-    let bigger = Bytes.make (max n (max 64 (2 * Bytes.length f))) '\000' in
-    Bytes.blit f 0 bigger 0 (Bytes.length f);
-    bigger
-  end
 
 let write t i ~offset data =
   if offset < 0 then Error Errno.EINVAL
   else
     with_file t i (fun f ->
         let n = Bytes.length data in
-        let new_len = max f.len (offset + n) in
-        f.data <- ensure_capacity f.data new_len;
-        Bytes.blit data 0 f.data offset n;
-        f.len <- new_len;
+        iter_pieces ~off:offset ~len:n (fun k ~pos ~at ~n ->
+            Bytes.blit data at (writable_page f k) pos n);
+        f.len <- max f.len (offset + n);
         Ok n)
 
+(* Shrinking drops the pages wholly past the new end and zeroes the rest
+   of the last one, so the bytes past [len] are zero again. Growing has
+   nothing to clear. *)
 let truncate t i ~len =
   if len < 0 then Error Errno.EINVAL
   else
     with_file t i (fun f ->
-        if len <= f.len then f.len <- len
-        else begin
-          f.data <- ensure_capacity f.data len;
-          (* bytes beyond old len are already zero in fresh buffers; clear
-             explicitly in case of shrink-then-grow reuse *)
-          Bytes.fill f.data f.len (len - f.len) '\000';
-          f.len <- len
+        if len < f.len then begin
+          let keep = (len + page_size - 1) lsr page_bits in
+          if keep < Array.length f.pages then f.pages <- Array.sub f.pages 0 keep;
+          let pos = len land (page_size - 1) in
+          if pos > 0 then begin
+            let last = page f (keep - 1) in
+            if last != absent then Bytes.fill last pos (page_size - pos) '\000'
+          end
         end;
+        f.len <- len;
         Ok ())
 
 (* --- directories --------------------------------------------------- *)
@@ -267,8 +305,10 @@ let capture t b =
         w_i f.len;
         (* content digest, not content: file bytes can be large and a
            divergence check only needs inequality to show through *)
-        Buffer.add_int64_le b
-          (Bg_engine.Fnv.add_bytes Bg_engine.Fnv.empty (Bytes.sub f.data 0 f.len))
+        let h = ref Bg_engine.Fnv.empty in
+        iter_pieces ~off:0 ~len:f.len (fun k ~pos ~at:_ ~n ->
+            h := Bg_engine.Fnv.add_subbytes !h (page f k) ~pos ~len:n);
+        Buffer.add_int64_le b !h
       | Dir d ->
         Buffer.add_uint8 b 1;
         w_i d.dperm;

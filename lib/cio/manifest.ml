@@ -1,41 +1,82 @@
-type proc = { rank : int; pid : int }
+module Itbl = Hashtbl.Make (Int)
 
 (* [frame = None] marks an acked entry: the reply bytes are reclaimed but
    [seq] stays behind as a watermark, so a request copy the network
    reordered behind its own Ack is still recognised as a duplicate. *)
 type cached_reply = { seq : int; frame : bytes option }
 
-type t = {
-  procs : (proc, unit) Hashtbl.t;
-  proxies : (proc, Ioproxy.snapshot) Hashtbl.t;
-  replies : (proc * int, cached_reply) Hashtbl.t;
+(* One rank's share of the three records, each keyed by pid. They are
+   kept apart because a straggler request can leave a proxy snapshot or a
+   cached reply for a pid that was never (or is no longer) listed. *)
+type rank_entry = {
+  procs : unit Itbl.t;
+  proxies : Ioproxy.snapshot Itbl.t;
+  replies : cached_reply Itbl.t Itbl.t;  (* pid -> tid -> reply *)
 }
 
-let create () =
-  { procs = Hashtbl.create 16; proxies = Hashtbl.create 16; replies = Hashtbl.create 16 }
+(* Rank first, so job teardown drops one entry. *)
+type t = rank_entry Itbl.t
 
-let add_proc t ~rank ~pid = Hashtbl.replace t.procs { rank; pid } ()
+let create () = Itbl.create 16
 
-let procs t =
-  Hashtbl.fold (fun p () acc -> (p.rank, p.pid) :: acc) t.procs []
-  |> List.sort compare
+let rank_entry t rank =
+  match Itbl.find_opt t rank with
+  | Some e -> e
+  | None ->
+    let e = { procs = Itbl.create 4; proxies = Itbl.create 4; replies = Itbl.create 4 } in
+    Itbl.add t rank e;
+    e
 
-let record_proxy t ~rank ~pid snap = Hashtbl.replace t.proxies { rank; pid } snap
-let proxy_snapshot t ~rank ~pid = Hashtbl.find_opt t.proxies { rank; pid }
+let add_proc t ~rank ~pid = Itbl.replace (rank_entry t rank).procs pid ()
+
+(* [(rank, x)] for every rank and every [x] [select] draws from its
+   entry, sorted by rank then by [x]. *)
+let sorted_by_rank t select =
+  Itbl.fold (fun rank e acc -> (rank, e) :: acc) t []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.concat_map (fun (rank, e) -> List.map (fun x -> (rank, x)) (select e))
+
+(* A pid- or tid-keyed table's bindings, by key. *)
+let sorted_by_key tbl =
+  Itbl.fold (fun pid v acc -> (pid, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let procs t = sorted_by_rank t (fun e -> List.map fst (sorted_by_key e.procs))
+
+let record_proxy t ~rank ~pid snap = Itbl.replace (rank_entry t rank).proxies pid snap
+
+let proxy_snapshot t ~rank ~pid =
+  match Itbl.find_opt t rank with Some e -> Itbl.find_opt e.proxies pid | None -> None
+
+let reply_table t ~rank ~pid =
+  match Itbl.find_opt t rank with Some e -> Itbl.find_opt e.replies pid | None -> None
 
 let record_reply t ~rank ~pid ~tid ~seq ~frame =
-  Hashtbl.replace t.replies ({ rank; pid }, tid) { seq; frame = Some frame }
+  let by_tid =
+    match reply_table t ~rank ~pid with
+    | Some by_tid -> by_tid
+    | None ->
+      let by_tid = Itbl.create 4 in
+      Itbl.add (rank_entry t rank).replies pid by_tid;
+      by_tid
+  in
+  Itbl.replace by_tid tid { seq; frame = Some frame }
 
 let last_reply t ~rank ~pid ~tid =
-  match Hashtbl.find_opt t.replies ({ rank; pid }, tid) with
-  | Some { seq; frame } -> Some (seq, frame)
+  match reply_table t ~rank ~pid with
   | None -> None
+  | Some by_tid -> (
+    match Itbl.find_opt by_tid tid with
+    | Some { seq; frame } -> Some (seq, frame)
+    | None -> None)
 
 let retire_reply t ~rank ~pid ~tid ~seq =
-  match Hashtbl.find_opt t.replies ({ rank; pid }, tid) with
-  | Some c when c.seq = seq ->
-    Hashtbl.replace t.replies ({ rank; pid }, tid) { c with frame = None }
-  | _ -> ()
+  match reply_table t ~rank ~pid with
+  | None -> ()
+  | Some by_tid -> (
+    match Itbl.find_opt by_tid tid with
+    | Some c when c.seq = seq -> Itbl.replace by_tid tid { c with frame = None }
+    | _ -> ())
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -46,24 +87,23 @@ let capture t b =
       w_i rank;
       w_i pid)
     procs;
-  let proxies =
-    Hashtbl.fold (fun p s acc -> ((p.rank, p.pid), s) :: acc) t.proxies []
-    |> List.sort (fun (k, _) (k', _) -> compare k k')
-  in
+  let proxies = sorted_by_rank t (fun e -> sorted_by_key e.proxies) in
   w_i (List.length proxies);
   List.iter
-    (fun ((rank, pid), snap) ->
+    (fun (rank, (pid, snap)) ->
       w_i rank;
       w_i pid;
       Ioproxy.capture_snapshot snap b)
     proxies;
   let replies =
-    Hashtbl.fold (fun (p, tid) c acc -> ((p.rank, p.pid, tid), c) :: acc) t.replies []
-    |> List.sort (fun (k, _) (k', _) -> compare k k')
+    sorted_by_rank t (fun e ->
+        List.concat_map
+          (fun (pid, by_tid) -> List.map (fun (tid, c) -> (pid, tid, c)) (sorted_by_key by_tid))
+          (sorted_by_key e.replies))
   in
   w_i (List.length replies);
   List.iter
-    (fun ((rank, pid, tid), c) ->
+    (fun (rank, (pid, tid, c)) ->
       w_i rank;
       w_i pid;
       w_i tid;
@@ -76,11 +116,4 @@ let capture t b =
         Buffer.add_int64_le b (Bg_engine.Fnv.add_bytes Bg_engine.Fnv.empty frame))
     replies
 
-let remove_rank t ~rank =
-  let drop_if tbl key (p : proc) = if p.rank = rank then Hashtbl.remove tbl key in
-  let proc_keys = Hashtbl.fold (fun p () acc -> p :: acc) t.procs [] in
-  List.iter (fun p -> drop_if t.procs p p) proc_keys;
-  let proxy_keys = Hashtbl.fold (fun p _ acc -> p :: acc) t.proxies [] in
-  List.iter (fun p -> drop_if t.proxies p p) proxy_keys;
-  let reply_keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.replies [] in
-  List.iter (fun ((p, _) as k) -> drop_if t.replies k p) reply_keys
+let remove_rank t ~rank = Itbl.remove t rank

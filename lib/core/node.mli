@@ -70,8 +70,9 @@ val prepare_and_reset : t -> reproducible:bool -> on_ready:(unit -> unit) -> uni
 val launch : t -> Job.t -> (unit, string) result
 (** Compute the static map, install TLB entries, load the image, create
     one process per the job's mode with its main thread on the process's
-    first core, and start everything. Fails if a job is active or the map
-    cannot be built. *)
+    first core, and start everything. Fails if a job is active, the map
+    cannot be built, or its static TLB entries do not fit a core's TLB;
+    a failed launch leaves the node as it was. *)
 
 val image_pattern : Image.t -> int -> Bytes.t
 (** The [len] bytes {!launch} writes at the text base: deterministic

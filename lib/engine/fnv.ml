@@ -31,6 +31,15 @@ let add_string h s =
   !h
 
 let add_bytes h b = add_string h (Bytes.unsafe_to_string b)
+
+let add_subbytes h b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Fnv.add_subbytes";
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := add_byte !h (Char.code (Bytes.unsafe_get b i))
+  done;
+  !h
+
 let to_hex h = Printf.sprintf "%016Lx" h
 let equal = Int64.equal
 let compare = Int64.compare

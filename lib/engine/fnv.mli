@@ -23,6 +23,10 @@ val add_string : t -> string -> t
 val add_bytes : t -> bytes -> t
 (** [add_bytes h b] folds every byte of [b] into [h]. *)
 
+val add_subbytes : t -> bytes -> pos:int -> len:int -> t
+(** [add_subbytes h b ~pos ~len] folds bytes [pos .. pos+len-1] of [b],
+    as [add_bytes h (Bytes.sub b pos len)] would, without the copy. *)
+
 val to_hex : t -> string
 (** Render as a 16-character lowercase hex string. *)
 

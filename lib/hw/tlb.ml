@@ -93,18 +93,27 @@ let prepare entries =
   let accepted, accepted_count, error = walk [] 0 entries in
   { accepted; accepted_count; error }
 
-let load t m =
-  if m.accepted_count > t.capacity then
-    Error
+let capacity_error m ~capacity =
+  if m.accepted_count > capacity then
+    Some
       (Printf.sprintf "static map of %d entries exceeds TLB capacity %d" m.accepted_count
-         t.capacity)
-  else begin
+         capacity)
+  else None
+
+let check m ~capacity =
+  match capacity_error m ~capacity with
+  | Some msg -> Error msg
+  | None -> ( match m.error with None -> Ok () | Some msg -> Error msg)
+
+let load t m =
+  match capacity_error m ~capacity:t.capacity with
+  | Some msg -> Error msg
+  | None -> (
     t.entries <- m.accepted;
     for _ = 1 to m.accepted_count do
       t.on_refill ()
     done;
-    match m.error with None -> Ok () | Some msg -> Error msg
-  end
+    match m.error with None -> Ok () | Some msg -> Error msg)
 
 let permitted access perm =
   match access with

@@ -53,6 +53,11 @@ val load : t -> static_map -> (unit, string) Stdlib.result
     that would not fit without evictions is an error instead, and [t] is
     left unchanged: a static map never evicts (CNK treats it as a fault). *)
 
+val check : static_map -> capacity:int -> (unit, string) Stdlib.result
+(** The error {!load} would return for this map on a TLB of [capacity]
+    entries, without touching any TLB: lets a kernel refuse a map before
+    it changes any state. *)
+
 val translate : t -> access -> int -> result
 
 val flush : t -> unit

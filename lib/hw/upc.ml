@@ -91,6 +91,16 @@ let readings_of_array t a =
 
 let snapshot t = readings_of_array t t.counts
 
+(* [counts] is laid out event-major, chip scope first, which is
+   [snapshot]'s order, so a straight walk visits readings in that order. *)
+let events = Array.of_list all_events
+
+let iter_nonzero t f =
+  let row = t.cores + 1 in
+  Array.iteri
+    (fun i c -> if c <> 0 then f events.(i / row) ~core:((i mod row) - 1) c)
+    t.counts
+
 let frozen_snapshot t = Option.map (readings_of_array t) t.frozen
 
 let capture t b =

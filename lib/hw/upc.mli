@@ -59,6 +59,10 @@ val read : t -> ?core:int -> event -> int
 val snapshot : t -> reading list
 (** Non-zero live counters in fixed (event, core) order. *)
 
+val iter_nonzero : t -> (event -> core:int -> int -> unit) -> unit
+(** [f event ~core count] for each reading {!snapshot} would return, in
+    the same order, without building the list. *)
+
 val frozen_snapshot : t -> reading list option
 (** The latched counters, or [None] if {!freeze} was never called. *)
 

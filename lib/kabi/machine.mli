@@ -38,6 +38,9 @@ type t = {
   mutable ras_subscribers :
     (rank:int -> severity:ras_severity -> message:string -> unit) list;
       (** use {!on_ras} / {!ras_emit} rather than touching this directly *)
+  mutable launch_text : (string * int * bytes) option;
+      (** the program text the last CNK launch wrote: (image name,
+          length, bytes); use {!launch_text} *)
 }
 
 val create :
@@ -60,6 +63,15 @@ val nodes : t -> int
 val chip : t -> int -> Bg_hw.Chip.t
 val dma : t -> int -> Bg_hw.Dma.t
 val sim : t -> Bg_engine.Sim.t
+
+val launch_text : t -> name:string -> len:int -> (unit -> bytes) -> bytes
+(** The program text of [len] bytes for image [name]: the bytes the last
+    call with the same name and length returned, else [draw ()], which
+    then replaces that entry. [draw] must be a pure function of the name
+    and length, and callers must not mutate the result. All nodes of a
+    machine share the entry, so the launches of one job start draw the
+    text once. *)
+
 val obs : t -> Bg_obs.Obs.t
 val acct : t -> Bg_obs.Accounting.t
 val causal : t -> Bg_obs.Causal.t

@@ -111,7 +111,12 @@ let generate ~seed tenants =
   let root = Rng.create seed in
   let all = List.concat (List.mapi (fun ix t -> tenant_specs ~root ~ix t) tenants) in
   List.stable_sort
-    (fun a b -> compare (a.arrival, a.tenant, a.seq) (b.arrival, b.tenant, b.seq))
+    (fun a b ->
+      let c = Int.compare a.arrival b.arrival in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.tenant b.tenant in
+        if c <> 0 then c else Int.compare a.seq b.seq)
     all
 
 let total_jobs tenants = List.fold_left (fun acc t -> acc + t.jobs) 0 tenants

@@ -224,6 +224,132 @@ let prop_proto_roundtrip =
       | Ok (_, req') -> req = req'
       | Error _ -> false)
 
+(* A shrinking truncate must not leave the cut-off bytes behind for a
+   later write past EOF to expose: the hole reads as zeros. *)
+let test_fs_hole_after_shrink_reads_zeros () =
+  let fs = Fs.create () in
+  let i = ok (Fs.open_file fs ~cwd:"/" "h" ~flags:o_rwct ~mode:0o644) in
+  ignore (ok (Fs.write fs i ~offset:0 (Bytes.make 100 'x')));
+  ok (Fs.truncate fs i ~len:10);
+  ignore (ok (Fs.write fs i ~offset:50 (Bytes.of_string "y")));
+  Alcotest.(check string) "zeros in the hole"
+    (String.make 10 'x' ^ String.make 40 '\000' ^ "y")
+    (Bytes.to_string (ok (Fs.read fs i ~offset:0 ~len:100)))
+
+(* Model test: the paged store against the flat one it replaced
+   ([Fs_reference]). Writes straddle 4 KB page edges or leave holes far
+   past EOF, truncates shrink and grow, opens may truncate; after every
+   operation both filesystems must agree on its result, on every file's
+   size, stat and contents, and on the capture bytes. *)
+
+type fs_op =
+  | Fs_open of { file : int; trunc : bool }
+  | Fs_write of { file : int; offset : int; len : int; fill : int }
+  | Fs_read of { file : int; offset : int; len : int }
+  | Fs_truncate of { file : int; len : int }
+
+let fs_model_files = [| "f0"; "f1" |]
+
+let pp_fs_op = function
+  | Fs_open { file; trunc } -> Printf.sprintf "open f%d%s" file (if trunc then " trunc" else "")
+  | Fs_write { file; offset; len; fill } ->
+    Printf.sprintf "write f%d @%d len %d fill %d" file offset len fill
+  | Fs_read { file; offset; len } -> Printf.sprintf "read f%d @%d len %d" file offset len
+  | Fs_truncate { file; len } -> Printf.sprintf "truncate f%d to %d" file len
+
+let gen_fs_op =
+  let open QCheck.Gen in
+  let near_page_edge = map2 (fun k d -> max 0 ((k * 4096) + d)) (0 -- 12) (-3 -- 3) in
+  let offset = frequency [ (3, 0 -- 9000); (3, near_page_edge); (2, 20_000 -- 48_000); (1, return (-1)) ] in
+  let len = frequency [ (2, 0 -- 100); (2, 4090 -- 4100); (3, 0 -- 10_000) ] in
+  let file = 0 -- (Array.length fs_model_files - 1) in
+  frequency
+    [
+      (1, map2 (fun file trunc -> Fs_open { file; trunc }) file bool);
+      ( 4,
+        map4 (fun file offset len fill -> Fs_write { file; offset; len; fill }) file offset len
+          (0 -- 255) );
+      (3, map3 (fun file offset len -> Fs_read { file; offset; len }) file offset len);
+      ( 2,
+        map2
+          (fun file len -> Fs_truncate { file; len })
+          file
+          (frequency [ (2, 0 -- 100); (2, near_page_edge); (2, 0 -- 50_000); (1, return (-1)) ])
+      );
+    ]
+
+let prop_fs_matches_flat_reference =
+  let module R = Fs_reference in
+  let result_eq eq a b =
+    match (a, b) with
+    | Ok x, Ok y -> eq x y
+    | Error e, Error e' -> Errno.equal e e'
+    | _ -> false
+  in
+  let capture f fs =
+    let b = Buffer.create 256 in
+    f fs b;
+    Buffer.contents b
+  in
+  QCheck.Test.make ~name:"fs: paged files match the flat reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_fs_op ops))
+       QCheck.Gen.(list_size (1 -- 25) gen_fs_op))
+    (fun ops ->
+      let fs = Fs.create () and ref_fs = R.create () in
+      let open_both file flags =
+        let path = fs_model_files.(file) in
+        match
+          ( Fs.open_file fs ~cwd:"/" path ~flags ~mode:0o644,
+            R.open_file ref_fs ~cwd:"/" path ~flags ~mode:0o644 )
+        with
+        | Ok i, Ok i' when Fs.inode_id i = i' -> (i, i')
+        | _ -> QCheck.Test.fail_reportf "open %s disagrees" path
+      in
+      let inodes =
+        Array.init (Array.length fs_model_files) (fun file ->
+            open_both file { Sysreq.o_rdwr with Sysreq.creat = true })
+      in
+      let agree () =
+        Array.iter
+          (fun (i, i') ->
+            let size = Fs.size fs i in
+            if size <> R.size ref_fs i' then QCheck.Test.fail_report "size";
+            if Fs.stat fs i <> R.stat ref_fs i' then QCheck.Test.fail_report "stat";
+            if
+              not
+                (result_eq Bytes.equal
+                   (Fs.read fs i ~offset:0 ~len:(size + 5000))
+                   (R.read ref_fs i' ~offset:0 ~len:(size + 5000)))
+            then QCheck.Test.fail_report "contents")
+          inodes;
+        if capture Fs.capture fs <> capture R.capture ref_fs then
+          QCheck.Test.fail_report "capture bytes"
+      in
+      List.iter
+        (fun op ->
+          let same =
+            match op with
+            | Fs_open { file; trunc } ->
+              inodes.(file) <-
+                open_both file { Sysreq.o_rdwr with Sysreq.creat = true; trunc };
+              true
+            | Fs_write { file; offset; len; fill } ->
+              let data = Bytes.init len (fun k -> Char.chr ((fill + (k * 7)) land 0xff)) in
+              let i, i' = inodes.(file) in
+              result_eq Int.equal (Fs.write fs i ~offset data) (R.write ref_fs i' ~offset data)
+            | Fs_read { file; offset; len } ->
+              let i, i' = inodes.(file) in
+              result_eq Bytes.equal (Fs.read fs i ~offset ~len) (R.read ref_fs i' ~offset ~len)
+            | Fs_truncate { file; len } ->
+              let i, i' = inodes.(file) in
+              result_eq ( = ) (Fs.truncate fs i ~len) (R.truncate ref_fs i' ~len)
+          in
+          if not same then QCheck.Test.fail_reportf "%s: results differ" (pp_fs_op op);
+          agree ())
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Ioproxy *)
 
@@ -360,7 +486,8 @@ let test_ciod_job_end_closes () =
 
 (* ------------------------------------------------------------------ *)
 
-let qcheck = List.map QCheck_alcotest.to_alcotest [ prop_proto_roundtrip ]
+let qcheck =
+  List.map QCheck_alcotest.to_alcotest [ prop_proto_roundtrip; prop_fs_matches_flat_reference ]
 
 let suite =
   [
@@ -376,6 +503,8 @@ let suite =
     Alcotest.test_case "fs: readdir sorted" `Quick test_fs_readdir_sorted;
     Alcotest.test_case "fs: rename replaces" `Quick test_fs_rename_replaces;
     Alcotest.test_case "fs: truncate" `Quick test_fs_truncate;
+    Alcotest.test_case "fs: hole after shrink reads zeros" `Quick
+      test_fs_hole_after_shrink_reads_zeros;
     Alcotest.test_case "fs: O_EXCL" `Quick test_fs_open_excl;
     Alcotest.test_case "fs: stat" `Quick test_fs_stat;
     Alcotest.test_case "proto: open roundtrip" `Quick test_proto_open_roundtrip;

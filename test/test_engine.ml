@@ -75,6 +75,10 @@ let prop_fnv_matches_reference =
       && Fnv.add_int64 h j = Fnv_ref.add_int64 h j
       && Fnv.add_string h s = Fnv_ref.add_string h s
       && Fnv.add_bytes h (Bytes.of_string s) = Fnv_ref.add_string h s
+      && Fnv.add_subbytes h
+           (Bytes.of_string ("ab" ^ s ^ "c"))
+           ~pos:2 ~len:(String.length s)
+         = Fnv_ref.add_string h s
       && Fnv.add_int Fnv.empty i = Fnv.add_int64 Fnv.empty (Int64.of_int i))
 
 (* ------------------------------------------------------------------ *)

@@ -23,5 +23,6 @@ let () =
       ("resilience", Test_resilience.suite);
       ("heal", Test_heal.suite);
       ("sched", Test_sched.suite);
+      ("lifecycle", Test_lifecycle.suite);
       ("snap", Test_snap.suite);
     ]
