@@ -158,21 +158,23 @@ sched-smoke:
 	@echo "sched-smoke OK"
 
 # `make perf-base BASE=<rev>` checks <rev> out in a git worktree at
-# _perf/base and builds perf.exe and bin/ there and in this tree;
-# perf-ab, perf-pairs and smoke-diff run it first.
+# _perf/base and builds perf.exe, bin/ and bench/main.exe there and in
+# this tree; perf-ab, perf-pairs and smoke-diff run it first.
 perf-base:
 	@test -n "$(BASE)" || { echo "usage: make perf-ab|perf-pairs BASE=<rev> ..."; exit 2; }
 	@mkdir -p _perf
 	git worktree remove --force _perf/base 2>/dev/null || rm -rf _perf/base
 	git worktree prune
 	git worktree add --detach _perf/base $(BASE)
-	cd _perf/base && dune build --root . ./perf/perf.exe @bin/default
-	dune build ./perf/perf.exe @bin/default
+	cd _perf/base && dune build --root . ./perf/perf.exe @bin/default ./bench/main.exe
+	dune build ./perf/perf.exe @bin/default ./bench/main.exe
 
 # `make smoke-diff BASE=<rev>` checks that this tree simulates exactly
 # what <rev> does: it runs the ten *-smoke tools with the arguments of
-# each smoke's first run, plus `sched_tool --seed 1|2|3 --quiet`, on the
-# _perf/base build and on this tree. Each run's stdout and exit status
+# each smoke's first run, plus `sched_tool --seed 1|2|3 --quiet` and the
+# seven `bench/main.exe` experiments whose output is a pure function of
+# the seed, on the _perf/base build and on this tree. Each run's stdout
+# and exit status
 # go to _perf/smoke-base/<name>.out and _perf/smoke-head/<name>.out (the
 # files a tool writes land beside them). It prints one same/DIFF line
 # per run and fails if any run differs.
@@ -180,24 +182,31 @@ smoke-diff: perf-base
 	@rm -rf _perf/smoke-base _perf/smoke-head
 	@mkdir -p _perf/smoke-base _perf/smoke-head
 	@printf '%s\n' \
-	  'trace obs_tool --app fwq --samples 200 --chrome-trace obs_smoke.json --metrics-csv obs_smoke.csv' \
-	  'resilience resilience_tool --seed 1 --csv resilience_sweep.csv' \
-	  'cio_chaos cio_chaos_tool --seed 1 --csv cio_chaos_sweep.csv' \
-	  'msg msg_tool --json BENCH_msg.json' \
-	  'attribute noise_tool attribute --samples 500 --folded-prefix attr_smoke' \
-	  'causal trace_tool critical-path --nodes 32 --chrome-trace causal_smoke_flow.json' \
-	  'snap bisect_tool --selftest' \
-	  'health health_tool --seed 1 --postmortem health_smoke.json' \
-	  'heal heal_tool --seed 1 --timeline-csv heal_timeline.csv --quiet' \
-	  'sched sched_tool --seed 1 --slo-csv sched_slo_smoke.csv --quiet' \
-	  'sched_seed1 sched_tool --seed 1 --quiet' \
-	  'sched_seed2 sched_tool --seed 2 --quiet' \
-	  'sched_seed3 sched_tool --seed 3 --quiet' \
+	  'trace bin/obs_tool --app fwq --samples 200 --chrome-trace obs_smoke.json --metrics-csv obs_smoke.csv' \
+	  'resilience bin/resilience_tool --seed 1 --csv resilience_sweep.csv' \
+	  'cio_chaos bin/cio_chaos_tool --seed 1 --csv cio_chaos_sweep.csv' \
+	  'msg bin/msg_tool --json BENCH_msg.json' \
+	  'attribute bin/noise_tool attribute --samples 500 --folded-prefix attr_smoke' \
+	  'causal bin/trace_tool critical-path --nodes 32 --chrome-trace causal_smoke_flow.json' \
+	  'snap bin/bisect_tool --selftest' \
+	  'health bin/health_tool --seed 1 --postmortem health_smoke.json' \
+	  'heal bin/heal_tool --seed 1 --timeline-csv heal_timeline.csv --quiet' \
+	  'sched bin/sched_tool --seed 1 --slo-csv sched_slo_smoke.csv --quiet' \
+	  'sched_seed1 bin/sched_tool --seed 1 --quiet' \
+	  'sched_seed2 bin/sched_tool --seed 2 --quiet' \
+	  'sched_seed3 bin/sched_tool --seed 3 --quiet' \
+	  'bench_latency bench/main latency' \
+	  'bench_bandwidth bench/main bandwidth' \
+	  'bench_collectives bench/main collectives' \
+	  'bench_halo bench/main halo' \
+	  'bench_cg bench/main cg' \
+	  'bench_congestion bench/main congestion' \
+	  'bench_io-offload bench/main io-offload' \
 	| { status=0; while read -r name tool args; do \
 	  for side in base head; do \
-	    if [ $$side = base ]; then bin=$(CURDIR)/_perf/base/_build/default/bin; \
-	    else bin=$(CURDIR)/_build/default/bin; fi; \
-	    (cd _perf/smoke-$$side && { $$bin/$$tool.exe $$args < /dev/null; echo "exit $$?"; } > $$name.out); \
+	    if [ $$side = base ]; then root=$(CURDIR)/_perf/base/_build/default; \
+	    else root=$(CURDIR)/_build/default; fi; \
+	    (cd _perf/smoke-$$side && { $$root/$$tool.exe $$args < /dev/null; echo "exit $$?"; } > $$name.out); \
 	  done; \
 	  if cmp -s _perf/smoke-base/$$name.out _perf/smoke-head/$$name.out; then \
 	    echo "same  $$name"; else echo "DIFF  $$name"; status=1; fi; \

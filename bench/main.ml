@@ -1321,67 +1321,6 @@ let run_recover () =
   close_out oc;
   Printf.printf "wrote BENCH_recover.json\n"
 
-(* ------------------------------------------------------------------ *)
-(* Job-stream scheduler: policy sweep throughput and utilization *)
-
-let run_jobsched () =
-  let module W = Bg_sched.Workload in
-  let module Svc = Bg_sched.Service in
-  let module Strat = Bg_sched.Strategy in
-  let module Slo = Bg_sched.Slo in
-  section "jobsched: multi-tenant policy sweep (FCFS / EASY / gang / fair)";
-  (* One seeded mixed workload (8 tenants x 8 jobs) replayed under each
-     policy on the 64-node machine — fault-free, so the numbers isolate
-     the dispatcher itself.  jobs/s is simulated completions per wall
-     second: what running the control system as a service costs. *)
-  let cell kind =
-    let t0 = Unix.gettimeofday () in
-    let cluster =
-      Cnk.Cluster.create ~dims:(4, 4, 4) ~seed:1L ~nodes_per_io_node:8 ()
-    in
-    let machine = Cnk.Cluster.machine cluster in
-    Bg_obs.Obs.set_enabled machine.Machine.obs true;
-    Cnk.Cluster.boot_all cluster;
-    let specs =
-      W.generate ~seed:1L (W.mixed_tenants ~tenants:8 ~jobs_per_tenant:8)
-    in
-    let svc = Svc.create ~kind cluster specs in
-    Svc.run svc;
-    let strat = Svc.strategy svc in
-    let slo =
-      Slo.collect machine.Machine.obs ~tenants:(Svc.tenants_of specs)
-        ~policy:(Strat.kind_name kind) ~seed:1 ~total_nodes:64
-        ~makespan:(Svc.makespan svc) ~backfilled:(Strat.backfilled strat)
-        ~gangs_started:(Strat.gangs_started strat) ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let jobs_per_s = float_of_int slo.Slo.completed_total /. wall in
-    Printf.printf
-      "  %-6s %3d completed  makespan %9d  util %5.1f%%  %8.0f jobs/s  (%.3f s)\n%!"
-      (Strat.kind_name kind) slo.Slo.completed_total slo.Slo.makespan
-      (Slo.utilization_pct slo) jobs_per_s wall;
-    (Strat.kind_name kind, slo, jobs_per_s, wall)
-  in
-  let cells = List.map cell Strat.all_kinds in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\"experiment\":\"jobsched\",\"workload\":\"8 tenants x 8 jobs, 64 nodes\",\"cells\":[";
-  List.iteri
-    (fun i (name, (slo : Slo.report), jobs_per_s, wall) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"completed\":%d,\"failed\":%d,\"makespan_cycles\":%d,\"utilization_milli\":%d,\"backfilled\":%d,\"gangs_started\":%d,\"jobs_per_sec\":%.0f,\"wall_s\":%.6f}"
-           name slo.Slo.completed_total slo.Slo.failed_total slo.Slo.makespan
-           slo.Slo.utilization_milli slo.Slo.backfilled slo.Slo.gangs_started
-           jobs_per_s wall))
-    cells;
-  Buffer.add_string buf "]}";
-  let oc = open_out "BENCH_sched.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_sched.json\n"
-
 let experiments =
   [
     ("fwq", run_fwq);
@@ -1411,7 +1350,6 @@ let experiments =
     ("health", run_health);
     ("snap", run_snap);
     ("recover", run_recover);
-    ("jobsched", run_jobsched);
   ]
 
 let () =

@@ -44,6 +44,16 @@ type stats = {
   mutable dropped : int;
 }
 
+(* Counter ids are small dense ints in practice, but [set_counter] takes
+   any non-negative id, so the tables stay hash tables; hashing by identity
+   keeps every lookup clear of the polymorphic hash and compare. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
 type t = {
   sim : Sim.t;
   torus : Torus.t;
@@ -54,8 +64,8 @@ type t = {
   rcv : packet Queue.t;
   (* byte-decrement completion counters: armed at inject, decremented at
      delivery; hitting zero latches the completion cycle *)
-  counters : (int, int) Hashtbl.t;
-  done_at : (int, Cycles.t) Hashtbl.t;
+  counters : int Itbl.t;
+  done_at : Cycles.t Itbl.t;
   mutable pumping : bool;
   stats : stats;
   mutable peers : t array;
@@ -80,8 +90,8 @@ let create_group sim torus ?(injection_depth = default_injection_depth)
           rcv_depth = reception_depth;
           inj = Queue.create ();
           rcv = Queue.create ();
-          counters = Hashtbl.create 16;
-          done_at = Hashtbl.create 16;
+          counters = Itbl.create 16;
+          done_at = Itbl.create 16;
           pumping = false;
           stats =
             {
@@ -118,24 +128,22 @@ let set_counter_done_hook t f = t.on_counter_done <- f
 
 let set_counter t ~id v =
   if id < 0 then invalid_arg "Dma.set_counter";
-  Hashtbl.replace t.counters id v;
-  Hashtbl.remove t.done_at id;
-  if v = 0 then Hashtbl.replace t.done_at id (Sim.now t.sim)
+  Itbl.replace t.counters id v;
+  Itbl.remove t.done_at id;
+  if v = 0 then Itbl.replace t.done_at id (Sim.now t.sim)
 
-let counter_value t ~id =
-  match Hashtbl.find_opt t.counters id with Some v -> v | None -> 0
-
-let counter_done_at t ~id = Hashtbl.find_opt t.done_at id
+let counter_value t ~id = match Itbl.find_opt t.counters id with Some v -> v | None -> 0
+let counter_done_at t ~id = Itbl.find_opt t.done_at id
 
 let decrement ?(ctx = 0) t ~id ~by =
   if id >= 0 then
-    match Hashtbl.find_opt t.counters id with
+    match Itbl.find_opt t.counters id with
     | None -> ()
     | Some v ->
-      let v' = max 0 (v - by) in
-      Hashtbl.replace t.counters id v';
-      if v' = 0 && not (Hashtbl.mem t.done_at id) then begin
-        Hashtbl.replace t.done_at id (Sim.now t.sim);
+      let v' = Int.max 0 (v - by) in
+      Itbl.replace t.counters id v';
+      if v' = 0 && not (Itbl.mem t.done_at id) then begin
+        Itbl.replace t.done_at id (Sim.now t.sim);
         t.on_counter_done ~id ~ctx
       end
 
@@ -220,11 +228,10 @@ let inject t d =
   end
   else begin
     if d.counter >= 0 && d.arm_bytes > 0 then begin
-      let v = match Hashtbl.find_opt t.counters d.counter with Some v -> v | None -> 0 in
-      Hashtbl.replace t.counters d.counter (v + d.arm_bytes);
-      Hashtbl.remove t.done_at d.counter
+      Itbl.replace t.counters d.counter (counter_value t ~id:d.counter + d.arm_bytes);
+      Itbl.remove t.done_at d.counter
     end
-    else if d.counter >= 0 && not (Hashtbl.mem t.counters d.counter) then
+    else if d.counter >= 0 && not (Itbl.mem t.counters d.counter) then
       set_counter t ~id:d.counter 0;
     Queue.push d t.inj;
     t.stats.injected <- t.stats.injected + 1;
@@ -274,7 +281,7 @@ let capture t b =
       w_i p.pkt_ctx;
       w_raw p.pkt_payload)
     t.rcv;
-  let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+  let sorted tbl = Itbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
   let counters = sorted t.counters in
   w_i (List.length counters);
   List.iter

@@ -1,18 +1,31 @@
 open Bg_engine
 
+(* Per-link state lives in flat arrays indexed by [rank * 6 + dir], so
+   index order is (rank, dir) order and no lookup hashes a key. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
   dims : int * int * int;
-  (* busy-until time per directed link, keyed by (rank, direction 0..5) *)
-  link_busy : (int * int, Cycles.t) Hashtbl.t;
-  (* per-node DMA injection FIFO: descriptors from one node serialize *)
-  inject_busy : (int, Cycles.t) Hashtbl.t;
-  broken : (int * int, unit) Hashtbl.t;
+  nodes : int;
+  (* busy-until time per directed link; -1 until a transfer first crosses
+     the link. [link_busy], [in_flight] and [busy_cycles] gain a link
+     together, so that sentinel also says which links [capture] and
+     [busy_links] report. The three stay empty until the first transfer
+     that crosses a link: above 42 nodes each is a major-heap block, and
+     a machine whose torus carries no traffic should not pay for them. *)
+  mutable link_busy : Cycles.t array;
   (* transfers currently crossing each directed link, and the cumulative
      cycles each link has spent serializing payload *)
-  in_flight : (int * int, int) Hashtbl.t;
-  busy_cycles : (int * int, int) Hashtbl.t;
+  mutable in_flight : int array;
+  mutable busy_cycles : int array;
+  (* per-node DMA injection FIFO: descriptors from one node serialize;
+     -1 until the node first injects *)
+  inject_busy : Cycles.t array;
+  (* one byte per directed link, nonzero while the link is broken *)
+  broken : Bytes.t;
+  (* [route]'s output: the first [path_len] entries are link indices *)
+  path : int array;
+  mutable path_len : int;
   mutable enabled : bool;
   mutable transfers : int;
   mutable on_inject : src:int -> unit;
@@ -22,15 +35,20 @@ type t = {
 let create sim ?(params = Params.bgp) ~dims () =
   let x, y, z = dims in
   if x <= 0 || y <= 0 || z <= 0 then invalid_arg "Torus.create";
+  let nodes = x * y * z in
   {
     sim;
     params;
     dims;
-    link_busy = Hashtbl.create 256;
-    inject_busy = Hashtbl.create 64;
-    broken = Hashtbl.create 4;
-    in_flight = Hashtbl.create 64;
-    busy_cycles = Hashtbl.create 256;
+    nodes;
+    link_busy = [||];
+    in_flight = [||];
+    busy_cycles = [||];
+    inject_busy = Array.make nodes (-1);
+    broken = Bytes.make (nodes * 6) '\000';
+    (* the long way round a ring is at most size - 1 hops *)
+    path = Array.make (x + y + z) 0;
+    path_len = 0;
     enabled = true;
     transfers = 0;
     on_inject = (fun ~src:_ -> ());
@@ -40,16 +58,14 @@ let create sim ?(params = Params.bgp) ~dims () =
 let set_inject_hook t f = t.on_inject <- f
 let set_link_down_hook t f = t.on_link_down <- f
 
-let node_count t =
-  let x, y, z = t.dims in
-  x * y * z
-
+let node_count t = t.nodes
 let dims t = t.dims
+
+let check_rank t rank = if rank < 0 || rank >= t.nodes then invalid_arg "Torus.coord_of_rank"
 
 let coord_of_rank t rank =
   let x, y, _ = t.dims in
-  let n = node_count t in
-  if rank < 0 || rank >= n then invalid_arg "Torus.coord_of_rank";
+  check_rank t rank;
   (rank mod x, rank / x mod y, rank / (x * y))
 
 let rank_of_coord t (cx, cy, cz) =
@@ -58,115 +74,122 @@ let rank_of_coord t (cx, cy, cz) =
     invalid_arg "Torus.rank_of_coord";
   cx + (cy * x) + (cz * x * y)
 
-(* Steps along one ring dimension: (hop_count, direction_sign). *)
-let ring_steps size from_pos to_pos =
-  let fwd = (to_pos - from_pos + size) mod size in
-  let bwd = (from_pos - to_pos + size) mod size in
-  if fwd <= bwd then (fwd, 1) else (bwd, -1)
+let is_broken t link = Bytes.get t.broken link <> '\000'
 
 exception Ring_blocked
 
-(* The sequence of (rank, direction) links a packet crosses, X then Y then
-   Z. Per dimension the short ring direction is preferred; if any link on
-   it is broken the router falls back to the long way, and if that is also
-   broken the ring is impassable. *)
-let route t ~src ~dst =
-  let sx, sy, sz = t.dims in
-  let cx, cy, cz = coord_of_rank t src in
-  let dx, dy, dz = coord_of_rank t dst in
-  let links = ref [] in
-  let path_clear size axis_dir_base get cur target sign =
-    let steps =
-      if sign > 0 then (target - get cur + size) mod size
-      else (get cur - target + size) mod size
-    in
-    let dir = if sign > 0 then axis_dir_base else axis_dir_base + 1 in
-    let rec ok pos i =
-      i >= steps
-      ||
-      let rank =
-        let x, y, z = pos in
-        rank_of_coord t (x, y, z)
-      in
-      (not (Hashtbl.mem t.broken (rank, dir)))
-      &&
-      let x, y, z = pos in
-      let next =
-        match axis_dir_base with
-        | 0 -> (((x + sign + size) mod size), y, z)
-        | 2 -> (x, ((y + sign + size) mod size), z)
-        | _ -> (x, y, ((z + sign + size) mod size))
-      in
-      ok next (i + 1)
-    in
-    ok cur 0
-  in
-  let walk size axis_dir_base get set cur target =
-    if get cur = target then cur
-    else begin
-      let _, short_sign = ring_steps size (get cur) target in
-      let sign =
-        if path_clear size axis_dir_base get cur target short_sign then short_sign
-        else if path_clear size axis_dir_base get cur target (-short_sign) then -short_sign
-        else raise Ring_blocked
-      in
-      let steps =
-        if sign > 0 then (target - get cur + size) mod size
-        else (get cur - target + size) mod size
-      in
-      let c = ref cur in
-      for _ = 1 to steps do
-        let dir = if sign > 0 then axis_dir_base else axis_dir_base + 1 in
-        links := (rank_of_coord t !c, dir) :: !links;
-        c := set !c (((get !c) + sign + size) mod size)
-      done;
-      !c
-    end
-  in
-  let cur = (cx, cy, cz) in
-  let cur = walk sx 0 (fun (x, _, _) -> x) (fun (_, y, z) x -> (x, y, z)) cur dx in
-  let cur = walk sy 2 (fun (_, y, _) -> y) (fun (x, _, z) y -> (x, y, z)) cur dy in
-  let cur = walk sz 4 (fun (_, _, z) -> z) (fun (x, y, _) z -> (x, y, z)) cur dz in
-  assert (rank_of_coord t cur = dst);
-  List.rev !links
+(* The neighbour of [rank] one hop along direction [dir] of the ring whose
+   ranks are [stride] apart and which has [size] nodes. Even directions
+   step up the ring, odd ones down, with wraparound. *)
+let step ~stride ~size ~dir rank =
+  let pos = rank / stride mod size in
+  if dir land 1 = 0 then if pos = size - 1 then rank - (stride * (size - 1)) else rank + stride
+  else if pos = 0 then rank + (stride * (size - 1))
+  else rank - stride
 
-let hops t ~src ~dst = List.length (route t ~src ~dst)
+(* Append [steps] hops along [dir] from [rank] to [t.path]. Returns the
+   rank reached, or -1 at the first broken link. *)
+let rec walk t ~stride ~size ~dir rank steps =
+  if steps = 0 then rank
+  else
+    let link = (rank * 6) + dir in
+    if is_broken t link then -1
+    else begin
+      t.path.(t.path_len) <- link;
+      t.path_len <- t.path_len + 1;
+      walk t ~stride ~size ~dir (step ~stride ~size ~dir rank) (steps - 1)
+    end
+
+(* Move [rank] to position [target] on one axis, whose up direction is
+   [dir0]. The short ring direction is preferred (up on a tie); if any link
+   on it is broken the router falls back to the long way, and if that is
+   also broken the ring is impassable. *)
+let axis t ~stride ~size ~dir0 rank target =
+  let pos = rank / stride mod size in
+  if pos = target then rank
+  else begin
+    let up = (target - pos + size) mod size in
+    let down = size - up in
+    let short_dir = if up <= down then dir0 else dir0 + 1 in
+    let start = t.path_len in
+    let r = walk t ~stride ~size ~dir:short_dir rank (if up <= down then up else down) in
+    if r >= 0 then r
+    else begin
+      t.path_len <- start;
+      let r = walk t ~stride ~size ~dir:(short_dir lxor 1) rank (if up <= down then down else up) in
+      if r < 0 then raise Ring_blocked;
+      r
+    end
+  end
+
+(* Fill [t.path] with the links a packet crosses, X then Y then Z, and
+   return how many there are. *)
+let route t ~src ~dst =
+  check_rank t src;
+  check_rank t dst;
+  let x, y, z = t.dims in
+  t.path_len <- 0;
+  let r = axis t ~stride:1 ~size:x ~dir0:0 src (dst mod x) in
+  let r = axis t ~stride:x ~size:y ~dir0:2 r (dst / x mod y) in
+  let r = axis t ~stride:(x * y) ~size:z ~dir0:4 r (dst / (x * y)) in
+  assert (r = dst);
+  t.path_len
+
+let hops t ~src ~dst = route t ~src ~dst
 
 let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 
 let check_dir dir = if dir < 0 || dir > 5 then invalid_arg "Torus: bad direction"
 
-let link_in_flight t ~rank ~dir =
+(* The link's index, or -1 for a rank outside the torus: such a link
+   never carries traffic and is never broken. *)
+let link_index t ~rank ~dir =
   check_dir dir;
-  match Hashtbl.find_opt t.in_flight (rank, dir) with Some n -> n | None -> 0
+  if rank < 0 || rank >= t.nodes then -1 else (rank * 6) + dir
 
-let link_busy_cycles t ~rank ~dir =
-  check_dir dir;
-  match Hashtbl.find_opt t.busy_cycles (rank, dir) with Some n -> n | None -> 0
+let crossed t link = t.link_busy.(link) >= 0
+
+(* A link's entry in one of the three per-link tables; 0 while they are
+   still empty. *)
+let link_count t table ~rank ~dir =
+  let link = link_index t ~rank ~dir in
+  if link < 0 || link >= Array.length table then 0 else table.(link)
+
+let link_in_flight t ~rank ~dir = link_count t t.in_flight ~rank ~dir
+let link_busy_cycles t ~rank ~dir = link_count t t.busy_cycles ~rank ~dir
 
 let busy_links t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.busy_cycles [] |> List.sort compare
+  let rows = ref [] in
+  for link = Array.length t.busy_cycles - 1 downto 0 do
+    if crossed t link then rows := ((link / 6, link mod 6), t.busy_cycles.(link)) :: !rows
+  done;
+  !rows
 
-let total_busy_cycles t = Hashtbl.fold (fun _ v acc -> acc + v) t.busy_cycles 0
+let total_busy_cycles t = Array.fold_left ( + ) 0 t.busy_cycles
 
 let set_link_broken t ~rank ~dir v =
-  check_dir dir;
+  let link = link_index t ~rank ~dir in
+  if link < 0 then invalid_arg "Torus.set_link_broken";
   if v then begin
-    let was = Hashtbl.mem t.broken (rank, dir) in
-    Hashtbl.replace t.broken (rank, dir) ();
+    let was = is_broken t link in
+    Bytes.set t.broken link '\001';
     (* Severing a link with traffic still crossing it is a RAS-worthy
        hardware event; the machine layer turns this into a typed fault. *)
     if not was then t.on_link_down ~rank ~dir ~in_flight:(link_in_flight t ~rank ~dir)
   end
-  else Hashtbl.remove t.broken (rank, dir)
+  else Bytes.set t.broken link '\000'
 
 let link_broken t ~rank ~dir =
-  check_dir dir;
-  Hashtbl.mem t.broken (rank, dir)
+  let link = link_index t ~rank ~dir in
+  link >= 0 && is_broken t link
 
 let broken_links t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.broken [] |> List.sort compare
+  let rows = ref [] in
+  for link = Bytes.length t.broken - 1 downto 0 do
+    if is_broken t link then rows := (link / 6, link mod 6) :: !rows
+  done;
+  !rows
 
 let serialization_cycles t bytes =
   int_of_float (Float.ceil (float_of_int bytes /. t.params.Params.torus_link_bytes_per_cycle))
@@ -174,50 +197,50 @@ let serialization_cycles t bytes =
 let transfer t ~src ~dst ~bytes ?(on_arrival = fun ~arrival_cycle:_ -> ()) () =
   if not t.enabled then raise (Fault.Unavailable "torus");
   let links =
-    if src = dst then []
+    if src = dst then begin
+      check_rank t src;
+      [||]
+    end
     else
       match route t ~src ~dst with
       | exception Ring_blocked -> raise (Fault.Unavailable "torus ring severed")
-      | links -> links
+      | n -> Array.sub t.path 0 n
   in
   if bytes < 0 then invalid_arg "Torus.transfer";
   t.transfers <- t.transfers + 1;
   t.on_inject ~src;
   let p = t.params in
-  let now = Sim.now t.sim in
   (* descriptors from one node go through its injection FIFO in order *)
-  let inject_start =
-    max now (match Hashtbl.find_opt t.inject_busy src with Some b -> b | None -> 0)
-  in
-  let inject_done = inject_start + p.Params.torus_inject_cycles in
-  Hashtbl.replace t.inject_busy src inject_done;
-  let bump tbl link by =
-    let v = match Hashtbl.find_opt tbl link with Some v -> v | None -> 0 in
-    Hashtbl.replace tbl link (v + by)
-  in
+  let inject_done = Int.max (Sim.now t.sim) t.inject_busy.(src) + p.Params.torus_inject_cycles in
+  t.inject_busy.(src) <- inject_done;
   let arrival =
     if src = dst then inject_done + p.Params.torus_receive_cycles
     else begin
+      if Array.length t.link_busy = 0 then begin
+        t.link_busy <- Array.make (t.nodes * 6) (-1);
+        t.in_flight <- Array.make (t.nodes * 6) 0;
+        t.busy_cycles <- Array.make (t.nodes * 6) 0
+      end;
       let ser = serialization_cycles t bytes in
       (* Wormhole: the head advances hop by hop, stalling on busy links;
          each link is then occupied for the serialization time. *)
       let head = ref inject_done in
-      List.iter
-        (fun link ->
-          let busy =
-            match Hashtbl.find_opt t.link_busy link with Some b -> b | None -> 0
-          in
-          head := max (!head + p.Params.torus_hop_cycles) busy;
-          Hashtbl.replace t.link_busy link (!head + ser);
-          bump t.in_flight link 1;
-          bump t.busy_cycles link ser)
-        links;
+      for i = 0 to Array.length links - 1 do
+        let link = links.(i) in
+        head := Int.max (!head + p.Params.torus_hop_cycles) t.link_busy.(link);
+        t.link_busy.(link) <- !head + ser;
+        t.in_flight.(link) <- t.in_flight.(link) + 1;
+        t.busy_cycles.(link) <- t.busy_cycles.(link) + ser
+      done;
       !head + ser + p.Params.torus_receive_cycles
     end
   in
   ignore
     (Sim.schedule_at t.sim arrival (fun () ->
-         List.iter (fun link -> bump t.in_flight link (-1)) links;
+         for i = 0 to Array.length links - 1 do
+           let link = links.(i) in
+           t.in_flight.(link) <- t.in_flight.(link) - 1
+         done;
          Sim.emit t.sim ~label:"torus.arrival" ~value:(Int64.of_int ((src * 65536) + dst));
          on_arrival ~arrival_cycle:arrival))
 
@@ -234,16 +257,25 @@ let transfers_started t = t.transfers
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
-  let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
-  let w_link_tbl tbl =
-    let rows = sorted tbl in
-    w_i (List.length rows);
-    List.iter
-      (fun ((rank, dir), v) ->
-        w_i rank;
-        w_i dir;
-        w_i v)
-      rows
+  (* Rows go out in index order, which is (rank, dir) order. *)
+  let count n keep =
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      if keep i then incr c
+    done;
+    !c
+  in
+  let links = Array.length t.link_busy in
+  let w_link_tbl a =
+    w_i (count links (crossed t));
+    Array.iteri
+      (fun link v ->
+        if crossed t link then begin
+          w_i (link / 6);
+          w_i (link mod 6);
+          w_i v
+        end)
+      a
   in
   let x, y, z = t.dims in
   w_i x;
@@ -252,19 +284,20 @@ let capture t b =
   Buffer.add_uint8 b (if t.enabled then 1 else 0);
   w_i t.transfers;
   w_link_tbl t.link_busy;
-  (let rows = sorted t.inject_busy in
-   w_i (List.length rows);
-   List.iter
-     (fun (rank, v) ->
-       w_i rank;
-       w_i v)
-     rows);
-  (let rows = sorted t.broken in
-   w_i (List.length rows);
-   List.iter
-     (fun ((rank, dir), ()) ->
-       w_i rank;
-       w_i dir)
-     rows);
+  w_i (count t.nodes (fun rank -> t.inject_busy.(rank) >= 0));
+  Array.iteri
+    (fun rank v ->
+      if v >= 0 then begin
+        w_i rank;
+        w_i v
+      end)
+    t.inject_busy;
+  w_i (count (Bytes.length t.broken) (is_broken t));
+  for link = 0 to Bytes.length t.broken - 1 do
+    if is_broken t link then begin
+      w_i (link / 6);
+      w_i (link mod 6)
+    end
+  done;
   w_link_tbl t.in_flight;
   w_link_tbl t.busy_cycles

@@ -29,7 +29,9 @@ val set_enabled : t -> bool -> unit
     Directions: 0/1 = ±x, 2/3 = ±y, 4/5 = ±z. Breaking a link makes the
     router take the long way around that ring when the short path would
     cross it; if both directions of a needed ring are broken the transfer
-    raises {!Fault.Unavailable}. *)
+    raises {!Fault.Unavailable}. {!set_link_broken} raises
+    [Invalid_argument] for a rank outside the torus; the queries read such
+    a link as idle and unbroken. *)
 
 val set_link_broken : t -> rank:int -> dir:int -> bool -> unit
 val link_broken : t -> rank:int -> dir:int -> bool
@@ -62,7 +64,8 @@ val transfer :
   unit ->
   unit
 (** Start a DMA transfer now. [on_arrival] fires when the last byte lands.
-    Local transfers ([src = dst]) cost only injection+receive overhead. *)
+    Local transfers ([src = dst]) cost only injection+receive overhead.
+    Raises [Invalid_argument] for a rank outside the torus. *)
 
 val estimate_cycles : t -> src:int -> dst:int -> bytes:int -> int
 (** Contention-free latency estimate for the same path. *)
@@ -74,5 +77,6 @@ val set_inject_hook : t -> (src:int -> unit) -> unit
     torus-packet feed. Default: no-op. *)
 
 val capture : t -> Buffer.t -> unit
-(** Serialize snapshot-relevant state, little-endian, into [b]. Hashtable
-    contents are sorted before writing, so the bytes are deterministic. *)
+(** Serialize snapshot-relevant state, little-endian, into [b]. Per-link
+    rows cover every link a transfer has crossed and go out in (rank, dir)
+    order, so the bytes are deterministic. *)

@@ -3,6 +3,7 @@
 
 open Bg_kabi
 module Ctl = Bg_control
+module Rasdb = Bg_obs.Rasdb
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -196,9 +197,19 @@ let test_scheduler_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* RAS log *)
 
+(* Subscribe a RAS database to the machine's stream, as
+   [Machine.attach_health] does. *)
+let attach_rasdb ?capacity machine =
+  let db = Rasdb.create ?capacity () in
+  Machine.on_ras machine (fun ~rank ~severity ~message ->
+      ignore
+        (Rasdb.add db ~cycle:(Bg_engine.Sim.now machine.Machine.sim) ~rank
+           ~severity:(Machine.rasdb_severity severity) ~message ()));
+  db
+
 let test_ras_collects_kernel_events () =
   let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) () in
-  let ras = Ctl.Ras.attach (Cnk.Cluster.machine cluster) in
+  let ras = attach_rasdb (Cnk.Cluster.machine cluster) in
   Cnk.Cluster.boot_all cluster;
   let image =
     Image.executable ~name:"crashy" (fun () ->
@@ -207,19 +218,19 @@ let test_ras_collects_kernel_events () =
   in
   Cnk.Cluster.run_job cluster (Job.create ~name:"c" image);
   (* guard hit (warn) then unhandled-signal kill (error) *)
-  check_bool "warn logged" true (Ctl.Ras.count ras ~severity:Machine.Ras_warn () >= 1);
-  check_int "one error" 1 (List.length (Ctl.Ras.errors ras));
-  (match Ctl.Ras.errors ras with
+  check_bool "warn logged" true (Rasdb.severity_count ras Rasdb.Warn >= 1);
+  check_int "one error" 1 (List.length (Rasdb.records ras ~severity:Rasdb.Error ()));
+  (match Rasdb.records ras ~severity:Rasdb.Error () with
   | [ e ] ->
-    check_int "rank attached" 0 e.Ctl.Ras.rank;
-    check_bool "cycle attached" true (e.Ctl.Ras.cycle > 0)
+    check_int "rank attached" 0 e.Rasdb.rank;
+    check_bool "cycle attached" true (e.Rasdb.cycle > 0)
   | _ -> Alcotest.fail "expected one error");
-  check_int "by_rank sees them all" (Ctl.Ras.count ras ())
-    (List.length (Ctl.Ras.by_rank ras ~rank:0))
+  check_int "by_rank sees them all" (Rasdb.count ras)
+    (List.length (Rasdb.records ras ~rank:0 ()))
 
 let test_ras_l1_parity_warns () =
   let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) () in
-  let ras = Ctl.Ras.attach (Cnk.Cluster.machine cluster) in
+  let ras = attach_rasdb (Cnk.Cluster.machine cluster) in
   Cnk.Cluster.boot_all cluster;
   let node = Cnk.Cluster.node cluster 0 in
   let image =
@@ -235,31 +246,28 @@ let test_ras_l1_parity_warns () =
     (Bg_engine.Sim.schedule_at (Cnk.Cluster.sim cluster) 2_600_000 (fun () ->
          ignore (Cnk.Node.inject_l1_parity_error node ~core:0)));
   Cnk.Cluster.run_until_quiet cluster;
-  check_int "parity warn, no errors" 0 (List.length (Ctl.Ras.errors ras));
+  check_int "parity warn, no errors" 0 (List.length (Rasdb.records ras ~severity:Rasdb.Error ()));
   check_bool "warn recorded" true
     (List.exists
-       (fun e ->
-         e.Ctl.Ras.severity = Machine.Ras_warn
-         && String.length e.Ctl.Ras.message >= 2)
-       (Ctl.Ras.events ras))
+       (fun e -> e.Rasdb.severity = Rasdb.Warn && String.length e.Rasdb.message >= 2)
+       (Rasdb.records ras ()))
 
 let test_ras_log_is_bounded () =
   let machine = Machine.create ~dims:(1, 1, 1) () in
-  let ras = Ctl.Ras.attach ~capacity:8 machine in
+  let ras = attach_rasdb ~capacity:8 machine in
   for i = 1 to 20 do
     let severity = if i mod 5 = 0 then Machine.Ras_error else Machine.Ras_info in
     Machine.ras_emit machine ~rank:0 ~severity
       ~message:(Printf.sprintf "storm %d" i)
   done;
-  check_int "ring holds capacity" 8 (List.length (Ctl.Ras.events ras));
-  check_int "overwritten accounted" 12 (Ctl.Ras.dropped ras);
-  check_int "total count exact despite drops" 20 (Ctl.Ras.count ras ());
-  check_int "per-severity count exact" 4
-    (Ctl.Ras.count ras ~severity:Machine.Ras_error ());
-  (match Ctl.Ras.events ras with
+  check_int "ring holds capacity" 8 (List.length (Rasdb.records ras ()));
+  check_int "overwritten accounted" 12 (Rasdb.dropped ras);
+  check_int "total count exact despite drops" 20 (Rasdb.count ras);
+  check_int "per-severity count exact" 4 (Rasdb.severity_count ras Rasdb.Error);
+  (match Rasdb.records ras () with
   | oldest :: _ ->
     Alcotest.(check string) "oldest retained is event 13" "storm 13"
-      oldest.Ctl.Ras.message
+      oldest.Rasdb.message
   | [] -> Alcotest.fail "empty ring")
 
 (* ------------------------------------------------------------------ *)

@@ -166,8 +166,47 @@ let test_link_failure_reaches_recovery () =
   ignore (Sim.run ~until:(t0 + 1_000_000) sim);
   check_int "recovery consumed the link event" 1 (Res.Recovery.link_events_seen recov)
 
+(* Counter ids are any non-negative int: a sparse id shares the tables
+   with dense ones (and, under an identity hash, a bucket with id 0), is
+   armed by [set_counter] or [inject] and decremented by delivery, and
+   [capture] lists every id in sorted order. *)
+let test_counter_sparse_id () =
+  let sim = Sim.create () in
+  let torus = Torus.create sim ~dims:(2, 1, 1) () in
+  let e = (Dma.create_group sim torus ()).(0) in
+  let sparse = 1 lsl 40 in
+  List.iter (fun id -> Dma.set_counter e ~id 100) [ sparse; 0; 7 ];
+  inject_ok e (Dma.descriptor ~kind:Dma.Rdma_put ~dst:1 ~tag:1 ~bytes:64 ~counter:sparse ());
+  inject_ok e (Dma.descriptor ~kind:Dma.Rdma_put ~dst:1 ~tag:2 ~bytes:32 ~counter:3 ());
+  check_int "sparse armed on top of set_counter" 164 (Dma.counter_value e ~id:sparse);
+  check_bool "sparse not done" true (Dma.counter_done_at e ~id:sparse = None);
+  ignore (Sim.run sim);
+  check_int "sparse drained by delivery" 100 (Dma.counter_value e ~id:sparse);
+  check_bool "dense id 3 done" true (Dma.counter_done_at e ~id:3 <> None);
+  Dma.set_counter e ~id:sparse 0;
+  check_bool "sparse done at zero" true (Dma.counter_done_at e ~id:sparse = Some (Sim.now sim));
+  check_int "id 0 untouched" 100 (Dma.counter_value e ~id:0);
+  check_int "id 7 untouched" 100 (Dma.counter_value e ~id:7);
+  let b = Buffer.create 256 in
+  Dma.capture e b;
+  let s = Buffer.contents b in
+  (* skip rank, depths, pumping flag, seven stats and the two empty FIFOs *)
+  let pos = ref ((3 * 8) + 1 + (7 * 8) + 8 + 8) in
+  let next () =
+    let v = Int64.to_int (String.get_int64_le s !pos) in
+    pos := !pos + 8;
+    v
+  in
+  let rows () = List.init (next ()) (fun _ -> let id = next () in ignore (next ()); id) in
+  let counters = rows () in
+  let done_at = rows () in
+  Alcotest.(check (list int)) "capture lists every counter, sorted" [ 0; 3; 7; sparse ] counters;
+  Alcotest.(check (list int)) "capture lists every completion, sorted" [ 3; sparse ] done_at;
+  check_int "capture fully read" (String.length s) !pos
+
 let suite =
   [
+    Alcotest.test_case "counter: sparse id beside dense ids" `Quick test_counter_sparse_id;
     Alcotest.test_case "counter: put decrements to zero" `Quick test_counter_put;
     Alcotest.test_case "counter: get decrements to zero" `Quick test_counter_get;
     Alcotest.test_case "injection FIFO stalls on full" `Quick test_fifo_stall_on_full;

@@ -463,6 +463,166 @@ let prop_torus_hops_bounded =
       let t = mk_torus sim in
       Torus.hops t ~src:a ~dst:b <= 2 + 2 + 2)
 
+(* A rank outside the torus has no links: breaking one and a local
+   transfer there are refused like any other bad rank. *)
+let test_torus_bad_rank_refused () =
+  let sim = Sim.create () in
+  let t = mk_torus ~dims:(2, 2, 1) sim in
+  Alcotest.check_raises "break" (Invalid_argument "Torus.set_link_broken") (fun () ->
+      Torus.set_link_broken t ~rank:4 ~dir:0 true);
+  Alcotest.check_raises "local transfer" (Invalid_argument "Torus.coord_of_rank") (fun () ->
+      Torus.transfer t ~src:4 ~dst:4 ~bytes:8 ());
+  check_int "reads as idle" 0 (Torus.link_in_flight t ~rank:4 ~dir:0);
+  Alcotest.(check bool) "reads as unbroken" false (Torus.link_broken t ~rank:(-1) ~dir:0);
+  check_int "no transfer started" 0 (Torus.transfers_started t)
+
+(* Each extra hop of a route costs one word (its link index), so a
+   two-hop transfer along X allocates at most 6 words more than a
+   one-hop one on a warm torus. *)
+let test_torus_extra_hop_allocation () =
+  let sim = Sim.create () in
+  let t = mk_torus sim in
+  let words dst =
+    let before = Gc.minor_words () in
+    Torus.transfer t ~src:0 ~dst ~bytes:512 ();
+    let w = Gc.minor_words () -. before in
+    ignore (Sim.run sim);
+    w
+  in
+  let r100 = Torus.rank_of_coord t (1, 0, 0) and r200 = Torus.rank_of_coord t (2, 0, 0) in
+  check_int "two hops" 2 (Torus.hops t ~src:0 ~dst:r200);
+  ignore (words r100);
+  ignore (words r200);
+  let one = words r100 in
+  let two = words r200 in
+  if two -. one > 6.0 then
+    Alcotest.failf "two-hop transfer allocates %.0f words, one-hop %.0f" two one
+
+(* Model test: the flat-array torus against the hash-table one it
+   replaced ([Torus_reference]), on twin simulators. Random dims of 1-4
+   per axis, then transfers (including bad ranks and sizes), clock
+   advances and link breaks and repairs; after every operation both must
+   agree on its outcome, on every arrival and hook call so far, on hops
+   for every pair, on every link's counters, on the link lists and totals
+   and on the capture bytes. *)
+
+type torus_op =
+  | T_transfer of { src : int; dst : int; bytes : int }
+  | T_advance of int
+  | T_break of { rank : int; dir : int; broken : bool }
+
+let pp_torus_op = function
+  | T_transfer { src; dst; bytes } -> Printf.sprintf "transfer %d->%d %dB" src dst bytes
+  | T_advance d -> Printf.sprintf "advance %d" d
+  | T_break { rank; dir; broken } ->
+    Printf.sprintf "%s %d/%d" (if broken then "break" else "repair") rank dir
+
+let gen_torus_case =
+  let open QCheck.Gen in
+  let* dims = triple (1 -- 4) (1 -- 4) (1 -- 4) in
+  let x, y, z = dims in
+  let n = x * y * z in
+  let rank = frequency [ (12, 0 -- (n - 1)); (1, return (-1)); (1, return n) ] in
+  let transfer =
+    map3
+      (fun src dst bytes ->
+        (* a local transfer at a bad rank is where the two differ: the
+           reference accepted it, the flat torus refuses it *)
+        let dst = if src = dst && (src < 0 || src >= n) then 0 else dst in
+        T_transfer { src; dst; bytes })
+      rank rank
+      (frequency [ (8, 0 -- 4096); (1, return (-1)) ])
+  in
+  let advance = map (fun d -> T_advance d) (frequency [ (3, 0 -- 200); (2, 200 -- 5000) ]) in
+  let break =
+    map3
+      (fun rank dir broken -> T_break { rank; dir; broken })
+      (0 -- (n - 1))
+      (frequency [ (10, 0 -- 5); (1, return (-1)); (1, return 6) ])
+      (frequency [ (2, return true); (1, return false) ])
+  in
+  let+ ops = list_size (20 -- 40) (frequency [ (5, transfer); (3, advance); (2, break) ]) in
+  (dims, ops)
+
+let prop_torus_matches_hashtable_reference =
+  let module R = Torus_reference in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Fault.Unavailable s -> Error ("unavailable: " ^ s)
+    | exception Invalid_argument s -> Error ("invalid: " ^ s)
+    | exception e ->
+      (* the two modules' private exceptions, by their last name *)
+      let name = Printexc.exn_slot_name e in
+      Error (List.hd (List.rev (String.split_on_char '.' name)))
+  in
+  QCheck.Test.make ~name:"torus: flat arrays match the hash-table reference" ~count:150
+    (QCheck.make
+       ~print:(fun ((x, y, z), ops) ->
+         Printf.sprintf "%dx%dx%d: %s" x y z (String.concat "; " (List.map pp_torus_op ops)))
+       gen_torus_case)
+    (fun (dims, ops) ->
+      let sim = Sim.create () and ref_sim = Sim.create () in
+      let t = Torus.create sim ~dims () and r = R.create ref_sim ~dims () in
+      let log = ref [] and ref_log = ref [] in
+      Torus.set_inject_hook t (fun ~src -> log := `Inject src :: !log);
+      R.set_inject_hook r (fun ~src -> ref_log := `Inject src :: !ref_log);
+      Torus.set_link_down_hook t (fun ~rank ~dir ~in_flight ->
+          log := `Down (rank, dir, in_flight) :: !log);
+      R.set_link_down_hook r (fun ~rank ~dir ~in_flight ->
+          ref_log := `Down (rank, dir, in_flight) :: !ref_log);
+      let n = Torus.node_count t in
+      let capture f x =
+        let b = Buffer.create 256 in
+        f x b;
+        Buffer.contents b
+      in
+      let agree op_result ref_result =
+        let fail what = QCheck.Test.fail_reportf "%s differs" what in
+        if op_result <> ref_result then fail "outcome";
+        if !log <> !ref_log then fail "arrival/hook log";
+        if Sim.now sim <> Sim.now ref_sim then fail "clock";
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            if outcome (fun () -> Torus.hops t ~src ~dst) <> outcome (fun () -> R.hops r ~src ~dst)
+            then fail (Printf.sprintf "hops %d->%d" src dst)
+          done;
+          for dir = 0 to 5 do
+            if Torus.link_in_flight t ~rank:src ~dir <> R.link_in_flight r ~rank:src ~dir then
+              fail (Printf.sprintf "in_flight %d/%d" src dir);
+            if Torus.link_busy_cycles t ~rank:src ~dir <> R.link_busy_cycles r ~rank:src ~dir then
+              fail (Printf.sprintf "busy_cycles %d/%d" src dir);
+            if Torus.link_broken t ~rank:src ~dir <> R.link_broken r ~rank:src ~dir then
+              fail (Printf.sprintf "broken %d/%d" src dir)
+          done
+        done;
+        if Torus.busy_links t <> R.busy_links r then fail "busy_links";
+        if Torus.broken_links t <> R.broken_links r then fail "broken_links";
+        if Torus.total_busy_cycles t <> R.total_busy_cycles r then fail "total_busy_cycles";
+        if Torus.transfers_started t <> R.transfers_started r then fail "transfers_started";
+        if capture Torus.capture t <> capture R.capture r then fail "capture"
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | T_transfer { src; dst; bytes } ->
+            let arrived log ~arrival_cycle = log := `Arrive (i, arrival_cycle) :: !log in
+            agree
+              (outcome (fun () ->
+                   Torus.transfer t ~src ~dst ~bytes ~on_arrival:(arrived log) ()))
+              (outcome (fun () -> R.transfer r ~src ~dst ~bytes ~on_arrival:(arrived ref_log) ()))
+          | T_advance d ->
+            let until = Sim.now sim + d in
+            agree
+              (outcome (fun () -> ignore (Sim.run ~until sim)))
+              (outcome (fun () -> ignore (Sim.run ~until ref_sim)))
+          | T_break { rank; dir; broken } ->
+            agree
+              (outcome (fun () -> Torus.set_link_broken t ~rank ~dir broken))
+              (outcome (fun () -> R.set_link_broken r ~rank ~dir broken)))
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Collective net *)
 
@@ -578,6 +738,7 @@ let qcheck =
       prop_memory_roundtrip;
       prop_torus_hops_symmetric;
       prop_torus_hops_bounded;
+      prop_torus_matches_hashtable_reference;
       prop_tlb_load_matches_sequential;
     ]
 
@@ -617,6 +778,8 @@ let suite =
     Alcotest.test_case "torus: disjoint links parallel" `Quick test_torus_disjoint_links_parallel;
     Alcotest.test_case "torus: injection fifo" `Quick test_torus_injection_fifo_serializes;
     Alcotest.test_case "torus: disabled raises" `Quick test_torus_disabled_raises;
+    Alcotest.test_case "torus: bad rank refused" `Quick test_torus_bad_rank_refused;
+    Alcotest.test_case "torus: extra hop allocation" `Quick test_torus_extra_hop_allocation;
     Alcotest.test_case "collective: grouping" `Quick test_collective_grouping;
     Alcotest.test_case "collective: shared uplink serializes" `Quick
       test_collective_serializes_shared_uplink;

@@ -124,7 +124,7 @@ let test_dirty_tracking () =
 let test_walltime_publishes_ras () =
   let cluster = Cnk.Cluster.create ~dims:(2, 1, 1) () in
   Cnk.Cluster.boot_all cluster;
-  let ras = Ctl.Ras.attach (Cnk.Cluster.machine cluster) in
+  let ras = Test_control.attach_rasdb (Cnk.Cluster.machine cluster) in
   let s = Ctl.Scheduler.create cluster in
   let runaway =
     Job.create ~name:"runaway"
@@ -135,11 +135,11 @@ let test_walltime_publishes_ras () =
   let expect = Printf.sprintf "SCHED walltime job=%d rank=0" jid in
   check_bool "walltime kill is on the RAS channel" true
     (List.exists
-       (fun (e : Ctl.Ras.event) ->
-         e.severity = Machine.Ras_warn
+       (fun (e : Bg_obs.Rasdb.record) ->
+         e.severity = Bg_obs.Rasdb.Warn
          && String.length e.message >= String.length expect
          && String.sub e.message 0 (String.length expect) = expect)
-       (Ctl.Ras.events ras))
+       (Bg_obs.Rasdb.records ras ()))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: checkpoint restore refuses mismatched regions *)
