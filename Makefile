@@ -172,11 +172,11 @@ perf-base:
 # `make smoke-diff BASE=<rev>` checks that this tree simulates exactly
 # what <rev> does: it runs the ten *-smoke tools with the arguments of
 # each smoke's first run, plus `sched_tool --seed 1|2|3 --quiet` and the
-# seven `bench/main.exe` experiments whose output is a pure function of
-# the seed, on the _perf/base build and on this tree. Each run's stdout
-# and exit status
-# go to _perf/smoke-base/<name>.out and _perf/smoke-head/<name>.out (the
-# files a tool writes land beside them). It prints one same/DIFF line
+# twenty `bench/main.exe` experiments whose output is a pure function of
+# the seed (thirteen of them drive the CNK and FWK kernels directly), on
+# the _perf/base build and on this tree. Each run's stdout and exit
+# status go to _perf/smoke-base/<name>.out and _perf/smoke-head/<name>.out
+# (the files a tool writes land beside them). It prints one same/DIFF line
 # per run and fails if any run differs.
 smoke-diff: perf-base
 	@rm -rf _perf/smoke-base _perf/smoke-head
@@ -202,6 +202,19 @@ smoke-diff: perf-base
 	  'bench_cg bench/main cg' \
 	  'bench_congestion bench/main congestion' \
 	  'bench_io-offload bench/main io-offload' \
+	  'bench_fwq bench/main fwq' \
+	  'bench_stability bench/main stability' \
+	  'bench_guard bench/main guard' \
+	  'bench_capability bench/main capability' \
+	  'bench_bringup bench/main bringup' \
+	  'bench_mapping bench/main mapping' \
+	  'bench_tlb bench/main tlb' \
+	  'bench_sched bench/main sched' \
+	  'bench_affinity bench/main affinity' \
+	  'bench_cache bench/main cache' \
+	  'bench_l1-parity bench/main l1-parity' \
+	  'bench_ftq bench/main ftq' \
+	  'bench_recovery bench/main recovery' \
 	| { status=0; while read -r name tool args; do \
 	  for side in base head; do \
 	    if [ $$side = base ]; then root=$(CURDIR)/_perf/base/_build/default; \

@@ -24,6 +24,16 @@
     - {b Reproducible boot/reset} (§III): full-reset preparation rendezvous,
       DDR self-refresh, and restart that skips the service node.
 
+    Threads, run queues, futex and signal delivery, the step driver and
+    the syscalls CNK answers like Linux live in the shared {!Kernel}
+    scaffold. This module supplies CNK's policy record: memory through the
+    static map with L2 and DAC checks (a fault kills the thread); a
+    tickless consume charged only injected penalty and IPI handlers, with
+    the TLB map swap in the context-switch cost; the syscalls that differ
+    (file I/O, brk, file-backed mmap, mprotect, clone placement and
+    validation, DMA, uname, shm_open, the [Query_*] calls); and the hooks
+    that emit the [cnk.*] lifecycle trace labels.
+
     All durations are in simulated cycles; with a fixed seed every public
     observable (trace digest, completion cycle, memory contents) is
     bit-reproducible. *)

@@ -20,7 +20,13 @@
       cannot learn virtual-to-physical here, which is what blocks
       user-space DMA (§V.C).
     - {b Slow boot}: {!boot_cycles_full} ("weeks" at 10 Hz VHDL speed)
-      vs a stripped build's {!boot_cycles_stripped} ("days"). *)
+      vs a stripped build's {!boot_cycles_stripped} ("days").
+
+    Everything else is CNK's own scaffold, {!Cnk.Kernel}. This module
+    supplies the FWK's policy record: page-wise demand-paged memory (a
+    fault runs the SIGSEGV handler if there is one); a consume through the
+    noise model split at time slices; the syscalls that differ; and a
+    [fwk.job_done] trace label, its only lifecycle hook. *)
 
 type t
 

@@ -274,6 +274,16 @@ let run_user ?(job_tweak = Fun.id) f =
 
 let no_faults c = Alcotest.(check (list (pair int string))) "no faults" [] (Node.faults (Cluster.node c 0))
 
+(* The syscalls [Kernel] answers for both kernels are tested on both: run
+   [f] as a one-process job on a CNK or an FWK node and return the node's
+   faults and, on CNK (the FWK keeps none), its exit codes. *)
+let run_on kernel f =
+  match kernel with
+  | `Cnk ->
+    let node = Cluster.node (run_user (fun _ -> f ())) 0 in
+    (Node.faults node, Some (Node.exit_codes node))
+  | `Fwk -> (Bg_fwk.Node.faults (Test_fwk.run_on_fwk f), None)
+
 let test_job_runs_and_exits () =
   let ran = ref false in
   let c = run_user (fun _ -> Coro.consume 1000; ran := true) in
@@ -576,10 +586,10 @@ let test_dlopen_dlsym () =
   check_int "symbol called through dlopen" 41 !result;
   no_faults cluster
 
-let test_tgkill_interrupts_futex_wait () =
+let test_tgkill_interrupts_futex_wait kernel () =
   let observed = ref "" in
-  let c =
-    run_user (fun _ ->
+  let faults, _ =
+    run_on kernel (fun () ->
         let word = Rt.Malloc.malloc 8 in
         Rt.Libc.poke word 1;
         let main_tid = Rt.Libc.gettid () in
@@ -603,7 +613,7 @@ let test_tgkill_interrupts_futex_wait () =
         Rt.Pthread.join w)
   in
   Alcotest.(check string) "futex wait interrupted" "EINTR" !observed;
-  no_faults c
+  Alcotest.(check (list (pair int string))) "no faults" [] faults
 
 let test_openmp_parallel_for () =
   let total = ref 0 in
@@ -632,10 +642,10 @@ let test_query_map_and_vtop () =
   check_bool "user space can learn v->p" true (!heap_pa > 0);
   no_faults c
 
-let test_exit_group_kills_all () =
+let test_exit_group_kills_all kernel () =
   let after = ref false in
-  let c =
-    run_user (fun _ ->
+  let _, exit_codes =
+    run_on kernel (fun () ->
         let _w =
           Rt.Pthread.create (fun () ->
               Coro.consume 1_000_000;
@@ -645,8 +655,9 @@ let test_exit_group_kills_all () =
         ignore (Rt.Libc.exit_group 7))
   in
   check_bool "worker killed before running on" false !after;
-  Alcotest.(check (list (pair int int))) "exit code recorded" [ (1, 7) ]
-    (Node.exit_codes (Cluster.node c 0))
+  Option.iter
+    (Alcotest.(check (list (pair int int))) "exit code recorded" [ (1, 7) ])
+    exit_codes
 
 let test_vn_mode_four_processes () =
   let pids = ref [] in
@@ -809,23 +820,27 @@ let test_personality () =
         check_int "one pset" 0 p.Sysreq.p_pset)
     got
 
-let test_syscall_error_paths () =
+let test_syscall_error_paths kernel () =
   let results = ref [] in
   let record name v = results := (name, v) :: !results in
-  let c =
-    run_user (fun _ ->
+  let faults, _ =
+    run_on kernel (fun () ->
         (* munmap of an unmapped range *)
         (match Coro.syscall (Sysreq.Munmap { addr = 0x5000_0000; length = 4096 }) with
         | Sysreq.R_err Errno.EINVAL -> record "munmap" "EINVAL"
         | _ -> record "munmap" "?");
-        (* vtop of an unmapped address *)
-        (match Coro.syscall (Sysreq.Query_vtop 0x9E00_0000) with
-        | Sysreq.R_err Errno.EFAULT -> record "vtop" "EFAULT"
-        | _ -> record "vtop" "?");
-        (* brk beyond the heap/stack region *)
-        (match Coro.syscall (Sysreq.Brk (Some 0x9F00_0000)) with
-        | Sysreq.R_err Errno.ENOMEM -> record "brk" "ENOMEM"
-        | _ -> record "brk" "?");
+        (* CNK only: the FWK answers vtop with ENOSYS by design, and its
+           3 GB heap accepts this break *)
+        if kernel = `Cnk then begin
+          (* vtop of an unmapped address *)
+          (match Coro.syscall (Sysreq.Query_vtop 0x9E00_0000) with
+          | Sysreq.R_err Errno.EFAULT -> record "vtop" "EFAULT"
+          | _ -> record "vtop" "?");
+          (* brk beyond the heap/stack region *)
+          match Coro.syscall (Sysreq.Brk (Some 0x9F00_0000)) with
+          | Sysreq.R_err Errno.ENOMEM -> record "brk" "ENOMEM"
+          | _ -> record "brk" "?"
+        end;
         (* tgkill of a nonexistent thread *)
         (match Coro.syscall (Sysreq.Tgkill { tid = 4242; signo = 10 }) with
         | Sysreq.R_err Errno.ESRCH -> record "tgkill" "ESRCH"
@@ -837,10 +852,11 @@ let test_syscall_error_paths () =
         | Sysreq.R_err Errno.EAGAIN -> record "futex" "EAGAIN"
         | _ -> record "futex" "?")
   in
-  no_faults c;
+  Alcotest.(check (list (pair int string))) "no faults" [] faults;
   Alcotest.(check (list (pair string string))) "all errnos correct"
-    [ ("munmap", "EINVAL"); ("vtop", "EFAULT"); ("brk", "ENOMEM");
-      ("tgkill", "ESRCH"); ("futex", "EAGAIN") ]
+    ([ ("munmap", "EINVAL") ]
+    @ (if kernel = `Cnk then [ ("vtop", "EFAULT"); ("brk", "ENOMEM") ] else [])
+    @ [ ("tgkill", "ESRCH"); ("futex", "EAGAIN") ])
     (List.rev !results)
 
 let test_text_region_write_protected () =
@@ -980,10 +996,12 @@ let suite =
     Alcotest.test_case "node: persist denied across users" `Quick
       test_persistent_memory_denied_across_users;
     Alcotest.test_case "node: dlopen/dlsym" `Quick test_dlopen_dlsym;
-    Alcotest.test_case "node: tgkill EINTR" `Quick test_tgkill_interrupts_futex_wait;
+    Alcotest.test_case "node: tgkill EINTR" `Quick (test_tgkill_interrupts_futex_wait `Cnk);
+    Alcotest.test_case "node: tgkill EINTR (fwk)" `Quick (test_tgkill_interrupts_futex_wait `Fwk);
     Alcotest.test_case "node: openmp" `Quick test_openmp_parallel_for;
     Alcotest.test_case "node: query map / vtop" `Quick test_query_map_and_vtop;
-    Alcotest.test_case "node: exit_group" `Quick test_exit_group_kills_all;
+    Alcotest.test_case "node: exit_group" `Quick (test_exit_group_kills_all `Cnk);
+    Alcotest.test_case "node: exit_group (fwk)" `Quick (test_exit_group_kills_all `Fwk);
     Alcotest.test_case "node: vn mode" `Quick test_vn_mode_four_processes;
     Alcotest.test_case "node: same layout shares its map" `Quick test_same_layout_shares_map;
     Alcotest.test_case "node: io holds the core" `Quick test_io_holds_the_core;
@@ -992,7 +1010,8 @@ let suite =
     Alcotest.test_case "node: even split strands memory" `Quick
       test_memory_divided_evenly_can_strand;
     Alcotest.test_case "node: personality" `Quick test_personality;
-    Alcotest.test_case "node: syscall error paths" `Quick test_syscall_error_paths;
+    Alcotest.test_case "node: syscall error paths" `Quick (test_syscall_error_paths `Cnk);
+    Alcotest.test_case "node: syscall error paths (fwk)" `Quick (test_syscall_error_paths `Fwk);
     Alcotest.test_case "node: text write-protected" `Quick test_text_region_write_protected;
     Alcotest.test_case "sysreq: pretty printers" `Quick test_sysreq_pretty_printers;
     Alcotest.test_case "node: reproducible runs" `Quick test_reproducible_two_runs_identical;

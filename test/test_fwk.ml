@@ -250,6 +250,37 @@ let test_fwk_mprotect_enforced () =
   | [ (_, _) ] -> ()
   | l -> Alcotest.failf "expected 1 fault, got %d" (List.length l)
 
+(* Out-of-range mprotect is refused before the per-page loop (which would
+   otherwise walk 2^24 pages for a [1 lsl 36] length): a range reaching
+   past the 3 GB user limit is ENOMEM, a negative length EINVAL, and
+   neither protects anything. An in-range call still succeeds. *)
+let test_fwk_mprotect_range_checked () =
+  let got = ref [] in
+  let node =
+    run_on_fwk (fun () ->
+        let a = Rt.Libc.mmap_anon ~length:4096 in
+        let mprotect addr length =
+          match
+            Coro.syscall (Sysreq.Mprotect { addr; length; prot = Bg_hw.Tlb.perm_ro })
+          with
+          | Sysreq.R_unit -> "ok"
+          | Sysreq.R_err e -> Errno.to_string e
+          | _ -> "?"
+        in
+        got :=
+          [
+            mprotect a (1 lsl 36);
+            mprotect a (-4096);
+            mprotect (0xC000_0000 - 4096) 8192;
+            mprotect max_int 4096;
+          ];
+        Rt.Libc.poke a 1 (* still writable *);
+        let last = mprotect a 4096 in
+        got := !got @ [ last ])
+  in
+  Alcotest.(check (list string)) "errnos" [ "ENOMEM"; "EINVAL"; "ENOMEM"; "ENOMEM"; "ok" ] !got;
+  Alcotest.(check (list (pair int string))) "no faults" [] (Fwk.Node.faults node)
+
 let test_fwk_no_vtop () =
   let errno = ref "" in
   let _node =
@@ -406,6 +437,7 @@ let suite =
     Alcotest.test_case "fwk: seeded determinism" `Quick test_fwk_same_seed_identical_noise;
     Alcotest.test_case "fwk: overcommit ok" `Quick test_fwk_overcommit_allowed;
     Alcotest.test_case "fwk: mprotect enforced" `Quick test_fwk_mprotect_enforced;
+    Alcotest.test_case "fwk: mprotect range checked" `Quick test_fwk_mprotect_range_checked;
     Alcotest.test_case "fwk: no vtop" `Quick test_fwk_no_vtop;
     Alcotest.test_case "fwk: local io" `Quick test_fwk_local_io;
     Alcotest.test_case "fwk: file mmap demand paged" `Quick test_fwk_file_mmap_demand_paged;

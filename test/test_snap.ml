@@ -118,6 +118,39 @@ let test_capture_idempotent () =
     (Snap.encode a = Snap.encode b);
   check_bool "diff empty" true (Snap.diff a b = None)
 
+(* Golden capture bytes: the FNV digest of each kernel's node region at
+   fixed event cursors, seed 7 (cnk_io drains at 145 events, fwk_noise at
+   19). The constants pin [Node.capture] output across commits, so a
+   refactor of either kernel that changes a single captured byte (field
+   order, a counter, a queue position) fails here. *)
+let capture_goldens =
+  [
+    ( "cnk_io",
+      "cnk.nodes",
+      [ (40, 0xd59e7b055bea813fL); (90, 0x6db69b3347fff65bL); (140, 0x66b89ca76128c67bL) ] );
+    ( "fwk_noise",
+      "fwk.node",
+      [ (6, 0x762d364c0f65cec5L); (12, 0x4be7bdb63b0aedd5L); (18, 0xc758c12d1a37fd65L) ] );
+  ]
+
+let test_capture_golden () =
+  List.iter
+    (fun (name, layer, cursors) ->
+      let s = scn name in
+      List.iter
+        (fun (events, want) ->
+          let _, file, outcome = Snaprun.snapshot_at s ~seed:7L ~knobs:[] ~events in
+          check_bool (Printf.sprintf "%s reached %d" name events) true (outcome = `Reached);
+          match Snap.find_region file layer with
+          | None -> Alcotest.failf "%s: no %s region" name layer
+          | Some r ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s @%d" name layer events)
+              (Bg_engine.Fnv.to_hex want)
+              (Bg_engine.Fnv.to_hex (Bg_engine.Fnv.add_bytes Bg_engine.Fnv.empty r.Snap.payload)))
+        cursors)
+    capture_goldens
+
 (* The tentpole invariant: snapshot at event N, restore (replay +
    byte-verify), continue to completion — the digests must equal the
    uninterrupted run's. *)
@@ -226,6 +259,7 @@ let suite =
       test_sparse_golden_bytes;
     Alcotest.test_case "capture is idempotent and deterministic" `Quick
       test_capture_idempotent;
+    Alcotest.test_case "capture bytes match the golden digests" `Quick test_capture_golden;
     Alcotest.test_case "restore continuation invariant (CNK)" `Quick
       test_restore_invariant_cnk;
     Alcotest.test_case "restore continuation invariant (FWK)" `Quick
