@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-base perf-ab perf-pairs smoke-diff clean
+.PHONY: all build test bench examples docs metrics-doc csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke perf-base perf-ab perf-pairs smoke-diff clean
 
 all: build
 
@@ -23,6 +23,12 @@ docs:
 
 csv:
 	dune exec bin/export_data.exe -- --out results
+
+# Regenerate doc/METRICS.md from the metric schema; a test fails when the
+# committed file and the schema disagree.
+metrics-doc:
+	dune build ./bin/metrics_doc.exe
+	./_build/default/bin/metrics_doc.exe > doc/METRICS.md
 
 # Tiny instrumented FWQ run; obs_tool validates the emitted JSON against
 # its in-repo RFC 8259 checker and fails if any span category is missing.

@@ -104,6 +104,18 @@ type report = {
   sched_digest : string;
 }
 
+(* The alert rule Recovery listens for, checked against the metric
+   schema so a misspelt series fails here instead of never firing. *)
+let rules =
+  let rules =
+    List.map
+      (fun s -> match Health.parse_rule s with Ok r -> r | Error e -> failwith e)
+      [ "node_deaths: resilience.deaths_handled delta >= 1 warn" ]
+  in
+  match Health.check_schema rules with
+  | Ok () -> rules
+  | Error e -> failwith ("heal_tool: " ^ Health.schema_error_message e)
+
 let scenario ~seed ~faults =
   let cluster =
     Cnk.Cluster.create ~dims ~seed ~nodes_per_io_node:4
@@ -113,17 +125,7 @@ let scenario ~seed ~faults =
   let sim = Cnk.Cluster.sim cluster in
   let obs = Machine.obs machine in
   Obs.set_enabled obs true;
-  ignore
-    (Machine.attach_health
-       ~rules:
-         [
-           (match
-              Health.parse_rule "node_deaths: resilience.deaths_handled delta >= 1 warn"
-            with
-           | Ok r -> r
-           | Error e -> failwith e);
-         ]
-       machine);
+  ignore (Machine.attach_health ~rules machine);
   Cnk.Cluster.boot_all cluster;
   let fabric = Bg_msg.Dcmf.make_fabric machine in
   let sched = Ctl.Scheduler.create ~backfill:true cluster in

@@ -88,11 +88,10 @@ let proxy t ~rank ~pid =
 
 let obs t = t.machine.Machine.obs
 
-let count t name =
-  Obs.incr (obs t) ~rank:t.io_node ~subsystem:"ciod" ~name ()
+let count t m = Obs.add (obs t) ~rank:t.io_node ~core:Obs.node_scope m 1
 
 let depth_gauge t =
-  Obs.set_gauge (obs t) ~rank:t.io_node ~subsystem:"ciod" ~name:"queue_depth"
+  Obs.set (obs t) ~rank:t.io_node ~core:Obs.node_scope Metrics.Ciod.queue_depth
     (Hashtbl.length t.inflight)
 
 let mark t ~rank name =
@@ -163,15 +162,15 @@ let submit_raw t data =
     Obs.span_record o ~cat:"cio"
       ~name:(Sysreq.request_service_name req)
       ~rank:hdr.Proto.rank ~core:lane ~start ~finish;
-    Obs.observe_cycles o ~rank:hdr.Proto.rank ~subsystem:"cio" ~name:"service_cycles"
+    Obs.observe o ~rank:hdr.Proto.rank ~core:Obs.node_scope Metrics.Cio.service_cycles
       (finish - start);
-    Obs.observe_cycles o ~rank:hdr.Proto.rank ~subsystem:"cio" ~name:"queue_wait_cycles"
+    Obs.observe o ~rank:hdr.Proto.rank ~core:Obs.node_scope Metrics.Cio.queue_wait_cycles
       (start - now)
   end;
   ignore
     (Sim.schedule_at sim finish (fun () ->
          t.served <- t.served + 1;
-         count t "served";
+         count t Metrics.Ciod.served;
          Sim.emit sim ~label:"ciod.served" ~value:(Int64.of_int hdr.Proto.rank);
          let reply = Ioproxy.handle p req in
          Manifest.record_proxy t.manifest ~rank:hdr.Proto.rank ~pid:hdr.Proto.pid
@@ -224,7 +223,7 @@ let service t (f : Frame.t) req =
         Hashtbl.remove t.executing exec_key;
         depth_gauge t;
         t.served <- t.served + 1;
-        count t "served";
+        count t Metrics.Ciod.served;
         Sim.emit sim ~label:"ciod.served" ~value:(Int64.of_int f.Frame.rank);
         if Obs.enabled o then begin
           let lane = worker_tid_base + worker in
@@ -234,10 +233,10 @@ let service t (f : Frame.t) req =
           Obs.span_record o ~cat:"cio"
             ~name:(Sysreq.request_service_name req)
             ~rank:f.Frame.rank ~core:lane ~start ~finish;
-          Obs.observe_cycles o ~rank:f.Frame.rank ~subsystem:"cio" ~name:"service_cycles"
+          Obs.observe o ~rank:f.Frame.rank ~core:Obs.node_scope Metrics.Cio.service_cycles
             (finish - start);
-          Obs.observe_cycles o ~rank:f.Frame.rank ~subsystem:"cio"
-            ~name:"queue_wait_cycles" (start - now)
+          Obs.observe o ~rank:f.Frame.rank ~core:Obs.node_scope Metrics.Cio.queue_wait_cycles
+            (start - now)
         end;
         (* Execute, snapshot, cache, reply — atomically within this event,
            so a crash either sees the request fully applied (and replayable
@@ -288,8 +287,8 @@ let service t (f : Frame.t) req =
 
 let submit_reliable t data =
   match Frame.decode data with
-  | Error Frame.Corrupt -> count t "corrupt_frames"
-  | Error (Frame.Malformed _) -> count t "malformed"
+  | Error Frame.Corrupt -> count t Metrics.Ciod.corrupt_frames
+  | Error (Frame.Malformed _) -> count t Metrics.Ciod.malformed
   | Ok f -> (
     match f.Frame.kind with
     | Frame.Ack ->
@@ -297,7 +296,7 @@ let submit_reliable t data =
         ~tid:f.Frame.tid ~seq:f.Frame.seq
     | Frame.Reply ->
       (* replies never flow up the tree *)
-      count t "malformed"
+      count t Metrics.Ciod.malformed
     | Frame.Request -> (
       match
         Manifest.last_reply t.manifest ~rank:f.Frame.rank ~pid:f.Frame.pid
@@ -307,7 +306,7 @@ let submit_reliable t data =
         (* Duplicate of an already-executed request: replay the cached
            reply, do NOT re-execute (a re-run write would double-append). *)
         t.retransmits_seen <- t.retransmits_seen + 1;
-        count t "retransmit_seen";
+        count t Metrics.Ciod.retransmit_seen;
         send_down t ~rank:f.Frame.rank cached
       | Some (seq, None) when seq = f.Frame.seq ->
         (* Executed AND acked: the Ack reclaimed the cached frame but left
@@ -316,12 +315,12 @@ let submit_reliable t data =
            sender is no longer waiting, and re-executing would apply the
            side effects twice. *)
         t.retransmits_seen <- t.retransmits_seen + 1;
-        count t "retransmit_seen"
+        count t Metrics.Ciod.retransmit_seen
       | Some (seq, _) when f.Frame.seq < seq ->
         (* Stale straggler from before the cached request; the sender has
            long since moved on. *)
         t.retransmits_seen <- t.retransmits_seen + 1;
-        count t "retransmit_seen"
+        count t Metrics.Ciod.retransmit_seen
       | _ ->
         if
           Hashtbl.find_opt t.executing (f.Frame.rank, f.Frame.pid, f.Frame.tid)
@@ -331,24 +330,24 @@ let submit_reliable t data =
              flight will answer both copies; executing again would apply
              the side effects twice. *)
           t.retransmits_seen <- t.retransmits_seen + 1;
-          count t "retransmit_seen"
+          count t Metrics.Ciod.retransmit_seen
         end
         else if Hashtbl.length t.inflight >= t.config.Reliable.queue_limit then begin
           (* Bounded worker queue: shed load; the sender's timeout
              re-drives the request. *)
           t.queue_rejects <- t.queue_rejects + 1;
-          count t "queue_rejects"
+          count t Metrics.Ciod.queue_rejects
         end
         else (
           match Proto.decode_request f.Frame.payload with
-          | Error _ -> count t "malformed"
+          | Error _ -> count t Metrics.Ciod.malformed
           | Ok (_hdr, req) -> service t f req)))
 
 let submit t data =
   (* A dead daemon services nothing on either transport: with the
      reliability layer off a crash must read as message loss, not as a
      fresh proxy answering EBADF. *)
-  if not t.alive then count t "dropped_dead"
+  if not t.alive then count t Metrics.Ciod.dropped_dead
   else if t.config.Reliable.enabled then submit_reliable t data
   else submit_raw t data
 
@@ -358,7 +357,7 @@ let crash t =
   if t.alive then begin
     t.alive <- false;
     t.crashes <- t.crashes + 1;
-    count t "crashes";
+    count t Metrics.Ciod.crashes;
     Sim.emit t.machine.Machine.sim ~label:"ciod.crash" ~value:(Int64.of_int t.io_node);
     (* Queued work and all daemon-resident state die with the process.
        The manifest survives: it models control-system storage. *)
@@ -373,7 +372,7 @@ let crash t =
 let restart t =
   if not t.alive then begin
     t.alive <- true;
-    count t "restarts";
+    count t Metrics.Ciod.restarts;
     Sim.emit t.machine.Machine.sim ~label:"ciod.restart" ~value:(Int64.of_int t.io_node);
     (* Rebuild every proxy from its manifest snapshot; descriptors, offsets
        and cwd come back exactly as of the last executed request. *)

@@ -145,7 +145,7 @@ let submit_factory t ?walltime_cycles ?(restart_limit = 0) ?(cls = Batch) ?tenan
   Hashtbl.replace t.states jid Queued;
   Hashtbl.replace t.jobs jid pending;
   t.outstanding <- t.outstanding + 1;
-  Obs.incr (obs t) ~subsystem:"scheduler" ~name:"jobs_submitted" ();
+  Obs.count (obs t) Metrics.Scheduler.jobs_submitted;
   causal_mark t ~jid "submit";
   jid
 
@@ -163,9 +163,9 @@ let offer_factory t ?walltime_cycles ?restart_limit ?cls ?tenant ?gang ?est_cycl
          ?est_cycles ~shape factory)
   else begin
     t.rejected <- t.rejected + 1;
-    Obs.incr (obs t) ~subsystem:"scheduler" ~name:"jobs_rejected" ();
+    Obs.count (obs t) Metrics.Scheduler.jobs_rejected;
     (match tenant with
-    | Some tid -> Obs.incr (obs t) ~rank:tid ~subsystem:"sched" ~name:"jobs_rejected" ()
+    | Some tid -> Obs.add (obs t) ~rank:tid ~core:Obs.node_scope Metrics.Sched.jobs_rejected 1
     | None -> ());
     Error `Admission_closed
   end
@@ -207,7 +207,7 @@ let running_info t =
       { run_info = info_of p; run_ranks = alloc.Partition.ranks; run_started = started }
       :: acc)
     t.running []
-  |> List.sort (fun a b -> compare a.run_info.info_jid b.run_info.info_jid)
+  |> List.sort (fun a b -> Int.compare a.run_info.info_jid b.run_info.info_jid)
 
 (* Under a shape cap (degraded tier 2) large jobs wait even if space is
    free: a shrunken machine stops handing out its biggest blocks. *)
@@ -270,7 +270,7 @@ and try_start_builtin t =
         | None -> ()
         | Some (p, alloc) ->
           ignore (Jobq.remove t.queue p.jid);
-          Obs.incr (obs t) ~subsystem:"scheduler" ~name:"backfill_started" ();
+          Obs.count (obs t) Metrics.Scheduler.backfill_started;
           start t p alloc;
           try_start_builtin t
       end)
@@ -280,18 +280,18 @@ and start t pending alloc =
   let start_cycle = now t in
   (* Scheduler decisions live under the control-system pid, one tid lane
      per job id, so a queue's history reads as a Gantt chart. *)
-  Obs.incr o ~subsystem:"scheduler" ~name:"jobs_started" ();
-  Obs.observe_cycles o ~subsystem:"scheduler" ~name:"queue_wait_cycles"
+  Obs.count o Metrics.Scheduler.jobs_started;
+  Obs.observe o ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Scheduler.queue_wait_cycles
     (start_cycle - pending.submitted);
   (match pending.tenant with
   | Some tid ->
-    Obs.observe_cycles o ~rank:tid ~hi:(float_of_int (1 lsl 26)) ~subsystem:"sched"
-      ~name:"queue_wait_cycles"
+    Obs.observe o ~rank:tid ~core:Obs.node_scope Metrics.Sched.queue_wait_cycles
       (start_cycle - pending.submitted)
   | None -> ());
   (match pending.failed_at with
   | Some failed when pending.restarts > 0 ->
-    Obs.observe_cycles o ~subsystem:"scheduler" ~name:"recovery_latency_cycles"
+    Obs.observe o ~rank:Obs.node_scope ~core:Obs.node_scope
+      Metrics.Scheduler.recovery_latency_cycles
       (start_cycle - failed);
     pending.failed_at <- None
   | _ -> ());
@@ -335,7 +335,7 @@ and start t pending alloc =
                ~message:
                  (Printf.sprintf "SCHED walltime job=%d rank=%d limit=%d" pending.jid
                     rank limit);
-             Obs.incr o ~subsystem:"scheduler" ~name:"walltime_kills" ();
+             Obs.count o Metrics.Scheduler.walltime_kills;
              List.iter
                (fun rank -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster rank))
                alloc.Partition.ranks
@@ -349,7 +349,7 @@ and member_completed t jid ~rank =
   match Hashtbl.find_opt t.running jid with
   | None ->
     t.duplicate_completions <- t.duplicate_completions + 1;
-    Obs.incr (obs t) ~subsystem:"scheduler" ~name:"duplicate_completions" ()
+    Obs.count (obs t) Metrics.Scheduler.duplicate_completions
   | Some (pending, alloc, started, span) ->
     let seen =
       match Hashtbl.find_opt t.reported jid with
@@ -361,7 +361,7 @@ and member_completed t jid ~rank =
     in
     if Hashtbl.mem seen rank || not (List.mem rank alloc.Partition.ranks) then begin
       t.duplicate_completions <- t.duplicate_completions + 1;
-      Obs.incr (obs t) ~subsystem:"scheduler" ~name:"duplicate_completions" ()
+      Obs.count (obs t) Metrics.Scheduler.duplicate_completions
     end
     else begin
       Hashtbl.replace seen rank ();
@@ -384,8 +384,8 @@ and finish t pending alloc started span =
     | Some tid ->
       let busy = (now t - started) * List.length alloc.Partition.ranks in
       Hashtbl.replace t.tenant_usage tid (tenant_usage t tid + busy);
-      Obs.incr o ~rank:tid ~subsystem:"sched" ~name:"busy_node_cycles" ~by:busy ();
-      Obs.incr o ~subsystem:"sched" ~name:"busy_node_cycles" ~by:busy ()
+      Obs.add o ~rank:tid ~core:Obs.node_scope Metrics.Sched.busy_node_cycles busy;
+      Obs.add o ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Sched.busy_node_cycles busy
     | None -> ());
     let failed =
       List.exists
@@ -403,7 +403,7 @@ and finish t pending alloc started span =
         pending.submitted <- now t;
         (* requeue at the head: recovery preempts the waiting line *)
         Jobq.push_front t.queue ~key:pending.jid pending;
-        Obs.incr o ~subsystem:"scheduler" ~name:"jobs_restarted" ();
+        Obs.count o Metrics.Scheduler.jobs_restarted;
         Machine.ras_emit machine
           ~rank:(List.hd alloc.Partition.ranks)
           ~severity:Machine.Ras_info
@@ -429,23 +429,25 @@ and finish t pending alloc started span =
       Hashtbl.replace t.states pending.jid state;
       t.done_order <- pending.jid :: t.done_order;
       t.outstanding <- t.outstanding - 1;
-      Obs.incr o ~subsystem:"scheduler" ~name:"jobs_completed" ();
+      Obs.count o Metrics.Scheduler.jobs_completed;
       (* Turnaround: original submission to final disposition, across any
          restarts — the series the health service trends per window. *)
       let turnaround = now t - pending.first_submitted in
-      Obs.observe_cycles o ~subsystem:"scheduler" ~name:"turnaround_cycles" turnaround;
+      Obs.observe o ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Scheduler.turnaround_cycles
+        turnaround;
       (match pending.tenant with
       | Some tid ->
-        Obs.observe_cycles o ~rank:tid ~hi:(float_of_int (1 lsl 26))
-          ~subsystem:"sched" ~name:"turnaround_cycles" turnaround;
+        Obs.observe o ~rank:tid ~core:Obs.node_scope Metrics.Sched.turnaround_cycles turnaround;
         (* bounded slowdown, in milli-units: turnaround over max(run, tau) *)
         let run = max (now t - started) 1 in
         let slowdown = turnaround * 1000 / max run slowdown_tau in
-        Obs.observe_cycles o ~rank:tid ~hi:65536. ~subsystem:"sched"
-          ~name:"bounded_slowdown_milli" (max slowdown 1000);
-        Obs.incr o ~rank:tid ~subsystem:"sched"
-          ~name:(match state with Failed _ -> "jobs_failed" | _ -> "jobs_completed")
-          ()
+        Obs.observe o ~rank:tid ~core:Obs.node_scope Metrics.Sched.bounded_slowdown_milli
+          (max slowdown 1000);
+        Obs.add o ~rank:tid ~core:Obs.node_scope
+          (match state with
+          | Failed _ -> Metrics.Sched.jobs_failed
+          | _ -> Metrics.Sched.jobs_completed)
+          1
       | None -> ());
       List.iter (fun f -> f pending.jid state) t.on_done;
       try_start t
@@ -508,7 +510,7 @@ let start_jobs t specs =
 let mark_down t ~rank =
   if not (Partition.is_down t.partition ~rank) then begin
     Partition.set_down t.partition ~rank true;
-    Obs.incr (obs t) ~subsystem:"scheduler" ~name:"nodes_down" ()
+    Obs.count (obs t) Metrics.Scheduler.nodes_down
   end
 
 (* Kill the running job that spans [rank], if any. Survivors of a member
@@ -535,7 +537,7 @@ let kill_spanning t ~rank =
 let mark_up t ~rank =
   if Partition.is_down t.partition ~rank then begin
     Partition.set_down t.partition ~rank false;
-    Obs.incr (obs t) ~subsystem:"scheduler" ~name:"nodes_revived" ()
+    Obs.count (obs t) Metrics.Scheduler.nodes_revived
   end
 
 (* Idempotent: RAS streams replay, retransmit and duplicate — the second
@@ -584,9 +586,9 @@ let shed_backfill t =
       Hashtbl.replace t.states p.jid (Failed (now t));
       t.done_order <- p.jid :: t.done_order;
       t.outstanding <- t.outstanding - 1;
-      Obs.incr (obs t) ~subsystem:"scheduler" ~name:"jobs_shed" ();
+      Obs.count (obs t) Metrics.Scheduler.jobs_shed;
       (match p.tenant with
-      | Some tid -> Obs.incr (obs t) ~rank:tid ~subsystem:"sched" ~name:"jobs_shed" ()
+      | Some tid -> Obs.add (obs t) ~rank:tid ~core:Obs.node_scope Metrics.Sched.jobs_shed 1
       | None -> ());
       causal_mark t ~jid:p.jid "shed";
       List.iter (fun f -> f p.jid (Failed (now t))) t.on_done)

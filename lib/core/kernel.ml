@@ -117,7 +117,7 @@ let acct_switch t ~core state =
    node's database reads uniformly; the counter gives the health service
    a per-kernel emission series. *)
 let ras t severity message =
-  Obs.incr (obs t) ~rank:t.rank ~subsystem:"kernel" ~name:"ras_emitted" ();
+  Obs.add (obs t) ~rank:t.rank ~core:Obs.node_scope Metrics.Kernel.ras_emitted 1;
   Machine.ras_emit t.machine ~rank:t.rank ~severity ~message
 
 (* The residual noise floor: a consume spanning k refresh windows pays k
@@ -350,8 +350,10 @@ let instrument_syscall t th req k =
         (match h with
         | Some h ->
           Obs.span_end o h ~now;
-          Obs.observe_cycles o ~rank:t.rank ~subsystem:"syscall" ~name (now - start);
-          Obs.incr o ~rank:t.rank ~core:th.core_id ~subsystem:"syscall" ~name ()
+          let kind = Sysreq.request_kind req in
+          Obs.observe o ~rank:t.rank ~core:Obs.node_scope Metrics.Kernel.syscall_cycles.(kind)
+            (now - start);
+          Obs.add o ~rank:t.rank ~core:th.core_id Metrics.Kernel.syscalls.(kind) 1
         | None -> ());
         ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_exit_name req) ~core:th.core_id);
         k reply

@@ -94,7 +94,7 @@ let process_map t ~pid =
 
 let cio_config t = Bg_cio.Ciod.config t.nx.ciod
 
-let cio_count t name = Obs.incr (obs t) ~rank:t.rank ~subsystem:"cio" ~name ()
+let cio_count t m = Obs.add (obs t) ~rank:t.rank ~core:Obs.node_scope m 1
 
 let cancel_io_timer t inf =
   match inf.io_timer with
@@ -134,14 +134,14 @@ let send_ack t ~pid ~tid ~seq =
       { Frame.kind = Frame.Ack; rank = t.rank; pid; tid; seq; ctx = Causal.none;
         payload = Bytes.create 0 }
   in
-  cio_count t "acks";
+  cio_count t Metrics.Cio.acks;
   Bg_hw.Collective_net.to_io_node t.machine.Machine.collective ~cn:t.rank ~payload:frame
     ~on_arrival:(fun ~payload ~arrival_cycle:_ -> Bg_cio.Ciod.submit t.nx.ciod payload)
 
 let deliver_reliable t reply_bytes =
   match Frame.decode reply_bytes with
-  | Error _ -> cio_count t "corrupt_replies"
-  | Ok f when f.Frame.kind <> Frame.Reply -> cio_count t "corrupt_replies"
+  | Error _ -> cio_count t Metrics.Cio.corrupt_replies
+  | Ok f when f.Frame.kind <> Frame.Reply -> cio_count t Metrics.Cio.corrupt_replies
   | Ok f -> (
     match Hashtbl.find_opt t.nx.io_inflight f.Frame.tid with
     | Some inf when inf.io_seq = f.Frame.seq -> (
@@ -149,7 +149,7 @@ let deliver_reliable t reply_bytes =
       | Error _ ->
         (* CRC passed but the inner payload is bad: treat as loss, the
            retransmission timer re-drives the request. *)
-        cio_count t "corrupt_replies"
+        cio_count t Metrics.Cio.corrupt_replies
       | Ok (_hdr, reply) ->
         cancel_io_timer t inf;
         Hashtbl.remove t.nx.io_inflight f.Frame.tid;
@@ -165,7 +165,7 @@ let deliver_reliable t reply_bytes =
     | _ ->
       (* No in-flight request at that seq: a duplicated or very late
          reply whose request already completed. *)
-      cio_count t "stale_replies")
+      cio_count t Metrics.Cio.stale_replies)
 
 (* --- memory access through the static map --------------------------- *)
 
@@ -173,7 +173,7 @@ let translate t (th : thread) access va len =
   let core = Chip.core t.chip th.core_id in
   match Tlb.translate core.Chip.tlb access va with
   | Tlb.Miss ->
-    Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"tlb" ~name:"miss" ();
+    Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.tlb_miss 1;
     raise (Fault (Printf.sprintf "TLB miss at 0x%x: outside the static map" va))
   | Tlb.Fault reason -> raise (Fault reason)
   | Tlb.Hit pa ->
@@ -267,7 +267,7 @@ let write t (th : thread) addr data =
        thread continues; without one the thread dies. *)
     th.pending_sigs <- th.pending_sigs @ [ sigsegv ];
     emit t "cnk.guard_hit" th.tid;
-    Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"dac" ~name:"violation" ();
+    Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.dac_violation 1;
     ras t Machine.Ras_warn (Printf.sprintf "DAC guard hit by tid %d at 0x%x" th.tid addr);
     false
   | None ->
@@ -310,7 +310,7 @@ let remap_core_for t (core : core) (p : proc) =
     let now = Sim.now (sim t) in
     Obs.span_record (obs t) ~cat:"tlb" ~name:"map_swap" ~rank:t.rank ~core:core.id
       ~start:now ~finish:(now + cost);
-    Obs.incr (obs t) ~rank:t.rank ~core:core.id ~subsystem:"tlb" ~name:"map_swap" ();
+    Obs.add (obs t) ~rank:t.rank ~core:core.id Metrics.Kernel.tlb_map_swap 1;
     cost
   end
 
@@ -345,15 +345,13 @@ let publish_hw_gauges t =
     Array.iter
       (fun (core : core) ->
         let hw = Chip.core t.chip core.id in
-        Obs.set_gauge o ~rank:t.rank ~core:core.id ~subsystem:"tlb" ~name:"hw_misses"
-          (Tlb.misses hw.Chip.tlb);
-        Obs.set_gauge o ~rank:t.rank ~core:core.id ~subsystem:"dac" ~name:"hw_violations"
+        Obs.set o ~rank:t.rank ~core:core.id Metrics.Kernel.tlb_hw_misses (Tlb.misses hw.Chip.tlb);
+        Obs.set o ~rank:t.rank ~core:core.id Metrics.Kernel.dac_hw_violations
           (Dac.violations hw.Chip.dac))
       t.cores;
   if Obs.enabled o then
     Upc.iter_nonzero (Chip.upc t.chip) (fun event ~core count ->
-        Obs.set_gauge o ~rank:t.rank ~core ~subsystem:"upc" ~name:(Upc.event_name event)
-          count);
+        Obs.set o ~rank:t.rank ~core (Metrics.Kernel.upc_event event) count);
   Machine.publish_net_gauges t.machine ~rank:t.rank
 
 let hook t = function
@@ -493,8 +491,8 @@ let function_ship_legacy t (th : thread) req ret =
   Hashtbl.replace t.nx.io_pending th.tid ret;
   emit t "cnk.fship" th.tid;
   let o = obs t in
-  Obs.incr o ~rank:t.rank ~subsystem:"cio" ~name:"ship_requests" ();
-  Obs.incr o ~rank:t.rank ~subsystem:"cio" ~name:"ship_bytes" ~by:(Bytes.length data) ();
+  Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_requests 1;
+  Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_bytes (Bytes.length data);
   (* Round-trip breakdown, part 1: request marshalling is instantaneous in
      sim time, so the first shipped leg is the collective-network transit
      up to the I/O node; CIOD itself records service and reply legs. *)
@@ -544,8 +542,8 @@ let function_ship_reliable t (th : thread) req ret =
   Hashtbl.replace t.nx.io_inflight th.tid inf;
   emit t "cnk.fship" th.tid;
   let o = obs t in
-  Obs.incr o ~rank:t.rank ~subsystem:"cio" ~name:"ship_requests" ();
-  Obs.incr o ~rank:t.rank ~subsystem:"cio" ~name:"ship_bytes" ~by:(Bytes.length frame) ();
+  Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_requests 1;
+  Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_bytes (Bytes.length frame);
   let rec send () =
     send_frame_up t ~core:th.core_id inf.io_frame;
     arm ()
@@ -558,7 +556,7 @@ let function_ship_reliable t (th : thread) req ret =
     | Some i when i == inf ->
       if inf.io_attempts >= cfg.Reliable.retry_budget then begin
         Hashtbl.remove t.nx.io_inflight th.tid;
-        cio_count t "eio";
+        cio_count t Metrics.Cio.eio;
         emit t "cnk.fship_eio" th.tid;
         ras t Machine.Ras_error
           (Printf.sprintf "CIO rank=%d tid=%d seq=%d: retry budget exhausted, EIO"
@@ -567,7 +565,7 @@ let function_ship_reliable t (th : thread) req ret =
       end
       else begin
         inf.io_attempts <- inf.io_attempts + 1;
-        cio_count t "retransmits";
+        cio_count t Metrics.Cio.retransmits;
         emit t "cnk.fship_retry" th.tid;
         send ()
       end

@@ -27,6 +27,24 @@ val add_subbytes : t -> bytes -> pos:int -> len:int -> t
 (** [add_subbytes h b ~pos ~len] folds bytes [pos .. pos+len-1] of [b],
     as [add_bytes h (Bytes.sub b pos len)] would, without the copy. *)
 
+val hash_int : t -> int -> int
+(** [Int64.to_int (add_int h x)], without boxing the digest. *)
+
+(** A running digest updated in place. [int] and [string] fold exactly
+    as {!add_int} and {!add_string} do, but allocate nothing. *)
+module Acc : sig
+  type digest := t
+  type t
+
+  val create : unit -> t
+  (** At {!empty}. *)
+
+  val reset : t -> unit
+  val value : t -> digest
+  val int : t -> int -> unit
+  val string : t -> string -> unit
+end
+
 val to_hex : t -> string
 (** Render as a 16-character lowercase hex string. *)
 

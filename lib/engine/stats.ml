@@ -61,52 +61,66 @@ let spread_percent s =
   else infinity
 
 module Online = struct
+  (* Every field is a float, so the record is stored flat and [add]
+     updates it in place without boxing; [n] counts exactly up to 2^53. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
     mutable max : float;
   }
 
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+  let create () = { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
-  let add t x =
-    t.n <- t.n + 1;
+  let[@inline] update t x =
+    t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let n t = t.n
+  let add t x = update t x
+
+  (* An int argument crosses a call unboxed; the float stays local. *)
+  let add_int t n = update t (float_of_int n)
+
+  let n t = int_of_float t.n
   let mean t = t.mean
-  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
+  let stddev t = if t.n < 2.0 then 0.0 else sqrt (t.m2 /. (t.n -. 1.0))
   let min t = t.min
   let max t = t.max
 end
 
 module Histogram = struct
+  (* The running sum sits in a one-field float record, which is stored
+     flat, so [add] never boxes it. *)
+  type sum = { mutable s : float }
+
   type t = {
     lo : float;
     hi : float;
     counts : int array;
     mutable total : int;
-    mutable sum : float;
+    sum : sum;
   }
 
   let create ~lo ~hi ~bins =
     if bins <= 0 || hi <= lo then invalid_arg "Stats.Histogram.create";
-    { lo; hi; counts = Array.make bins 0; total = 0; sum = 0.0 }
+    { lo; hi; counts = Array.make bins 0; total = 0; sum = { s = 0.0 } }
 
-  let add t x =
+  let[@inline] update t x =
     let bins = Array.length t.counts in
     let width = (t.hi -. t.lo) /. float_of_int bins in
     let i = int_of_float (Float.floor ((x -. t.lo) /. width)) in
     let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
     t.counts.(i) <- t.counts.(i) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. x
+    t.sum.s <- t.sum.s +. x
+
+  let add t x = update t x
+  let add_int t n = update t (float_of_int n)
 
   let counts t = Array.copy t.counts
 
@@ -115,7 +129,7 @@ module Histogram = struct
     t.lo +. (float_of_int i *. ((t.hi -. t.lo) /. float_of_int bins))
 
   let total t = t.total
-  let sum t = t.sum
+  let sum t = t.sum.s
 
   let percentile t p =
     if t.total = 0 then 0.0

@@ -32,6 +32,10 @@ module Online : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  val add_int : t -> int -> unit
+  (** [add t (float_of_int n)], without boxing a float at the call. *)
+
   val n : t -> int
   val mean : t -> float
   val stddev : t -> float
@@ -46,6 +50,9 @@ module Histogram : sig
   val create : lo:float -> hi:float -> bins:int -> t
   val add : t -> float -> unit
   (** Samples outside [lo, hi) are clamped into the first/last bin. *)
+
+  val add_int : t -> int -> unit
+  (** [add t (float_of_int n)], without boxing a float at the call. *)
 
   val counts : t -> int array
   val bin_lo : t -> int -> float

@@ -94,7 +94,7 @@ let rec resolve_page t (th : thread) access va =
       match Hashtbl.find_opt p.px.page_table vpage with
       | Some f ->
         core.penalty <- core.penalty + tlb_refill_cycles;
-        Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"tlb" ~name:"refill" ();
+        Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.tlb_refill 1;
         f
       | None ->
         if not (legal_va p va) then
@@ -124,11 +124,11 @@ let rec resolve_page t (th : thread) access va =
           if n > 0 then Memory.write (memory t) ~addr:f (Bytes.sub contents off n);
           t.nx.major_faults <- t.nx.major_faults + 1;
           core.penalty <- core.penalty + major_fault_cycles;
-          Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"vm" ~name:"major_fault" ()
+          Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.vm_major_fault 1
         | None ->
           t.nx.minor_faults <- t.nx.minor_faults + 1;
           core.penalty <- core.penalty + minor_fault_cycles;
-          Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"vm" ~name:"minor_fault" ());
+          Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.vm_minor_fault 1);
         f
     in
     (* install a 4K entry; FIFO eviction is free to happen *)
@@ -346,7 +346,7 @@ let syscall t (th : thread) (req : Sysreq.request) ret =
     (* Local VFS: in-kernel service, Linux-scale cost, then reply. FWK
        never crosses the collective network, so file I/O cannot be lost;
        the counter lets chaos tooling confirm which path a run took. *)
-    Obs.incr (obs t) ~rank:t.rank ~subsystem:"cio" ~name:"local_served" ();
+    Obs.add (obs t) ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.local_served 1;
     ignore
       (Sim.schedule_in (sim t) io_extra_cost (fun () ->
            if th.state <> Zombie then ret (Bg_cio.Ioproxy.handle p.px.io req)))

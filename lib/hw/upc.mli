@@ -25,6 +25,9 @@ type event =
 val all_events : event list
 (** In fixed counter-bank order. *)
 
+val event_index : event -> int
+(** Position in {!all_events}. *)
+
 val event_name : event -> string
 
 val chip_scope : int

@@ -76,11 +76,11 @@ let create ?(params = Bg_hw.Params.bgp) ?(seed = 1L) ?nodes_per_io_node ?obs ?ca
     (fun rank engine ->
       Bg_hw.Dma.set_inject_hook engine (fun ~bytes ->
           Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(rank)) Bg_hw.Upc.Dma_descriptor 1;
-          Bg_obs.Obs.incr t.obs ~rank ~subsystem:"dma" ~name:"injected" ();
-          Bg_obs.Obs.incr t.obs ~rank ~subsystem:"dma" ~name:"injected_bytes" ~by:bytes ());
+          Bg_obs.Obs.add t.obs ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.injected 1;
+          Bg_obs.Obs.add t.obs ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.injected_bytes bytes);
       Bg_hw.Dma.set_deliver_hook engine (fun ~bytes ->
-          Bg_obs.Obs.incr t.obs ~rank ~subsystem:"dma" ~name:"delivered" ();
-          Bg_obs.Obs.incr t.obs ~rank ~subsystem:"dma" ~name:"delivered_bytes" ~by:bytes ());
+          Bg_obs.Obs.add t.obs ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.delivered 1;
+          Bg_obs.Obs.add t.obs ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.delivered_bytes bytes);
       (* Causal: a byte-decrement counter latching zero is the hardware's
          completion notification — link it back to the injection that
          armed it, via the context the descriptor carried. *)
@@ -125,8 +125,6 @@ let launch_text t ~name ~len draw =
     t.launch_text <- Some (name, len, text);
     text
 
-let link_busy_names = Array.init 6 (Printf.sprintf "link%d_busy_cycles")
-
 (* Surface a rank's DMA-engine and torus-link state into the metrics
    registry (kernels call this at job end, tools at collection time).
    Purely observational: no-ops while the collector is disabled. *)
@@ -135,20 +133,20 @@ let publish_net_gauges t ~rank =
   if Bg_obs.Obs.enabled o then begin
     let e = t.dma.(rank) in
     let s = Bg_hw.Dma.stats e in
-    Bg_obs.Obs.set_gauge o ~rank ~subsystem:"dma" ~name:"inj_fifo_occupancy"
+    Bg_obs.Obs.set o ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.inj_fifo_occupancy
       (Bg_hw.Dma.injection_occupancy e);
-    Bg_obs.Obs.set_gauge o ~rank ~subsystem:"dma" ~name:"rcv_fifo_occupancy"
+    Bg_obs.Obs.set o ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.rcv_fifo_occupancy
       (Bg_hw.Dma.reception_occupancy e);
-    Bg_obs.Obs.set_gauge o ~rank ~subsystem:"dma" ~name:"inject_stalls"
+    Bg_obs.Obs.set o ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.inject_stalls
       s.Bg_hw.Dma.inject_stalls;
-    Bg_obs.Obs.set_gauge o ~rank ~subsystem:"dma" ~name:"recv_backpressure"
+    Bg_obs.Obs.set o ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.recv_backpressure
       s.Bg_hw.Dma.recv_backpressure;
-    Bg_obs.Obs.set_gauge o ~rank ~subsystem:"dma" ~name:"dropped" s.Bg_hw.Dma.dropped;
+    Bg_obs.Obs.set o ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.dropped s.Bg_hw.Dma.dropped;
     for dir = 0 to 5 do
       let busy = Bg_hw.Torus.link_busy_cycles t.torus ~rank ~dir in
       if busy > 0 then
-        Bg_obs.Obs.set_gauge o ~rank ~subsystem:"torus"
-          ~name:link_busy_names.(dir) busy
+        Bg_obs.Obs.set o ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.link_busy.(dir)
+        busy
     done
   end
 
@@ -225,10 +223,10 @@ let attach_health ?window ?ring ?db_capacity ?recorder ?(rules = []) t =
           for rank = 0 to nodes t - 1 do
             publish_net_gauges t ~rank;
             Bg_hw.Upc.iter_nonzero (Bg_hw.Chip.upc t.chips.(rank)) (fun event ~core count ->
-                Bg_obs.Obs.set_gauge t.obs ~rank ~core ~subsystem:"upc"
-                  ~name:(Bg_hw.Upc.event_name event) count)
+                Bg_obs.Obs.set t.obs ~rank ~core (Metrics.Kernel.upc_event event) count)
           done;
-          Bg_obs.Obs.set_gauge t.obs ~subsystem:"torus" ~name:"links_down"
+          Bg_obs.Obs.set t.obs ~rank:Bg_obs.Obs.node_scope ~core:Bg_obs.Obs.node_scope
+            Metrics.Net.links_down
             (List.length (Bg_hw.Torus.broken_links t.torus));
           Bg_obs.Rasdb.publish_gauges db t.obs);
       Bg_obs.Timeseries.arm ts t.sim;

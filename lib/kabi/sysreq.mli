@@ -195,6 +195,12 @@ val is_file_io : request -> bool
 val request_name : request -> string
 (** Short name for traces and protocol framing. *)
 
+val request_kind : request -> int
+(** Dense index of the request's constructor, from 0. *)
+
+val kind_names : string array
+(** [request_name] of every kind, indexed by {!request_kind}. Read only. *)
+
 (** Per-kind strings for the instrumented syscall path, built once per
     request kind rather than once per request. *)
 

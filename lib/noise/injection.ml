@@ -25,9 +25,9 @@ let attach node ~profile ~seed ~until =
                (* Attribute each stolen interval so slowdowns in app spans
                   can be traced back to the injected daemon activity. *)
                let module Obs = Bg_obs.Obs in
-               Obs.incr obs ~rank ~core ~subsystem:"noise" ~name:"activations" ();
-               Obs.incr obs ~rank ~core ~subsystem:"noise" ~name:"injected_cycles"
-                 ~by:profile.duration_cycles ();
+               Obs.add obs ~rank ~core Metrics.Noise.activations 1;
+               Obs.add obs ~rank ~core Metrics.Noise.injected_cycles
+                 profile.duration_cycles;
                Obs.span_record obs ~cat:"noise" ~name:"daemon" ~rank ~core ~start:at
                  ~finish:(at + profile.duration_cycles);
                let spread = float_of_int profile.period_cycles *. profile.jitter in

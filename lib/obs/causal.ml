@@ -34,24 +34,34 @@ type node = {
 
 type edge = { kind : kind; src : ctx; dst : ctx }
 
-(* Storage is struct-of-arrays: node [i] (mint order) is slot [i] of the
-   six node columns, edge [e] (record order) slot [e] of the three edge
-   columns, whose ends are node indices. Each column is a spine of
-   fixed-size chunks; a full column gets one more chunk, so no slot is
-   ever copied and growth never holds an old and a new copy of a column
-   at once, which a doubling array does at every resize. Records are
-   built only when [nodes], [edges], [find] or [critical_path] ask. *)
+let kind_of_code = function
+  | 0 -> Send_recv
+  | 1 -> Inject_complete
+  | 2 -> Request_reply
+  | _ -> Parent_child
+
+(* Storage is packed columns in chunks: node [i] (mint order) is slot
+   [i land chunk_mask] of chunk [i lsr chunk_bits] of two node spines,
+   one int array holding id, rank, core and cycle, one string array
+   holding category and name; edge [e] (record order) is one int chunk
+   slot holding kind code, source and destination node index. A full
+   spine gets one more chunk, so no slot is ever copied and growth never
+   holds an old and a new copy of a column at once, which a doubling
+   array does at every resize. Records are built only when [nodes],
+   [edges], [find] or [critical_path] ask. *)
 let chunk_bits = 10
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
+let node_ints = 4
+let node_strs = 2
+let edge_ints = 3
 
 (* Append a chunk to a spine whose chunks are all full; only the spine,
    one pointer per chunk, is ever copied. *)
-let add_chunk spine fill =
+let add_chunk spine chunk =
   let k = Array.length spine in
-  let grown = Array.make (k + 1) [||] in
+  let grown = Array.make (k + 1) chunk in
   Array.blit spine 0 grown 0 k;
-  grown.(k) <- Array.make chunk_size fill;
   grown
 
 let initial_slots = 16
@@ -61,17 +71,9 @@ type t = {
   seed : int;
   seed_prefix : Fnv.t;  (* [Fnv.add_int Fnv.empty seed], folded once *)
   max_nodes : int;
-  (* node columns *)
-  mutable ids : int array array;
-  mutable cats : string array array;
-  mutable names : string array array;
-  mutable ranks : int array array;
-  mutable cores : int array array;
-  mutable ats : int array array;
-  (* edge columns *)
-  mutable kinds : kind array array;
-  mutable srcs : int array array;
-  mutable dsts : int array array;
+  mutable node_i : int array array;
+  mutable node_s : string array array;
+  mutable edge_i : int array array;
   (* id -> node index, open addressing with linear probing; [-1] is an
      empty slot. Ids are FNV outputs, so their low bits already spread
      and index the table directly. At most half full. *)
@@ -80,8 +82,8 @@ type t = {
   mutable n_edges : int;
   mutable minted : int;  (* feeds the id stream; never reused *)
   mutable dropped : int;
-  tails : int ref Scope_tbl.t;  (* (rank, core) -> index of its last minted node *)
-  mutable digest : Fnv.t;
+  tails : int Obs.Scope_dir.t;  (* index of the last node minted on each (rank, core), or -1 *)
+  digest : Fnv.Acc.t;
 }
 
 let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
@@ -91,97 +93,98 @@ let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
     seed;
     seed_prefix = Fnv.add_int Fnv.empty seed;
     max_nodes;
-    ids = [||];
-    cats = [||];
-    names = [||];
-    ranks = [||];
-    cores = [||];
-    ats = [||];
-    kinds = [||];
-    srcs = [||];
-    dsts = [||];
-    slots = Array.make initial_slots (-1);
+    node_i = [||];
+    node_s = [||];
+    edge_i = [||];
+    slots = [||];
     n_nodes = 0;
     n_edges = 0;
     minted = 0;
     dropped = 0;
-    tails = Scope_tbl.create 16;
-    digest = Fnv.empty;
+    tails = Obs.Scope_dir.create (-1);
+    digest = Fnv.Acc.create ();
   }
 
 let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 
 let reset t =
-  t.ids <- [||];
-  t.cats <- [||];
-  t.names <- [||];
-  t.ranks <- [||];
-  t.cores <- [||];
-  t.ats <- [||];
-  t.kinds <- [||];
-  t.srcs <- [||];
-  t.dsts <- [||];
-  t.slots <- Array.make initial_slots (-1);
-  Scope_tbl.reset t.tails;
+  t.node_i <- [||];
+  t.node_s <- [||];
+  t.edge_i <- [||];
+  t.slots <- [||];
+  Obs.Scope_dir.clear t.tails;
   t.n_nodes <- 0;
   t.n_edges <- 0;
   t.minted <- 0;
   t.dropped <- 0;
-  t.digest <- Fnv.empty
+  Fnv.Acc.reset t.digest
 
-let node_id t i = t.ids.(i lsr chunk_bits).(i land chunk_mask)
-let node_at_cycle t i = t.ats.(i lsr chunk_bits).(i land chunk_mask)
+let[@inline] node_field t i f =
+  let chunk = Array.unsafe_get t.node_i (i lsr chunk_bits) in
+  Array.unsafe_get chunk (((i land chunk_mask) * node_ints) + f)
+
+let node_id t i = node_field t i 0
+let node_at_cycle t i = node_field t i 3
 
 (* --- id table ----------------------------------------------------------- *)
 
+(* The slot holding [id], or the empty slot where it would go. *)
 let rec probe t id i =
-  let s = t.slots.(i) in
-  if s < 0 || node_id t s = id then s else probe t id ((i + 1) land (Array.length t.slots - 1))
+  let s = Array.unsafe_get t.slots i in
+  if s < 0 || node_id t s = id then i else probe t id ((i + 1) land (Array.length t.slots - 1))
 
 (* Node index of [id], or [-1]. *)
-let index_of t id = if id = none then -1 else probe t id (id land (Array.length t.slots - 1))
+let index_of t id =
+  if id = none || Array.length t.slots = 0 then -1
+  else t.slots.(probe t id (id land (Array.length t.slots - 1)))
 
 let rec place slots id i =
   if slots.(i) < 0 then i else place slots id ((i + 1) land (Array.length slots - 1))
 
-let insert_index t id i =
-  if 2 * (i + 1) > Array.length t.slots then begin
-    let slots = Array.make (2 * Array.length t.slots) (-1) in
-    for j = 0 to i - 1 do
+(* Keep the table at most half full once node [n_nodes] is in. *)
+let reserve_slot t =
+  if 2 * (t.n_nodes + 1) > Array.length t.slots then begin
+    let slots = Array.make (max initial_slots (2 * Array.length t.slots)) (-1) in
+    for j = 0 to t.n_nodes - 1 do
       let jd = node_id t j in
       slots.(place slots jd (jd land (Array.length slots - 1))) <- j
     done;
     t.slots <- slots
-  end;
-  t.slots.(place t.slots id (id land (Array.length t.slots - 1))) <- i
+  end
 
 (* --- recording ---------------------------------------------------------- *)
 
 (* Deterministic non-zero id: FNV(seed, counter), masked positive. A
    collision with a live id (astronomically unlikely but cheap to rule
-   out) just advances the counter. *)
+   out) just advances the counter. The probe that rules it out also
+   finds the empty slot the new node takes, so a mint probes once. *)
 let rec fresh_id t =
   t.minted <- t.minted + 1;
-  let id = Int64.to_int (Fnv.add_int t.seed_prefix t.minted) land max_int in
-  if id = none || index_of t id >= 0 then fresh_id t else id
+  let id = Fnv.hash_int t.seed_prefix t.minted land max_int in
+  if id = none then fresh_id t
+  else
+    let slot = probe t id (id land (Array.length t.slots - 1)) in
+    if Array.unsafe_get t.slots slot >= 0 then fresh_id t
+    else begin
+      Array.unsafe_set t.slots slot t.n_nodes;
+      id
+    end
 
 (* [si] and [di] are node indices. *)
 let record_edge t kind ~si ~di =
   let e = t.n_edges in
-  if e land chunk_mask = 0 then begin
-    t.kinds <- add_chunk t.kinds Send_recv;
-    t.srcs <- add_chunk t.srcs 0;
-    t.dsts <- add_chunk t.dsts 0
-  end;
-  let k = e lsr chunk_bits and j = e land chunk_mask in
-  t.kinds.(k).(j) <- kind;
-  t.srcs.(k).(j) <- si;
-  t.dsts.(k).(j) <- di;
+  if e land chunk_mask = 0 then
+    t.edge_i <- add_chunk t.edge_i (Array.make (chunk_size * edge_ints) 0);
+  let c = Array.unsafe_get t.edge_i (e lsr chunk_bits) and j = (e land chunk_mask) * edge_ints in
+  let code = kind_code kind in
+  Array.unsafe_set c j code;
+  Array.unsafe_set c (j + 1) si;
+  Array.unsafe_set c (j + 2) di;
   t.n_edges <- e + 1;
-  let d = Fnv.add_int t.digest (kind_code kind) in
-  let d = Fnv.add_int d (node_id t si) in
-  t.digest <- Fnv.add_int d (node_id t di)
+  Fnv.Acc.int t.digest code;
+  Fnv.Acc.int t.digest (node_id t si);
+  Fnv.Acc.int t.digest (node_id t di)
 
 let link t kind ~src ~dst =
   if t.enabled then begin
@@ -192,6 +195,12 @@ let link t kind ~src ~dst =
     end
   end
 
+(* Chain node [i] after the last node minted on (rank, core). *)
+let chain_tail t ~chain ~rank ~core i =
+  let tail = Obs.Scope_dir.find t.tails ~rank ~core in
+  if chain && tail >= 0 then record_edge t Parent_child ~si:tail ~di:i;
+  Obs.Scope_dir.set t.tails ~rank ~core i
+
 let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
   if not t.enabled then none
   else if t.n_nodes >= t.max_nodes then begin
@@ -199,36 +208,31 @@ let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
     none
   end
   else begin
+    reserve_slot t;
     let id = fresh_id t in
     let i = t.n_nodes in
     if i land chunk_mask = 0 then begin
-      t.ids <- add_chunk t.ids 0;
-      t.cats <- add_chunk t.cats "";
-      t.names <- add_chunk t.names "";
-      t.ranks <- add_chunk t.ranks 0;
-      t.cores <- add_chunk t.cores 0;
-      t.ats <- add_chunk t.ats 0
+      t.node_i <- add_chunk t.node_i (Array.make (chunk_size * node_ints) 0);
+      t.node_s <- add_chunk t.node_s (Array.make (chunk_size * node_strs) "")
     end;
-    let k = i lsr chunk_bits and j = i land chunk_mask in
-    t.ids.(k).(j) <- id;
-    t.cats.(k).(j) <- cat;
-    t.names.(k).(j) <- name;
-    t.ranks.(k).(j) <- rank;
-    t.cores.(k).(j) <- core;
-    t.ats.(k).(j) <- now;
+    let ci = Array.unsafe_get t.node_i (i lsr chunk_bits)
+    and cs = Array.unsafe_get t.node_s (i lsr chunk_bits) in
+    let j = (i land chunk_mask) * node_ints and k = (i land chunk_mask) * node_strs in
+    Array.unsafe_set ci j id;
+    Array.unsafe_set ci (j + 1) rank;
+    Array.unsafe_set ci (j + 2) core;
+    Array.unsafe_set ci (j + 3) now;
+    Array.unsafe_set cs k cat;
+    Array.unsafe_set cs (k + 1) name;
     t.n_nodes <- i + 1;
-    insert_index t id i;
-    let d = Fnv.add_int t.digest id in
-    let d = Fnv.add_string d cat in
-    let d = Fnv.add_string d name in
-    let d = Fnv.add_int d rank in
-    let d = Fnv.add_int d core in
-    t.digest <- Fnv.add_int d now;
-    (match Scope_tbl.find t.tails (rank, core) with
-    | tail ->
-      if chain then record_edge t Parent_child ~si:!tail ~di:i;
-      tail := i
-    | exception Not_found -> Scope_tbl.add t.tails (rank, core) (ref i));
+    let d = t.digest in
+    Fnv.Acc.int d id;
+    Fnv.Acc.string d cat;
+    Fnv.Acc.string d name;
+    Fnv.Acc.int d rank;
+    Fnv.Acc.int d core;
+    Fnv.Acc.int d now;
+    chain_tail t ~chain ~rank ~core i;
     id
   end
 
@@ -237,22 +241,23 @@ let edge_count t = t.n_edges
 let dropped t = t.dropped
 
 let node_at t i =
-  let k = i lsr chunk_bits and j = i land chunk_mask in
+  let cs = t.node_s.(i lsr chunk_bits) and k = (i land chunk_mask) * node_strs in
   {
-    id = t.ids.(k).(j);
-    cat = t.cats.(k).(j);
-    name = t.names.(k).(j);
-    rank = t.ranks.(k).(j);
-    core = t.cores.(k).(j);
-    at = t.ats.(k).(j);
+    id = node_field t i 0;
+    cat = cs.(k);
+    name = cs.(k + 1);
+    rank = node_field t i 1;
+    core = node_field t i 2;
+    at = node_field t i 3;
   }
 
+let edge_field t e f = t.edge_i.(e lsr chunk_bits).(((e land chunk_mask) * edge_ints) + f)
+
 let edge_at t e =
-  let k = e lsr chunk_bits and j = e land chunk_mask in
   {
-    kind = t.kinds.(k).(j);
-    src = node_id t t.srcs.(k).(j);
-    dst = node_id t t.dsts.(k).(j);
+    kind = kind_of_code (edge_field t e 0);
+    src = node_id t (edge_field t e 1);
+    dst = node_id t (edge_field t e 2);
   }
 
 let nodes t = List.init t.n_nodes (node_at t)
@@ -266,14 +271,13 @@ let last_matching t ~cat ~name =
   let rec go i =
     if i < 0 then None
     else
-      let k = i lsr chunk_bits and j = i land chunk_mask in
-      if String.equal t.cats.(k).(j) cat && String.equal t.names.(k).(j) name then
-        Some t.ids.(k).(j)
+      let cs = t.node_s.(i lsr chunk_bits) and k = (i land chunk_mask) * node_strs in
+      if String.equal cs.(k) cat && String.equal cs.(k + 1) name then Some (node_id t i)
       else go (i - 1)
   in
   go (t.n_nodes - 1)
 
-let digest t = t.digest
+let digest t = Fnv.Acc.value t.digest
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -284,20 +288,18 @@ let capture t b =
   w_i t.n_edges;
   w_i t.minted;
   w_i t.dropped;
-  Buffer.add_int64_le b t.digest;
+  Buffer.add_int64_le b (digest t);
   (* nodes and edges are already folded into the digest; only the
      per-scope chaining tails add restart-relevant state beyond it *)
-  let tails =
-    Scope_tbl.fold (fun k tail acc -> (k, node_id t !tail) :: acc) t.tails []
-    |> List.sort compare
-  in
-  w_i (List.length tails);
+  let tails = ref [] in
+  Obs.Scope_dir.iter t.tails (fun ~rank ~core i -> tails := (rank, core, node_id t i) :: !tails);
+  w_i (List.length !tails);
   List.iter
-    (fun ((rank, core), id) ->
+    (fun (rank, core, id) ->
       w_i rank;
       w_i core;
       w_i id)
-    tails
+    (List.rev !tails)
 
 (* --- critical path ----------------------------------------------------- *)
 
@@ -314,8 +316,7 @@ let critical_path t target =
        earliest-recorded edge on ties *)
     let preds = Array.make t.n_nodes (-1) in
     for e = 0 to t.n_edges - 1 do
-      let k = e lsr chunk_bits and j = e land chunk_mask in
-      let s = t.srcs.(k).(j) and d = t.dsts.(k).(j) in
+      let s = edge_field t e 1 and d = edge_field t e 2 in
       let best = preds.(d) in
       if best < 0 || node_at_cycle t s > node_at_cycle t best then preds.(d) <- s
     done;

@@ -503,6 +503,21 @@ let on_fault_record t (r : Rasdb.record) =
       ~implicated:(t.implicate ~component:r.Rasdb.component ~rank:r.Rasdb.rank)
   end
 
+type schema_error = Unknown_series of { rule : string; series : string }
+
+let check_schema rules =
+  match
+    List.find_opt
+      (fun r -> not (Obs.Metric.is_declared ~subsystem:r.subsystem ~name:r.metric))
+      rules
+  with
+  | None -> Ok ()
+  | Some r ->
+    Error (Unknown_series { rule = r.rule_name; series = r.subsystem ^ "." ^ r.metric })
+
+let schema_error_message (Unknown_series { rule; series }) =
+  Printf.sprintf "rule %s: no metric named %s is declared" rule series
+
 let create ?(recorder = default_recorder) ?causal ~ts ~db ~rules () =
   List.iter
     (fun r ->

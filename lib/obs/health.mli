@@ -57,6 +57,23 @@ val parse_rule : string -> (rule, string) result
     and [<severity>] is [info|warn|error] (default [warn]).
     Example: ["retransmit_storm: cio.retransmits delta >= 8 for 2 error"]. *)
 
+type schema_error = Unknown_series of { rule : string; series : string }
+    (** [series] is [<subsystem>.<metric>], which no metric declaration names *)
+
+val check_schema : rule list -> (unit, schema_error) result
+(** Every rule watches a declared metric ({!Obs.Metric.is_declared}); the
+    first rule that does not is the error. A misspelt series would
+    otherwise parse and then silently match nothing. {!parse_rule} and
+    {!create} accept any series, so a rule on an ad-hoc metric still
+    works where no check is asked for.
+
+    The schema is filled in as declaring modules initialise, and nearly
+    every declaration lives in [Bg_kabi.Metrics]: the check is right only
+    in a program that links that module, as every program that builds a
+    [Bg_kabi.Machine] does. *)
+
+val schema_error_message : schema_error -> string
+
 (** {1 Alerts and typed HEALTH events} *)
 
 type alert = {

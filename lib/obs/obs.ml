@@ -6,42 +6,241 @@ open Bg_engine
    own stream of completed spans carries a parallel FNV digest, so the
    observability layer itself is determinism-checkable. *)
 
-(* --- scopes and keys ------------------------------------------------- *)
-
 let node_scope = -1
+
+(* [a] copied into a fresh array of at least [n] slots, [fill] beyond *)
+let grown_to a n fill =
+  let b = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* --- the scope directory ------------------------------------------------ *)
+
+module Scope_dir = struct
+  type 'a t = {
+    empty : 'a;
+    mutable rows : 'a array array;  (* [rows.(rank + 1).(core + 1)] *)
+    mutable odd : (int * int * 'a) list;  (* any scope with rank or core below -1 *)
+  }
+
+  let create empty = { empty; rows = [||]; odd = [] }
+
+  let clear d =
+    d.rows <- [||];
+    d.odd <- []
+
+  let find_odd d ~rank ~core =
+    match List.find_opt (fun (r, c, _) -> r = rank && c = core) d.odd with
+    | Some (_, _, v) -> v
+    | None -> d.empty
+
+  let find d ~rank ~core =
+    let r = rank + 1 and c = core + 1 in
+    if r < 0 || c < 0 then find_odd d ~rank ~core
+    else if r < Array.length d.rows then begin
+      let row = Array.unsafe_get d.rows r in
+      if c < Array.length row then Array.unsafe_get row c else d.empty
+    end
+    else d.empty
+
+  let set_slow d ~rank ~core v =
+    let r = rank + 1 and c = core + 1 in
+    if r < 0 || c < 0 then
+      d.odd <- (rank, core, v) :: List.filter (fun (r, c, _) -> r <> rank || c <> core) d.odd
+    else begin
+      if r >= Array.length d.rows then d.rows <- grown_to d.rows (r + 1) [||];
+      let row = d.rows.(r) in
+      let row = if c < Array.length row then row else grown_to row (max 4 (c + 1)) d.empty in
+      row.(c) <- v;
+      d.rows.(r) <- row
+    end
+
+  let set d ~rank ~core v =
+    let r = rank + 1 and c = core + 1 in
+    if r >= 0 && c >= 0 && r < Array.length d.rows then begin
+      let row = Array.unsafe_get d.rows r in
+      if c < Array.length row then Array.unsafe_set row c v else set_slow d ~rank ~core v
+    end
+    else set_slow d ~rank ~core v
+
+  let iter d f =
+    let all = ref d.odd in
+    Array.iteri
+      (fun r row -> Array.iteri (fun c v -> if v != d.empty then all := (r - 1, c - 1, v) :: !all) row)
+      d.rows;
+    List.sort
+      (fun (r1, c1, _) (r2, c2, _) ->
+        let c = Int.compare r1 r2 in
+        if c <> 0 then c else Int.compare c1 c2)
+      !all
+    |> List.iter (fun (rank, core, v) -> f ~rank ~core v)
+end
 
 type key = { subsystem : string; name : string; rank : int; core : int }
 
-let compare_key a b =
-  let c = compare a.subsystem b.subsystem in
-  if c <> 0 then c
-  else
-    let c = compare a.name b.name in
-    if c <> 0 then c
-    else
-      let c = compare a.rank b.rank in
-      if c <> 0 then c else compare a.core b.core
+(* --- the metric schema --------------------------------------------------
 
-(* Metric tables compare keys field by field with [String.equal] and
-   integer equality, never with the polymorphic [compare]. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = key
+   One process-wide registry per kind maps (subsystem, name) to a dense
+   integer id. Layers declare their metrics once, at module
+   initialisation, and hot paths pass the id; the string API resolves a
+   name through the same registry, registering a name nobody declared on
+   first use. A collector stores a metric as slot [id] of a flat array in
+   its (rank, core) scope, so no call hashes a string or builds a key. *)
 
-  let equal a b =
-    a.rank = b.rank && a.core = b.core && String.equal a.name b.name
-    && String.equal a.subsystem b.subsystem
+module Metric = struct
+  type kind = Counter | Gauge | Timer
+  type scope = Node | Rank | Core | Tenant
 
-  let hash k =
-    (Hashtbl.hash k.name + (31 * Hashtbl.hash k.subsystem) + (961 * k.rank) + (29_791 * k.core))
-    land max_int
-end)
+  type info = {
+    subsystem : string;
+    name : string;
+    unit : string;
+    kind : kind;
+    scopes : scope list;
+    doc : string;
+    members : string array;
+    hi : float;
+  }
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
+  type counter = int
+  type gauge = int
+  type timer = int
 
-  let equal (a : int) b = a = b
-  let hash h = h land max_int
-end)
+  module Name_tbl = Hashtbl.Make (struct
+    type t = string * string
+
+    let equal ((s1 : string), (n1 : string)) (s2, n2) = String.equal n1 n2 && String.equal s1 s2
+    let hash (s, n) = (Hashtbl.hash n + (31 * Hashtbl.hash s)) land max_int
+  end)
+
+  (* [infos.(id)] is [None] for a name registered by the string API
+     without a declaration. *)
+  type registry = {
+    ids : int Name_tbl.t;
+    mutable keys : (string * string) array;  (* (subsystem, name) by id *)
+    mutable infos : info option array;
+    mutable n : int;
+  }
+
+  let registry () = { ids = Name_tbl.create 64; keys = [||]; infos = [||]; n = 0 }
+
+  let counters = registry ()
+  let gauges = registry ()
+  let timers = registry ()
+  let of_kind = function Counter -> counters | Gauge -> gauges | Timer -> timers
+
+  (* Declaration order, newest first, for the generated table. *)
+  let declared_infos = ref []
+
+  let register reg key info =
+    let id = reg.n in
+    if id = Array.length reg.infos then begin
+      let infos = Array.make (max 64 (2 * id)) None and keys = Array.make (max 64 (2 * id)) key in
+      Array.blit reg.infos 0 infos 0 id;
+      Array.blit reg.keys 0 keys 0 id;
+      reg.infos <- infos;
+      reg.keys <- keys
+    end;
+    reg.infos.(id) <- info;
+    reg.keys.(id) <- key;
+    reg.n <- id + 1;
+    Name_tbl.add reg.ids key id;
+    id
+
+  let resolve reg ~subsystem ~name =
+    match Name_tbl.find reg.ids (subsystem, name) with
+    | id -> id
+    | exception Not_found -> register reg (subsystem, name) None
+
+  let find reg ~subsystem ~name =
+    match Name_tbl.find reg.ids (subsystem, name) with id -> id | exception Not_found -> -1
+
+  let default_hi = 1_048_576.0
+  let default_bins = 64
+
+  let declare_member reg info name =
+    let key = (info.subsystem, name) in
+    match Name_tbl.find_opt reg.ids key with
+    | Some id when reg.infos.(id) <> None ->
+      invalid_arg (Printf.sprintf "Obs.Metric: %s.%s declared twice" info.subsystem name)
+    | Some id ->
+      reg.infos.(id) <- Some info;
+      id
+    | None -> register reg key (Some info)
+
+  let declare kind ~subsystem ~names ~pattern ~unit ~scopes ~hi doc =
+    let info = { subsystem; name = pattern; unit; kind; scopes; doc; members = names; hi } in
+    let ids = Array.map (declare_member (of_kind kind) info) names in
+    declared_infos := info :: !declared_infos;
+    ids
+
+  let one kind ~subsystem ~name ~unit ~scopes ~hi doc =
+    (declare kind ~subsystem ~names:[| name |] ~pattern:name ~unit ~scopes ~hi doc).(0)
+
+  let counter ~subsystem ~name ~unit ~scopes doc =
+    one Counter ~subsystem ~name ~unit ~scopes ~hi:default_hi doc
+
+  let gauge ~subsystem ~name ~unit ~scopes doc =
+    one Gauge ~subsystem ~name ~unit ~scopes ~hi:default_hi doc
+
+  let timer ?(hi = default_hi) ~subsystem ~name ~unit ~scopes doc =
+    one Timer ~subsystem ~name ~unit ~scopes ~hi doc
+
+  let counters_family ~subsystem ~names ~pattern ~unit ~scopes doc =
+    declare Counter ~subsystem ~names ~pattern ~unit ~scopes ~hi:default_hi doc
+
+  let gauges_family ~subsystem ~names ~pattern ~unit ~scopes doc =
+    declare Gauge ~subsystem ~names ~pattern ~unit ~scopes ~hi:default_hi doc
+
+  let timers_family ~subsystem ~names ~pattern ~unit ~scopes doc =
+    declare Timer ~subsystem ~names ~pattern ~unit ~scopes ~hi:default_hi doc
+
+  let is_declared ~subsystem ~name =
+    List.exists
+      (fun reg ->
+        match Name_tbl.find_opt reg.ids (subsystem, name) with
+        | Some id -> reg.infos.(id) <> None
+        | None -> false)
+      [ counters; gauges; timers ]
+
+  let schema () = List.rev !declared_infos
+  let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Timer -> "timer"
+
+  let scope_name = function
+    | Node -> "node"
+    | Rank -> "rank"
+    | Core -> "core"
+    | Tenant -> "tenant"
+
+  let markdown_table () =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "| name | unit | kind | scope | definition |\n|---|---|---|---|---|\n";
+    let rows =
+      List.stable_sort
+        (fun a b ->
+          let c = String.compare a.subsystem b.subsystem in
+          if c <> 0 then c else String.compare a.name b.name)
+        (schema ())
+    in
+    List.iter
+      (fun i ->
+        let doc =
+          if Array.length i.members = 1 && i.members.(0) = i.name then i.doc
+          else
+            Printf.sprintf "%s Members: %s." i.doc
+              (String.concat ", " (List.map (Printf.sprintf "`%s`") (Array.to_list i.members)))
+        in
+        Printf.bprintf b "| `%s.%s` | %s | %s | %s | %s |\n" i.subsystem i.name i.unit
+          (kind_name i.kind)
+          (String.concat ", " (List.map scope_name i.scopes))
+          doc)
+      rows;
+    Buffer.contents b
+end
+
+let dropped_spans_metric =
+  Metric.counter ~subsystem:"obs" ~name:"dropped_spans" ~unit:"count" ~scopes:[ Metric.Core ]
+    "Spans overwritten by ring wraparound in this (rank, core) scope."
 
 (* --- spans ------------------------------------------------------------ *)
 
@@ -60,52 +259,96 @@ type handle = int
 
 let null_handle = -1
 
-(* Everything the collector keeps per (rank, core): the nesting depth of
-   its open spans and its ring of completed ones. A span looks its scope
-   up once, at begin or record time, and an open span carries it to its
-   end.
+type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
 
-   The ring is the CNK-style bounded record store: parallel arrays
-   overwritten in place once full. It starts empty and doubles on demand
-   (first to [initial_ring_slots]) up to [cap], so a scope that records a
-   handful of spans costs a handful of slots; at [cap] it stops growing
-   and wraps, overwriting the oldest span. Until then slot [i] holds the
-   [i]th span pushed. *)
+(* marks an empty timer slot *)
+let no_timer =
+  { online = Stats.Online.create (); hist = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:1 }
+
+(* Everything the collector keeps per (rank, core): the nesting depth of
+   its open spans, its ring of completed ones and its metric slots. A
+   span or metric call finds its scope by two array indexings.
+
+   The ring is the CNK-style bounded record store, overwritten in place
+   once full. Its slots live in segments of 8, 16, 32, ... spans (the
+   last one cut to [cap]), added on demand, so a scope that records a
+   handful of spans costs a handful of slots and growth never copies a
+   span. Each segment is one int array (start, finish, depth, completion
+   sequence per span) and one string array (category, name). At [cap]
+   the ring stops growing and wraps, overwriting the oldest span. Until
+   then ring slot [i] holds the [i]th span pushed. *)
+let ring_ints = 4
+let ring_strs = 2
+let initial_ring_slots = 8
+
 type scope = {
   s_rank : int;
   s_core : int;
+  s_index : int;  (* position in [t.scopes] *)
+  mutable spanned : bool;  (* a span call has touched this scope *)
   mutable depth : int;
-  cap : int;
-  mutable cats : string array;
-  mutable names : string array;
-  mutable starts : int array;
-  mutable finishes : int array;
-  mutable depths : int array;
-  mutable seqs : int array;  (* global completion sequence number per slot *)
+  mutable seg_ints : int array array;
+  mutable seg_strs : string array array;
+  mutable seg : int;  (* segment being written; -1 before the first span *)
+  mutable cur_ints : int array;
+  mutable cur_strs : string array;
+  mutable cur_len : int;  (* spans in the current segment *)
+  mutable off : int;  (* next span in the current segment *)
+  mutable allocated : int;  (* spans in all segments *)
   mutable written : int;  (* total spans ever pushed through this ring *)
+  (* metric slots, indexed by metric id; a set byte marks a live slot *)
+  mutable counts : int array;
+  mutable counted : Bytes.t;
+  mutable gauges : int array;
+  mutable gauged : Bytes.t;
+  mutable timers : timer array;
 }
 
-type open_span = {
-  o_cat : string;
-  o_name : string;
-  o_start : Cycles.t;
-  o_depth : int;
-  o_scope : scope;
-}
+let new_scope_record ~rank ~core ~index =
+  {
+    s_rank = rank;
+    s_core = core;
+    s_index = index;
+    spanned = false;
+    depth = 0;
+    seg_ints = [||];
+    seg_strs = [||];
+    seg = -1;
+    cur_ints = [||];
+    cur_strs = [||];
+    cur_len = 0;
+    off = 0;
+    allocated = 0;
+    written = 0;
+    counts = [||];
+    counted = Bytes.empty;
+    gauges = [||];
+    gauged = Bytes.empty;
+    timers = [||];
+  }
 
-type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
+let no_scope = new_scope_record ~rank:min_int ~core:min_int ~index:(-1)
+
+(* Open spans: an open-addressing table keyed by handle, with the handle
+   itself as the hash (handles are consecutive), linear probing and
+   backward-shift deletion, at most half full. Slot [i] is
+   [open_ints.(4i .. 4i+3)] = handle (-1 when empty), start, depth, scope
+   index, and [open_strs.(2i .. 2i+1)] = category, name. *)
+let open_ints = 4
+let open_strs = 2
 
 type t = {
   mutable enabled : bool;
   ring_capacity : int;
-  scopes : scope Scope_tbl.t;
-  opens : open_span Int_tbl.t;
+  dir : scope Scope_dir.t;
+  mutable scopes : scope array;
+  mutable n_scopes : int;
+  mutable opens_i : int array;
+  mutable opens_s : string array;
+  mutable n_open : int;
   mutable next_handle : int;
-  mutable digest : Fnv.t;
+  digest : Fnv.Acc.t;
   mutable completed : int;
-  counters : int ref Key_tbl.t;
-  gauges : int ref Key_tbl.t;
-  timers : timer Key_tbl.t;
 }
 
 let create ?(ring_capacity = 1024) ?(enabled = false) () =
@@ -113,232 +356,376 @@ let create ?(ring_capacity = 1024) ?(enabled = false) () =
   {
     enabled;
     ring_capacity;
-    scopes = Scope_tbl.create 16;
-    opens = Int_tbl.create 32;
+    dir = Scope_dir.create no_scope;
+    scopes = [||];
+    n_scopes = 0;
+    opens_i = [||];
+    opens_s = [||];
+    n_open = 0;
     next_handle = 0;
-    digest = Fnv.empty;
+    digest = Fnv.Acc.create ();
     completed = 0;
-    counters = Key_tbl.create 64;
-    gauges = Key_tbl.create 16;
-    timers = Key_tbl.create 32;
   }
 
 let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 let ring_capacity t = t.ring_capacity
 
-let initial_ring_slots = 8
+(* --- scopes ------------------------------------------------------------ *)
 
-let scope_for t ~rank ~core =
-  match Scope_tbl.find t.scopes (rank, core) with
-  | s -> s
-  | exception Not_found ->
-    let s =
-      {
-        s_rank = rank;
-        s_core = core;
-        depth = 0;
-        cap = t.ring_capacity;
-        cats = [||];
-        names = [||];
-        starts = [||];
-        finishes = [||];
-        depths = [||];
-        seqs = [||];
-        written = 0;
-      }
-    in
-    Scope_tbl.add t.scopes (rank, core) s;
-    s
+let add_scope t ~rank ~core =
+  let s = new_scope_record ~rank ~core ~index:t.n_scopes in
+  if t.n_scopes = Array.length t.scopes then begin
+    let grown = Array.make (max 16 (2 * t.n_scopes)) no_scope in
+    Array.blit t.scopes 0 grown 0 t.n_scopes;
+    t.scopes <- grown
+  end;
+  t.scopes.(t.n_scopes) <- s;
+  t.n_scopes <- t.n_scopes + 1;
+  s
 
-(* Called when every slot holds a span and the ring is below [cap]: no
-   wraparound has happened yet, so the spans keep their slots. *)
-let grow s =
-  let n = min s.cap (max initial_ring_slots (2 * Array.length s.starts)) in
-  let extend a fill =
-    let b = Array.make n fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
-  s.cats <- extend s.cats "";
-  s.names <- extend s.names "";
-  s.starts <- extend s.starts 0;
-  s.finishes <- extend s.finishes 0;
-  s.depths <- extend s.depths 0;
-  s.seqs <- extend s.seqs 0
+let new_scope t ~rank ~core =
+  let s = add_scope t ~rank ~core in
+  Scope_dir.set t.dir ~rank ~core s;
+  s
 
-let incr_counter table key by =
-  match Key_tbl.find table key with
-  | r -> r := !r + by
-  | exception Not_found -> Key_tbl.add table key (ref by)
+let[@inline] scope t ~rank ~core =
+  let s = Scope_dir.find t.dir ~rank ~core in
+  if s != no_scope then s else new_scope t ~rank ~core
+
+let span_scope t ~rank ~core =
+  let s = scope t ~rank ~core in
+  s.spanned <- true;
+  s
+
+(* Scopes a span call has touched, in (rank, core) order. *)
+let spanned_scopes t =
+  let out = ref [] in
+  Scope_dir.iter t.dir (fun ~rank:_ ~core:_ s -> if s.spanned then out := s :: !out);
+  List.rev !out
+
+(* --- metric slots ------------------------------------------------------ *)
+
+let grow_ints a n = grown_to a n 0
+
+let grow_flags b n =
+  let g = Bytes.make (max n (2 * Bytes.length b)) '\000' in
+  Bytes.blit b 0 g 0 (Bytes.length b);
+  g
+
+let reserve_counts s id =
+  let n = max (id + 1) Metric.counters.n in
+  s.counts <- grow_ints s.counts n;
+  s.counted <- grow_flags s.counted n
+
+let reserve_gauges s id =
+  let n = max (id + 1) Metric.gauges.n in
+  s.gauges <- grow_ints s.gauges n;
+  s.gauged <- grow_flags s.gauged n
+
+let[@inline] add_in s id by =
+  if id >= Array.length s.counts then reserve_counts s id;
+  Array.unsafe_set s.counts id (Array.unsafe_get s.counts id + by);
+  Bytes.unsafe_set s.counted id '\001'
+
+let[@inline] set_in s id v =
+  if id >= Array.length s.gauges then reserve_gauges s id;
+  Array.unsafe_set s.gauges id v;
+  Bytes.unsafe_set s.gauged id '\001'
+
+let new_timer s id ~hi ~bins =
+  if id >= Array.length s.timers then
+    s.timers <- grown_to s.timers (max (id + 1) Metric.timers.n) no_timer;
+  let tm = { online = Stats.Online.create (); hist = Stats.Histogram.create ~lo:0.0 ~hi ~bins } in
+  s.timers.(id) <- tm;
+  tm
+
+let[@inline] observe_in s id ~hi ~bins cycles =
+  let tm = if id < Array.length s.timers then Array.unsafe_get s.timers id else no_timer in
+  let tm = if tm != no_timer then tm else new_timer s id ~hi ~bins in
+  Stats.Online.add_int tm.online cycles;
+  Stats.Histogram.add_int tm.hist cycles
+
+let counted s id = id >= 0 && id < Bytes.length s.counted && Bytes.get s.counted id <> '\000'
+let gauged s id = id >= 0 && id < Bytes.length s.gauged && Bytes.get s.gauged id <> '\000'
+
+let timer_in s id =
+  if id >= 0 && id < Array.length s.timers && s.timers.(id) != no_timer then Some s.timers.(id)
+  else None
+
+(* A read never creates a scope. *)
+let find_scope t ~rank ~core =
+  let s = Scope_dir.find t.dir ~rank ~core in
+  if s != no_scope then Some s else None
+
+(* --- the span ring ----------------------------------------------------- *)
+
+let append segs seg =
+  let k = Array.length segs in
+  let grown = Array.make (k + 1) seg in
+  Array.blit segs 0 grown 0 k;
+  grown
+
+(* Move the write cursor to the next segment: the next existing one, a
+   new one while the ring is below [cap], or back to the first (wrap). *)
+let advance t s =
+  let k = s.seg + 1 in
+  if k < Array.length s.seg_ints then s.seg <- k
+  else if s.allocated < t.ring_capacity then begin
+    let n = min (initial_ring_slots lsl k) (t.ring_capacity - s.allocated) in
+    s.seg_ints <- append s.seg_ints (Array.make (n * ring_ints) 0);
+    s.seg_strs <- append s.seg_strs (Array.make (n * ring_strs) "");
+    s.allocated <- s.allocated + n;
+    s.seg <- k
+  end
+  else s.seg <- 0;
+  s.cur_ints <- s.seg_ints.(s.seg);
+  s.cur_strs <- s.seg_strs.(s.seg);
+  s.cur_len <- Array.length s.cur_ints / ring_ints;
+  s.off <- 0
 
 let push_span t s ~cat ~name ~start ~finish ~depth =
-  if s.written = Array.length s.starts && s.written < s.cap then grow s;
-  let i = s.written mod s.cap in
+  if s.off = s.cur_len then advance t s;
   (* Ring wraparound overwrites the oldest span. That loss used to be
      visible only through arithmetic on [written]; count it as a
      first-class per-scope metric so exports and tools can warn. *)
-  if s.written >= s.cap then
-    incr_counter t.counters
-      { subsystem = "obs"; name = "dropped_spans"; rank = s.s_rank; core = s.s_core }
-      1;
-  s.cats.(i) <- cat;
-  s.names.(i) <- name;
-  s.starts.(i) <- start;
-  s.finishes.(i) <- finish;
-  s.depths.(i) <- depth;
-  s.seqs.(i) <- t.completed;
+  if s.written >= t.ring_capacity then add_in s dropped_spans_metric 1;
+  let i = s.off * ring_ints and j = s.off * ring_strs in
+  let ints = s.cur_ints and strs = s.cur_strs in
+  Array.unsafe_set ints i start;
+  Array.unsafe_set ints (i + 1) finish;
+  Array.unsafe_set ints (i + 2) depth;
+  Array.unsafe_set ints (i + 3) t.completed;
+  Array.unsafe_set strs j cat;
+  Array.unsafe_set strs (j + 1) name;
+  s.off <- s.off + 1;
   s.written <- s.written + 1;
   t.completed <- t.completed + 1;
-  let d = Fnv.add_string t.digest cat in
-  let d = Fnv.add_string d name in
-  let d = Fnv.add_int d s.s_rank in
-  let d = Fnv.add_int d s.s_core in
-  let d = Fnv.add_int d start in
-  t.digest <- Fnv.add_int d finish
+  let d = t.digest in
+  Fnv.Acc.string d cat;
+  Fnv.Acc.string d name;
+  Fnv.Acc.int d s.s_rank;
+  Fnv.Acc.int d s.s_core;
+  Fnv.Acc.int d start;
+  Fnv.Acc.int d finish
+
+(* --- open spans -------------------------------------------------------- *)
+
+let open_mask t = (Array.length t.opens_i / open_ints) - 1
+
+let rec open_slot t h i =
+  let x = Array.unsafe_get t.opens_i (i * open_ints) in
+  if x = h || x < 0 then i else open_slot t h ((i + 1) land open_mask t)
+
+let place_open t ~h ~start ~depth ~scope ~cat ~name =
+  let i = open_slot t h (h land open_mask t) in
+  let a = i * open_ints and b = i * open_strs in
+  t.opens_i.(a) <- h;
+  t.opens_i.(a + 1) <- start;
+  t.opens_i.(a + 2) <- depth;
+  t.opens_i.(a + 3) <- scope;
+  t.opens_s.(b) <- cat;
+  t.opens_s.(b + 1) <- name
+
+let grow_opens t =
+  let old_i = t.opens_i and old_s = t.opens_s in
+  let slots = max 32 (2 * (Array.length old_i / open_ints)) in
+  t.opens_i <- Array.make (slots * open_ints) (-1);
+  t.opens_s <- Array.make (slots * open_strs) "";
+  for i = 0 to (Array.length old_i / open_ints) - 1 do
+    let a = i * open_ints and b = i * open_strs in
+    if old_i.(a) >= 0 then
+      place_open t ~h:old_i.(a) ~start:old_i.(a + 1) ~depth:old_i.(a + 2) ~scope:old_i.(a + 3)
+        ~cat:old_s.(b) ~name:old_s.(b + 1)
+  done
+
+(* Empty slot [i] and shift later members of its probe run back over it,
+   so every lookup still stops at the first empty slot. *)
+let delete_open t i =
+  let mask = open_mask t in
+  let rec shift hole j =
+    let h = t.opens_i.(j * open_ints) in
+    if h < 0 then hole
+    else begin
+      let home = h land mask in
+      let stays = if hole <= j then hole < home && home <= j else hole < home || home <= j in
+      if stays then shift hole ((j + 1) land mask)
+      else begin
+        Array.blit t.opens_i (j * open_ints) t.opens_i (hole * open_ints) open_ints;
+        Array.blit t.opens_s (j * open_strs) t.opens_s (hole * open_strs) open_strs;
+        shift j ((j + 1) land mask)
+      end
+    end
+  in
+  let hole = shift i ((i + 1) land mask) in
+  t.opens_i.(hole * open_ints) <- -1;
+  t.n_open <- t.n_open - 1
 
 let span_begin t ~cat ~name ~rank ~core ~now =
   if not t.enabled then null_handle
   else begin
-    let s = scope_for t ~rank ~core in
+    let s = span_scope t ~rank ~core in
     let h = t.next_handle in
     t.next_handle <- h + 1;
-    Int_tbl.add t.opens h
-      { o_cat = cat; o_name = name; o_start = now; o_depth = s.depth; o_scope = s };
+    if 2 * (t.n_open + 1) > Array.length t.opens_i / open_ints then grow_opens t;
+    place_open t ~h ~start:now ~depth:s.depth ~scope:s.s_index ~cat ~name;
+    t.n_open <- t.n_open + 1;
     s.depth <- s.depth + 1;
     h
   end
 
-(* Close an open span: forget the handle and unwind its scope's depth.
-   [None] for an unknown or already-closed handle. *)
-let close t h =
-  match Int_tbl.find t.opens h with
-  | exception Not_found -> None
-  | o ->
-    Int_tbl.remove t.opens h;
-    let s = o.o_scope in
-    if s.depth > 0 then s.depth <- s.depth - 1;
-    Some o
+(* Slot of open handle [h], or -1. *)
+let find_open t h =
+  if h < 0 || t.n_open = 0 then -1
+  else
+    let i = open_slot t h (h land open_mask t) in
+    if t.opens_i.(i * open_ints) = h then i else -1
 
 (* A handle opened while enabled is closed even if the collector has been
    disabled since, so the open table and the scope's depth stay balanced;
    only the recording of the span depends on [enabled]. *)
 let span_end t h ~now =
-  if h <> null_handle then
-    match close t h with
-    | Some o when t.enabled ->
-      push_span t o.o_scope ~cat:o.o_cat ~name:o.o_name ~start:o.o_start ~finish:now
-        ~depth:o.o_depth
-    | Some _ | None -> ()
+  let i = find_open t h in
+  if i >= 0 then begin
+    let a = i * open_ints and b = i * open_strs in
+    let start = t.opens_i.(a + 1) and depth = t.opens_i.(a + 2) in
+    let s = t.scopes.(t.opens_i.(a + 3)) in
+    let cat = t.opens_s.(b) and name = t.opens_s.(b + 1) in
+    delete_open t i;
+    if s.depth > 0 then s.depth <- s.depth - 1;
+    if t.enabled then push_span t s ~cat ~name ~start ~finish:now ~depth
+  end
+
+let abandon_open t h =
+  let i = find_open t h in
+  if i >= 0 then begin
+    let s = t.scopes.(t.opens_i.((i * open_ints) + 3)) in
+    delete_open t i;
+    if s.depth > 0 then s.depth <- s.depth - 1
+  end
 
 let span_record t ~cat ~name ~rank ~core ~start ~finish =
   if t.enabled then begin
-    let s = scope_for t ~rank ~core in
+    let s = span_scope t ~rank ~core in
     push_span t s ~cat ~name ~start ~finish ~depth:s.depth
   end
 
-let open_count t = Int_tbl.length t.opens
-let abandon_open t h = if h <> null_handle then ignore (close t h)
+let open_count t = t.n_open
 let span_count t = t.completed
 
 let dropped_spans t =
-  Scope_tbl.fold (fun _ s acc -> acc + max 0 (s.written - s.cap)) t.scopes 0
+  let n = ref 0 in
+  for i = 0 to t.n_scopes - 1 do
+    let s = t.scopes.(i) in
+    n := !n + max 0 (s.written - t.ring_capacity)
+  done;
+  !n
+
+(* Ring slot [i] of [s] as (segment, first int, first string). *)
+let locate s i =
+  let rec go k i =
+    let n = Array.length s.seg_ints.(k) / ring_ints in
+    if i < n then (k, i * ring_ints, i * ring_strs) else go (k + 1) (i - n)
+  in
+  go 0 i
 
 let spans t =
-  let scopes =
-    Scope_tbl.fold (fun key s acc -> (key, s) :: acc) t.scopes []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   let out = ref [] in
   List.iter
-    (fun (_, s) ->
-      let retained = min s.written s.cap in
+    (fun s ->
+      let retained = min s.written t.ring_capacity in
       for j = s.written - retained to s.written - 1 do
-        let i = j mod s.cap in
+        let k, a, b = locate s (j mod t.ring_capacity) in
+        let ints = s.seg_ints.(k) and strs = s.seg_strs.(k) in
         out :=
           {
-            cat = s.cats.(i);
-            name = s.names.(i);
+            cat = strs.(b);
+            name = strs.(b + 1);
             rank = s.s_rank;
             core = s.s_core;
-            start = s.starts.(i);
-            finish = s.finishes.(i);
-            depth = s.depths.(i);
-            seq = s.seqs.(i);
+            start = ints.(a);
+            finish = ints.(a + 1);
+            depth = ints.(a + 2);
+            seq = ints.(a + 3);
           }
           :: !out
       done)
-    scopes;
+    (spanned_scopes t);
   (* total order: start cycle, then scope, then global completion
      sequence — equal-start spans sort deterministically no matter what
-     order the scope table iterates in *)
+     order the scopes were created in *)
   List.sort
     (fun a b ->
-      let c = compare a.start b.start in
+      let c = Int.compare a.start b.start in
       if c <> 0 then c
       else
-        let c = compare (a.rank, a.core) (b.rank, b.core) in
-        if c <> 0 then c else compare a.seq b.seq)
+        let c = Int.compare a.rank b.rank in
+        if c <> 0 then c
+        else
+          let c = Int.compare a.core b.core in
+          if c <> 0 then c else Int.compare a.seq b.seq)
     (List.rev !out)
 
-let digest t = t.digest
+let digest t = Fnv.Acc.value t.digest
 
 (* --- metrics ----------------------------------------------------------- *)
 
+let add t ~rank ~core (m : Metric.counter) by = if t.enabled then add_in (scope t ~rank ~core) m by
+let count t m = add t ~rank:node_scope ~core:node_scope m 1
+let set t ~rank ~core (m : Metric.gauge) v = if t.enabled then set_in (scope t ~rank ~core) m v
+
+let observe t ~rank ~core (m : Metric.timer) cycles =
+  if t.enabled then begin
+    let s = scope t ~rank ~core in
+    match Array.unsafe_get Metric.timers.infos m with
+    | Some i -> observe_in s m ~hi:i.hi ~bins:Metric.default_bins cycles
+    | None -> observe_in s m ~hi:Metric.default_hi ~bins:Metric.default_bins cycles
+  end
+
 let incr t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name ?(by = 1) () =
-  if t.enabled then incr_counter t.counters { subsystem; name; rank; core } by
+  if t.enabled then
+    add_in (scope t ~rank ~core) (Metric.resolve Metric.counters ~subsystem ~name) by
 
 let set_gauge t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name v =
-  if t.enabled then begin
-    let key = { subsystem; name; rank; core } in
-    match Key_tbl.find t.gauges key with
-    | r -> r := v
-    | exception Not_found -> Key_tbl.add t.gauges key (ref v)
-  end
+  if t.enabled then set_in (scope t ~rank ~core) (Metric.resolve Metric.gauges ~subsystem ~name) v
 
-let default_hist_hi = 1_048_576.0
-let default_hist_bins = 64
-
-let observe_cycles t ?(rank = node_scope) ?(core = node_scope) ?(hi = default_hist_hi)
-    ?(bins = default_hist_bins) ~subsystem ~name cycles =
-  if t.enabled then begin
-    let key = { subsystem; name; rank; core } in
-    let timer =
-      match Key_tbl.find t.timers key with
-      | tm -> tm
-      | exception Not_found ->
-        let tm =
-          { online = Stats.Online.create (); hist = Stats.Histogram.create ~lo:0.0 ~hi ~bins }
-        in
-        Key_tbl.add t.timers key tm;
-        tm
-    in
-    let x = float_of_int cycles in
-    Stats.Online.add timer.online x;
-    Stats.Histogram.add timer.hist x
-  end
+let observe_cycles t ?(rank = node_scope) ?(core = node_scope) ?(hi = Metric.default_hi)
+    ?(bins = Metric.default_bins) ~subsystem ~name cycles =
+  if t.enabled then
+    observe_in (scope t ~rank ~core)
+      (Metric.resolve Metric.timers ~subsystem ~name)
+      ~hi ~bins cycles
 
 let counter_value t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  match Key_tbl.find_opt t.counters { subsystem; name; rank; core } with
-  | Some r -> !r
-  | None -> 0
+  let id = Metric.find Metric.counters ~subsystem ~name in
+  match find_scope t ~rank ~core with
+  | Some s when counted s id -> s.counts.(id)
+  | _ -> 0
 
 let counter_total t ~subsystem ~name =
-  Key_tbl.fold
-    (fun k r acc ->
-      if String.equal k.subsystem subsystem && String.equal k.name name then acc + !r else acc)
-    t.counters 0
+  let id = Metric.find Metric.counters ~subsystem ~name in
+  let n = ref 0 in
+  for i = 0 to t.n_scopes - 1 do
+    let s = t.scopes.(i) in
+    if counted s id then n := !n + s.counts.(id)
+  done;
+  !n
 
 let gauge_value t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  match Key_tbl.find_opt t.gauges { subsystem; name; rank; core } with
-  | Some r -> Some !r
-  | None -> None
+  let id = Metric.find Metric.gauges ~subsystem ~name in
+  match find_scope t ~rank ~core with
+  | Some s when gauged s id -> Some s.gauges.(id)
+  | _ -> None
+
+let find_timer t ~rank ~core ~subsystem ~name =
+  let id = Metric.find Metric.timers ~subsystem ~name in
+  match find_scope t ~rank ~core with Some s -> timer_in s id | None -> None
 
 let timer_stats t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  Option.map (fun tm -> tm.online) (Key_tbl.find_opt t.timers { subsystem; name; rank; core })
+  Option.map (fun tm -> tm.online) (find_timer t ~rank ~core ~subsystem ~name)
 
 let timer_histogram t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  Option.map (fun tm -> tm.hist) (Key_tbl.find_opt t.timers { subsystem; name; rank; core })
+  Option.map (fun tm -> tm.hist) (find_timer t ~rank ~core ~subsystem ~name)
 
 (* --- snapshot ----------------------------------------------------------- *)
 
@@ -359,41 +746,63 @@ type value =
 
 type metric = { key : key; value : value }
 
+let timer_value tm =
+  let o = tm.online in
+  let h = tm.hist in
+  (* bin interpolation can land outside the observed extremes when a
+     distribution is much tighter than the bin width; clamp so the
+     reported quantiles always lie within the data *)
+  let pct p =
+    Float.max (Stats.Online.min o) (Float.min (Stats.Online.max o) (Stats.Histogram.percentile h p))
+  in
+  Timer
+    {
+      n = Stats.Online.n o;
+      mean = Stats.Online.mean o;
+      min = Stats.Online.min o;
+      max = Stats.Online.max o;
+      sum = Stats.Histogram.sum h;
+      p50 = pct 0.50;
+      p90 = pct 0.90;
+      p99 = pct 0.99;
+      p999 = pct 0.999;
+    }
+
 let snapshot t =
+  let cn = Metric.counters.keys and gn = Metric.gauges.keys and tn = Metric.timers.keys in
+  let key (sub, name) s = { subsystem = sub; name; rank = s.s_rank; core = s.s_core } in
+  (* [rank] orders the kinds of one key: timer, gauge, counter *)
   let out = ref [] in
-  Key_tbl.iter (fun key r -> out := { key; value = Counter !r } :: !out) t.counters;
-  Key_tbl.iter (fun key r -> out := { key; value = Gauge !r } :: !out) t.gauges;
-  Key_tbl.iter
-    (fun key tm ->
-      let o = tm.online in
-      let h = tm.hist in
-      (* bin interpolation can land outside the observed extremes when a
-         distribution is much tighter than the bin width; clamp so the
-         reported quantiles always lie within the data *)
-      let pct p =
-        Float.max (Stats.Online.min o)
-          (Float.min (Stats.Online.max o) (Stats.Histogram.percentile h p))
-      in
-      out :=
-        {
-          key;
-          value =
-            Timer
-              {
-                n = Stats.Online.n o;
-                mean = Stats.Online.mean o;
-                min = Stats.Online.min o;
-                max = Stats.Online.max o;
-                sum = Stats.Histogram.sum h;
-                p50 = pct 0.50;
-                p90 = pct 0.90;
-                p99 = pct 0.99;
-                p999 = pct 0.999;
-              };
-        }
-        :: !out)
-    t.timers;
-  List.sort (fun a b -> compare_key a.key b.key) !out
+  for i = 0 to t.n_scopes - 1 do
+    let s = t.scopes.(i) in
+    for id = 0 to Bytes.length s.counted - 1 do
+      if Bytes.get s.counted id <> '\000' then
+        out := (2, { key = key cn.(id) s; value = Counter s.counts.(id) }) :: !out
+    done;
+    for id = 0 to Bytes.length s.gauged - 1 do
+      if Bytes.get s.gauged id <> '\000' then
+        out := (1, { key = key gn.(id) s; value = Gauge s.gauges.(id) }) :: !out
+    done;
+    Array.iteri
+      (fun id tm ->
+        if tm != no_timer then out := (0, { key = key tn.(id) s; value = timer_value tm }) :: !out)
+      s.timers
+  done;
+  List.sort
+    (fun (ka, a) (kb, b) ->
+      let c = String.compare a.key.subsystem b.key.subsystem in
+      if c <> 0 then c
+      else
+        let c = String.compare a.key.name b.key.name in
+        if c <> 0 then c
+        else
+          let c = Int.compare a.key.rank b.key.rank in
+          if c <> 0 then c
+          else
+            let c = Int.compare a.key.core b.key.core in
+            if c <> 0 then c else Int.compare ka kb)
+    !out
+  |> List.map snd
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -407,7 +816,7 @@ let capture t b =
   w_i t.ring_capacity;
   w_i t.next_handle;
   w_i t.completed;
-  w_i64 t.digest;
+  w_i64 (digest t);
   let sp = spans t in
   w_i (List.length sp);
   List.iter
@@ -421,31 +830,36 @@ let capture t b =
       w_i s.depth;
       w_i s.seq)
     sp;
+  let opens = ref [] in
+  for i = 0 to (Array.length t.opens_i / open_ints) - 1 do
+    if t.opens_i.(i * open_ints) >= 0 then opens := i :: !opens
+  done;
   let opens =
-    Int_tbl.fold (fun h o acc -> (h, o) :: acc) t.opens []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    List.sort
+      (fun i j -> Int.compare t.opens_i.(i * open_ints) t.opens_i.(j * open_ints))
+      !opens
   in
   w_i (List.length opens);
   List.iter
-    (fun (h, o) ->
-      w_i h;
-      w_s o.o_cat;
-      w_s o.o_name;
-      w_i o.o_scope.s_rank;
-      w_i o.o_scope.s_core;
-      w_i o.o_start;
-      w_i o.o_depth)
+    (fun i ->
+      let a = i * open_ints and c = i * open_strs in
+      let s = t.scopes.(t.opens_i.(a + 3)) in
+      w_i t.opens_i.(a);
+      w_s t.opens_s.(c);
+      w_s t.opens_s.(c + 1);
+      w_i s.s_rank;
+      w_i s.s_core;
+      w_i t.opens_i.(a + 1);
+      w_i t.opens_i.(a + 2))
     opens;
-  let depths =
-    Scope_tbl.fold (fun k s acc -> (k, s.depth) :: acc) t.scopes [] |> List.sort compare
-  in
-  w_i (List.length depths);
+  let spanned = spanned_scopes t in
+  w_i (List.length spanned);
   List.iter
-    (fun ((rank, core), d) ->
-      w_i rank;
-      w_i core;
-      w_i d)
-    depths;
+    (fun s ->
+      w_i s.s_rank;
+      w_i s.s_core;
+      w_i s.depth)
+    spanned;
   let ms = snapshot t in
   w_i (List.length ms);
   List.iter
@@ -475,13 +889,14 @@ let capture t b =
     ms
 
 let reset t =
-  Scope_tbl.reset t.scopes;
-  Int_tbl.reset t.opens;
-  Key_tbl.reset t.counters;
-  Key_tbl.reset t.gauges;
-  Key_tbl.reset t.timers;
+  Scope_dir.clear t.dir;
+  t.scopes <- [||];
+  t.n_scopes <- 0;
+  t.opens_i <- [||];
+  t.opens_s <- [||];
+  t.n_open <- 0;
   t.next_handle <- 0;
-  t.digest <- Fnv.empty;
+  Fnv.Acc.reset t.digest;
   t.completed <- 0
 
 let pp_metric ppf m =

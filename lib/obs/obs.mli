@@ -12,18 +12,115 @@
       so for a fixed seed the [Sim] trace digest is bit-identical with
       collection on or off.
     - {b Bounded.} Completed spans land in per-(rank,core) rings that
-      start small and double on demand up to a fixed capacity, then
-      overwrite the oldest span (CNK-style: no allocation growth in
-      steady state); metrics are O(distinct keys).
+      start small and grow by segments on demand up to a fixed
+      capacity, then overwrite the oldest span (CNK-style: no
+      allocation growth in steady state); metrics are one flat slot
+      per (scope, declared metric).
 
     The stream of completed spans folds into its own FNV digest
     ({!digest}), so observability output is itself reproducibility-
     checkable, independently of the architectural trace. *)
 
-type t
-
 val node_scope : int
 (** Sentinel rank/core (-1) for machine- or node-level metrics. *)
+
+(** A directory of per-(rank, core) values, as the collectors keep them.
+
+    Ranks and cores from -1 ({!node_scope}) up index a dense grid,
+    [rows.(rank + 1).(core + 1)], grown on demand, so a lookup is two
+    array indexings: no tuple key, no hash. Any other scope (a rank or
+    core below -1) goes on a short list. A fresh directory is one small
+    record; its rows appear as scopes are set. *)
+module Scope_dir : sig
+  type 'a t
+
+  val create : 'a -> 'a t
+  (** [create empty]: every scope starts at [empty], which {!find} returns
+      for a scope that was never set. *)
+
+  val find : 'a t -> rank:int -> core:int -> 'a
+
+  val set : 'a t -> rank:int -> core:int -> 'a -> unit
+
+  val iter : 'a t -> (rank:int -> core:int -> 'a -> unit) -> unit
+  (** Every set scope, in (rank, core) order. *)
+
+  val clear : 'a t -> unit
+end
+
+(** {1 Metric schema}
+
+    Every metric has one declaration: subsystem, name, unit, kind, the
+    scopes it is recorded at and a one-line definition. A declaration
+    returns an integer handle; hot paths pass that handle to {!add},
+    {!set} and {!observe}, which index a flat per-scope slot without
+    hashing a name. The string API ({!incr}, {!counter_value}, ...)
+    resolves a name through the same registry into the same storage; a
+    name nobody declared is registered on first use and stays out of
+    {!Metric.markdown_table}. Declaring one [(subsystem, name)] twice for the
+    same kind raises [Invalid_argument]. *)
+module Metric : sig
+  type scope =
+    | Node  (** machine or control system: rank and core are {!node_scope} *)
+    | Rank  (** one node: core is {!node_scope} *)
+    | Core  (** one (rank, core) *)
+    | Tenant  (** one scheduler tenant: the rank field holds the tenant id *)
+
+  type counter
+  type gauge
+  type timer
+
+  val counter :
+    subsystem:string -> name:string -> unit:string -> scopes:scope list -> string -> counter
+
+  val gauge : subsystem:string -> name:string -> unit:string -> scopes:scope list -> string -> gauge
+
+  val timer :
+    ?hi:float -> subsystem:string -> name:string -> unit:string -> scopes:scope list -> string -> timer
+  (** [hi] (default 2{^20} cycles) is the upper edge of every scope's
+      64-bin histogram. *)
+
+  (** A finite family of names sharing one definition, e.g. one counter
+      per syscall kind: one handle per name, in [names] order. *)
+
+  val counters_family :
+    subsystem:string ->
+    names:string array ->
+    pattern:string ->
+    unit:string ->
+    scopes:scope list ->
+    string ->
+    counter array
+
+  val gauges_family :
+    subsystem:string ->
+    names:string array ->
+    pattern:string ->
+    unit:string ->
+    scopes:scope list ->
+    string ->
+    gauge array
+
+  val timers_family :
+    subsystem:string ->
+    names:string array ->
+    pattern:string ->
+    unit:string ->
+    scopes:scope list ->
+    string ->
+    timer array
+
+  val is_declared : subsystem:string -> name:string -> bool
+  (** Whether some declaration, of any kind, names [subsystem.name]. *)
+
+  val markdown_table : unit -> string
+  (** The schema as a Markdown table (name, unit, kind, scope,
+      definition), one row per declaration, sorted by name. A family's
+      row carries its [pattern] as the name and lists its members. *)
+end
+
+type t
+
 
 val create : ?ring_capacity:int -> ?enabled:bool -> unit -> t
 (** [ring_capacity] (default 1024) bounds each per-(rank,core) span ring.
@@ -102,8 +199,26 @@ val digest : t -> Bg_engine.Fnv.t
 (** {1 Metrics}
 
     Counters, gauges and cycle-latency timers keyed by
-    (subsystem, name, rank, core). [rank]/[core] default to
-    {!node_scope}. All writes are no-ops while disabled. *)
+    (subsystem, name, rank, core). In the string API [rank]/[core]
+    default to {!node_scope}. All writes are no-ops while disabled. *)
+
+val add : t -> rank:int -> core:int -> Metric.counter -> int -> unit
+(** [add t ~rank ~core c n] bumps a declared counter by [n]. The handle
+    operations take every argument explicitly, so a call allocates
+    nothing. *)
+
+val count : t -> Metric.counter -> unit
+(** Bump a declared counter by one at {!node_scope}. *)
+
+val set : t -> rank:int -> core:int -> Metric.gauge -> int -> unit
+(** Set a declared gauge. *)
+
+val observe : t -> rank:int -> core:int -> Metric.timer -> int -> unit
+(** Feed a latency sample (cycles) into a declared timer, whose
+    histogram has the declared shape. *)
+
+(** The same operations by name, resolved through the schema's
+    registry. *)
 
 val incr :
   t -> ?rank:int -> ?core:int -> subsystem:string -> name:string -> ?by:int -> unit -> unit

@@ -230,7 +230,7 @@ let job_factory ~fabric spec =
       (* restoring (or scrubbing) dirtied the whole image; deltas restart
          from here *)
       ignore (Libc.query_dirty ~clear:true);
-      if start_step > 0 then Obs.incr obs ~subsystem:"resilience" ~name:"restores" ();
+      if start_step > 0 then Obs.count obs Metrics.Resilience.restores;
       let hit = ref false and redos = ref 0 in
       (match spec.strategy with
       | Parity_inplace ->
@@ -247,7 +247,7 @@ let job_factory ~fabric spec =
           Coro.consume spec.step_cycles;
           if !hit then begin
             incr redos;
-            Obs.incr obs ~subsystem:"resilience" ~name:"parity_redos" ();
+            Obs.count obs Metrics.Resilience.parity_redos;
             attempt ()
           end
         in
@@ -256,7 +256,7 @@ let job_factory ~fabric spec =
         fill_slot ~rank_index:idx ~step b 0;
         Coro.store ~addr:(base + data_off + (slot_of spec step * slot_bytes)) b;
         Libc.poke base step;
-        Obs.incr obs ~subsystem:"resilience" ~name:"steps_executed" ();
+        Obs.count obs Metrics.Resilience.steps_executed;
         if spec.ckpt_every > 0 && step mod spec.ckpt_every = 0 && step < spec.steps
         then begin
           barrier () (* quiesce: every rank at the same step *);
@@ -268,18 +268,18 @@ let job_factory ~fabric spec =
                 Bg_apps.Checkpoint.save ~name:(full_name spec idx !v) ~regions
               in
               ignore (Libc.query_dirty ~clear:true);
-              Obs.incr obs ~subsystem:"resilience" ~name:"ckpt_full" ();
+              Obs.count obs Metrics.Resilience.ckpt_full;
               b
             end
             else begin
-              Obs.incr obs ~subsystem:"resilience" ~name:"ckpt_delta" ();
+              Obs.count obs Metrics.Resilience.ckpt_delta;
               write_delta spec ~idx ~v:!v ~base
             end
           in
-          Obs.incr obs ~subsystem:"resilience" ~name:"ckpt_bytes" ~by:bytes ();
+          Obs.add obs ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Resilience.ckpt_bytes bytes;
           barrier () (* everyone durable before the version commits *);
           if idx = 0 then write_commit spec ~v:!v ~step;
-          Obs.observe_cycles obs ~subsystem:"resilience" ~name:"ckpt_cycles"
+          Obs.observe obs ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Resilience.ckpt_cycles
             (Coro.rdtsc () - t0)
         end
       done;

@@ -49,23 +49,23 @@ let publish t ev =
     ~message:(Fault_event.to_message ev);
   let total = t.parity + t.deaths + t.links + t.ciod_crashes in
   if total > 0 then
-    Obs.set_gauge (obs t) ~subsystem:"resilience" ~name:"mtbf_cycles"
+    Obs.set (obs t) ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Resilience.mtbf_cycles
       (Sim.now (sim t) / total)
 
 let rec apply t ev =
   match ev with
   | Fault_event.L1_parity { rank; core } ->
     t.parity <- t.parity + 1;
-    Obs.incr (obs t) ~subsystem:"resilience" ~name:"parity_injected" ();
+    Obs.count (obs t) Metrics.Resilience.parity_injected;
     publish t ev;
     (* the error only bites a core that is actually running user code *)
     if Cnk.Node.inject_l1_parity_error (Cnk.Cluster.node t.cluster rank) ~core then
-      Obs.incr (obs t) ~subsystem:"resilience" ~name:"parity_delivered" ()
+      Obs.count (obs t) Metrics.Resilience.parity_delivered
   | Fault_event.Node_death { rank } ->
     if not (List.mem rank t.dead) then begin
       t.deaths <- t.deaths + 1;
       t.dead <- rank :: t.dead;
-      Obs.incr (obs t) ~subsystem:"resilience" ~name:"deaths_injected" ();
+      Obs.count (obs t) Metrics.Resilience.deaths_injected;
       (* publish first: an attached Recovery kills the spanning job on every
          member node inside this very cycle, so survivors never spin on a
          dead peer *)
@@ -77,7 +77,7 @@ let rec apply t ev =
     let torus = (machine t).Machine.torus in
     if not (Bg_hw.Torus.link_broken torus ~rank ~dir) then begin
       t.links <- t.links + 1;
-      Obs.incr (obs t) ~subsystem:"resilience" ~name:"links_broken" ();
+      Obs.count (obs t) Metrics.Resilience.links_broken;
       publish t ev;
       Bg_hw.Torus.set_link_broken torus ~rank ~dir true;
       if t.config.link_repair_after > 0 then
@@ -95,7 +95,7 @@ let rec apply t ev =
     let ciod = Cnk.Cluster.ciod t.cluster ~io_node in
     if Bg_cio.Ciod.alive ciod then begin
       t.ciod_crashes <- t.ciod_crashes + 1;
-      Obs.incr (obs t) ~subsystem:"resilience" ~name:"ciod_crashes_injected" ();
+      Obs.count (obs t) Metrics.Resilience.ciod_crashes_injected;
       (* publish first, so a fatal crash gang-kills the pset before any
          retransmission timer wastes cycles re-driving a dead daemon *)
       publish t ev;

@@ -112,9 +112,9 @@ let set_state t s =
   let prev = t.state in
   t.state <- s;
   t.transitions <- t.transitions + 1;
-  Obs.set_gauge (obs t) ~subsystem:"policy" ~name:"health_state"
+  Obs.set (obs t) ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Policy.health_state
     (health_rank s);
-  Obs.incr (obs t) ~subsystem:"policy" ~name:"transitions" ();
+  Obs.count (obs t) Metrics.Policy.transitions;
   record t "health %s -> %s" (health_to_string prev) (health_to_string s)
 
 (* Escalation applies every tier crossed on the way up; a Healthy machine
@@ -171,7 +171,7 @@ let rec arm_reeval t =
 let note_pressure t =
   prune t;
   t.window <- Sim.now t.sim :: t.window;
-  Obs.set_gauge (obs t) ~subsystem:"policy" ~name:"fault_pressure"
+  Obs.set (obs t) ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Policy.fault_pressure
     (List.length t.window);
   let target = target_of_pressure t (List.length t.window) in
   if health_rank target > health_rank t.state then escalate t target;
@@ -207,7 +207,7 @@ let schedule_ciod_restart t ~io_node =
              Hashtbl.remove t.pending_restart io_node;
              if Recovery.restart_ciod t.recovery ~io_node then begin
                t.ciod_restarts <- t.ciod_restarts + 1;
-               Obs.incr (obs t) ~subsystem:"policy" ~name:"ciod_restarts" ();
+               Obs.count (obs t) Metrics.Policy.ciod_restarts;
                record t "ciod_restarted io=%d" io_node
              end
            end))
@@ -217,13 +217,13 @@ let drain_and_rebuild t ~io_node =
   Hashtbl.remove t.pending_restart io_node;
   if Recovery.fatal_ciod t.recovery ~io_node then begin
     t.drains <- t.drains + 1;
-    Obs.incr (obs t) ~subsystem:"policy" ~name:"psets_drained" ();
+    Obs.count (obs t) Metrics.Policy.psets_drained;
     record t "pset_drained io=%d" io_node;
     ignore
       (Sim.schedule_in t.sim t.config.pset_rebuild_after (fun () ->
            let revived = Recovery.rebuild_pset t.recovery ~io_node in
            t.rebuilds <- t.rebuilds + 1;
-           Obs.incr (obs t) ~subsystem:"policy" ~name:"psets_rebuilt" ();
+           Obs.count (obs t) Metrics.Policy.psets_rebuilt;
            Hashtbl.replace t.fatals io_node [];
            record t "pset_rebuilt io=%d revived=%d" io_node
              (List.length revived);
@@ -281,13 +281,13 @@ let attach ?(config = default) sched =
       jobs_shed = 0;
     }
   in
-  Obs.set_gauge (obs t) ~subsystem:"policy" ~name:"health_state" 0;
+  Obs.set (obs t) ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Policy.health_state 0;
   Scheduler.set_restart_policy sched
     (Some
        (fun ~jid ~attempt ->
          let d = backoff_delay config ~attempt in
          t.retries_delayed <- t.retries_delayed + 1;
-         Obs.incr (obs t) ~subsystem:"policy" ~name:"retries_delayed" ();
+         Obs.count (obs t) Metrics.Policy.retries_delayed;
          record t "backoff jid=%d attempt=%d delay=%d" jid attempt d;
          d));
   (* a daemon coming back by any path (our restart, injector

@@ -56,7 +56,7 @@ let node_death t ~rank =
   else begin
     Hashtbl.replace t.dead_seen rank ();
     t.deaths <- t.deaths + 1;
-    Obs.incr (obs t) ~subsystem:"resilience" ~name:"deaths_handled" ();
+    Obs.count (obs t) Metrics.Resilience.deaths_handled;
     Bg_control.Scheduler.node_failed t.scheduler ~rank;
     true
   end
@@ -68,7 +68,7 @@ let substitute t ~dead =
   | None -> None
   | Some spare ->
     t.substitutions <- t.substitutions + 1;
-    Obs.incr (obs t) ~subsystem:"resilience" ~name:"substitutions" ();
+    Obs.count (obs t) Metrics.Resilience.substitutions;
     Machine.ras_emit (machine t) ~rank:spare ~severity:Machine.Ras_info
       ~message:(Printf.sprintf "HEAL substitute dead=%d spare=%d" dead spare);
     Some spare
@@ -80,7 +80,7 @@ let fatal_ciod t ~io_node =
   else begin
     Hashtbl.replace t.psets_seen io_node ();
     t.psets_lost <- t.psets_lost + 1;
-    Obs.incr (obs t) ~subsystem:"resilience" ~name:"psets_lost" ();
+    Obs.count (obs t) Metrics.Resilience.psets_lost;
     let cluster = Bg_control.Scheduler.cluster t.scheduler in
     Bg_control.Scheduler.pset_failed t.scheduler
       ~ranks:(Cnk.Cluster.pset_ranks cluster ~io_node);
@@ -117,7 +117,7 @@ let rebuild_pset t ~io_node =
   ignore (restart_ciod t ~io_node);
   Hashtbl.remove t.psets_seen io_node;
   if revived <> [] then begin
-    Obs.incr (obs t) ~subsystem:"resilience" ~name:"psets_rebuilt" ();
+    Obs.count (obs t) Metrics.Resilience.psets_rebuilt;
     Machine.ras_emit (machine t)
       ~rank:(List.hd revived)
       ~severity:Machine.Ras_info
@@ -135,7 +135,7 @@ let note_ciod t = t.ciod_events <- t.ciod_events + 1
 
 let note_alert t =
   t.alerts <- t.alerts + 1;
-  Obs.incr (obs t) ~subsystem:"resilience" ~name:"alerts_seen" ()
+  Obs.count (obs t) Metrics.Resilience.alerts_seen
 
 (* -- the classic immediate policy ------------------------------------ *)
 

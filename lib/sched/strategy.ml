@@ -86,7 +86,7 @@ let place_and_start t (i : Sch.job_info) =
 let count_backfill t started_head =
   if not started_head then begin
     t.backfilled <- t.backfilled + 1;
-    Obs.incr (obs t) ~subsystem:"scheduler" ~name:"backfill_started" ()
+    Obs.count (obs t) Metrics.Scheduler.backfill_started
   end
 
 (* --- EASY reservation arithmetic (node-count model) -----------------
@@ -280,13 +280,16 @@ let rec dispatch_fair t () =
   let pending = Sch.pending_info t.sched in
   if pending <> [] then begin
     let prio = fair_priority t ~at:(now t) in
+    (* each job's priority once per pass, then (prio, submitted, jid) *)
     let ordered =
-      List.stable_sort
-        (fun (a : Sch.job_info) (b : Sch.job_info) ->
-          compare
-            (prio a, a.Sch.info_submitted, a.Sch.info_jid)
-            (prio b, b.Sch.info_submitted, b.Sch.info_jid))
-        pending
+      List.map (fun (i : Sch.job_info) -> (prio i, i)) pending
+      |> List.stable_sort (fun (pa, (a : Sch.job_info)) (pb, (b : Sch.job_info)) ->
+             let c = Int.compare pa pb in
+             if c <> 0 then c
+             else
+               let c = Int.compare a.Sch.info_submitted b.Sch.info_submitted in
+               if c <> 0 then c else Int.compare a.Sch.info_jid b.Sch.info_jid)
+      |> List.map snd
     in
     let rec try_each started = function
       | [] -> started

@@ -57,11 +57,19 @@ let prop_fnv_matches_reference =
   let edge_int64s =
     QCheck.Gen.oneofl [ 0L; 1L; -1L; 0xffL; Int64.min_int; Int64.max_int ]
   in
+  (* values whose high bytes are zero, k of the eight in all *)
+  let short_ints = QCheck.Gen.(map (fun (k, x) -> x land ((1 lsl (8 * k)) - 1)) (pair (0 -- 7) int)) in
+  let short_int64s =
+    QCheck.Gen.(
+      map
+        (fun (k, x) -> Int64.logand x (Int64.pred (Int64.shift_left 1L (8 * k))))
+        (pair (0 -- 7) ui64))
+  in
   let gen =
     QCheck.Gen.(
       quad
-        (frequency [ (1, edge_ints); (3, int) ])
-        (frequency [ (1, edge_int64s); (3, ui64); (1, map Int64.neg ui64) ])
+        (frequency [ (1, edge_ints); (3, short_ints); (3, int) ])
+        (frequency [ (1, edge_int64s); (3, short_int64s); (3, ui64); (1, map Int64.neg ui64) ])
         (frequency
            [ (1, return ""); (1, return "\xc3\xa9\xff\x00"); (3, string_size (0 -- 40)) ])
         ui64)
@@ -79,7 +87,12 @@ let prop_fnv_matches_reference =
            (Bytes.of_string ("ab" ^ s ^ "c"))
            ~pos:2 ~len:(String.length s)
          = Fnv_ref.add_string h s
-      && Fnv.add_int Fnv.empty i = Fnv.add_int64 Fnv.empty (Int64.of_int i))
+      && Fnv.add_int Fnv.empty i = Fnv.add_int64 Fnv.empty (Int64.of_int i)
+      &&
+      let a = Fnv.Acc.create () in
+      Fnv.Acc.int a i;
+      Fnv.Acc.string a s;
+      Fnv.Acc.value a = Fnv_ref.add_string (Fnv_ref.add_int Fnv.empty i) s)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)

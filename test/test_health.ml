@@ -395,6 +395,38 @@ let test_scheduler_turnaround_timer () =
   | Some st -> check_bool "one completed job observed" true (Stats.Online.n st >= 1)
   | None -> Alcotest.fail "scheduler.turnaround_cycles timer missing"
 
+(* A rule on a misspelt series parses (the grammar is fine) but fails
+   the schema check, which names the series; the tools' own rules pass. *)
+let test_rule_schema_check () =
+  let parse s =
+    match Health.parse_rule s with Ok r -> r | Error e -> Alcotest.fail (s ^ " rejected: " ^ e)
+  in
+  let typo = parse "node_deaths: resilience.deaths_handeld delta >= 1 warn" in
+  (match Health.check_schema [ typo ] with
+  | Error (Health.Unknown_series { rule; series }) ->
+    check_str "rule" "node_deaths" rule;
+    check_str "series" "resilience.deaths_handeld" series;
+    check_str "message" "rule node_deaths: no metric named resilience.deaths_handeld is declared"
+      (Health.schema_error_message (Health.Unknown_series { rule; series }))
+  | Ok () -> Alcotest.fail "misspelt series accepted");
+  let declared =
+    List.map parse
+      [
+        "node_deaths: resilience.deaths_handled delta >= 1 warn";
+        "retransmit_rate: cio.retransmits rate >= 10 warn";
+        "ras_errors: ras.error value >= 1 error";
+        "dma_stall: dma.inject_stalls value > 0 warn";
+        "span_loss: obs.dropped_spans delta > 0 info";
+        "queue: scheduler.queue_wait_cycles p99 > 500000";
+        "links: torus.links_down value > 0 for 3 warn";
+      ]
+  in
+  check_bool "declared series pass" true (Health.check_schema declared = Ok ());
+  check_bool "the first unknown series is reported" true
+    (match Health.check_schema (declared @ [ typo; parse "s: s.c delta > 0" ]) with
+    | Error (Health.Unknown_series { series; _ }) -> series = "resilience.deaths_handeld"
+    | Ok () -> false)
+
 let suite =
   [
     Alcotest.test_case "rollups: delta/level/windowed percentiles" `Quick test_rollup_kinds;
@@ -406,6 +438,8 @@ let suite =
     Alcotest.test_case "rasdb: component classifier" `Quick test_component_classifier;
     Alcotest.test_case "rasdb: severity gauges" `Quick test_rasdb_gauges;
     Alcotest.test_case "rules: parse + print roundtrip" `Quick test_rule_parse_roundtrip;
+    Alcotest.test_case "rules: undeclared series is a typed error" `Quick
+      test_rule_schema_check;
     Alcotest.test_case "HEALTH events: wire roundtrip" `Quick test_event_roundtrip;
     Alcotest.test_case "alerts: edge-trigger, streak, re-arm" `Quick test_alert_edge_trigger;
     Alcotest.test_case "recorder: fault trigger + bound" `Quick

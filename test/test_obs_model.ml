@@ -15,11 +15,12 @@ module O_ref = Obs_reference.Obs
 
 let check_int = Alcotest.(check int)
 
-(* Scopes include the control system's [node_scope] and the CIOD worker
-   lanes (cores 16 and up). *)
+(* Scopes include the control system's [node_scope], the CIOD worker
+   lanes (cores 16 and up) and two scopes below -1, which the collectors
+   keep off their dense directory. *)
 let scopes =
   [| (Obs.node_scope, Obs.node_scope); (0, 0); (0, 1); (1, 0); (1, 3); (2, 16); (2, 17);
-     (3, 19); (Obs.node_scope, 16) |]
+     (3, 19); (Obs.node_scope, 16); (-3, 2); (1, -4) |]
 
 let cats = [| "syscall"; "cio"; "dma"; "coll" |]
 let names = [| "pwrite.entry"; "pwrite.exit"; "deliver"; "service.pwrite"; "" |]
@@ -189,22 +190,52 @@ let prop_causal_model =
 (* ------------------------------------------------------------------ *)
 (* Obs *)
 
-let subsystems = [| "syscall"; "cio"; "obs" |]
-let metric_names = [| "pwrite"; "dropped_spans"; "service_cycles" |]
+let subsystems = [| "syscall"; "cio"; "obs"; "ciod" |]
+let metric_names = [| "pwrite"; "dropped_spans"; "service_cycles"; "ship_requests"; "queue_depth" |]
+
+(* Declared handles and the names the reference is driven with; their
+   names are among the ones above, so the string API and the handles
+   meet in the same slots. *)
+let pwrite_kind = Sysreq.request_kind (Sysreq.Pwrite { fd = 3; data = Bytes.empty; offset = 0 })
+
+let counter_handles =
+  Bg_kabi.Metrics.
+    [|
+      (Kernel.syscalls.(pwrite_kind), "syscall", "pwrite");
+      (Cio.ship_requests, "cio", "ship_requests");
+    |]
+
+let gauge_handles = Bg_kabi.Metrics.[| (Ciod.queue_depth, "ciod", "queue_depth") |]
+
+let timer_handles =
+  Bg_kabi.Metrics.
+    [|
+      (Cio.service_cycles, "cio", "service_cycles");
+      (Kernel.syscall_cycles.(pwrite_kind), "syscall", "pwrite");
+    |]
 
 type obs_op =
   | Begin of { cat : int; name : int; scope : int; now : int }
+  | Churn of { n : int; keep : int }
+      (** [n] begins round-robin over the scopes, each ending the one before
+          unless that one's index is a multiple of [keep]: handles outrun
+          the open-span table while older ones stay open, so probe runs
+          form and later ends shift them *)
   | End of { pick : int; now : int }  (** pick < 0: the null handle *)
   | Record of { cat : int; name : int; scope : int; start : int; len : int }
   | Abandon of int
   | Incr of { sub : int; name : int; scope : int; by : int option }
   | Set_gauge of { sub : int; name : int; scope : int; v : int }
   | Observe of { sub : int; name : int; scope : int; cycles : int; small : bool }
+  | H_add of { h : int; scope : int; by : int }
+  | H_set of { h : int; scope : int; v : int }
+  | H_observe of { h : int; scope : int; cycles : int }
   | O_enable of bool
   | O_reset
 
 let show_obs_op = function
   | Begin { cat; name; scope; now } -> Printf.sprintf "Begin(%d,%d,scope %d,@%d)" cat name scope now
+  | Churn { n; keep } -> Printf.sprintf "Churn(%d,keep %d)" n keep
   | End { pick; now } -> Printf.sprintf "End(%d,@%d)" pick now
   | Record { cat; name; scope; start; len } ->
     Printf.sprintf "Record(%d,%d,scope %d,%d+%d)" cat name scope start len
@@ -215,19 +246,28 @@ let show_obs_op = function
   | Set_gauge { sub; name; scope; v } -> Printf.sprintf "Gauge(%d,%d,scope %d,%d)" sub name scope v
   | Observe { sub; name; scope; cycles; small } ->
     Printf.sprintf "Observe(%d,%d,scope %d,%d,small=%b)" sub name scope cycles small
+  | H_add { h; scope; by } -> Printf.sprintf "Add(handle %d,scope %d,%d)" h scope by
+  | H_set { h; scope; v } -> Printf.sprintf "Set(handle %d,scope %d,%d)" h scope v
+  | H_observe { h; scope; cycles } -> Printf.sprintf "Observe(handle %d,scope %d,%d)" h scope cycles
   | O_enable b -> Printf.sprintf "Enable %b" b
   | O_reset -> "Reset"
 
 let gen_obs_op =
   QCheck.Gen.(
     let scope = int_bound (Array.length scopes - 1) in
-    let metric f = map3 f (int_bound 2) (int_bound 2) scope in
+    let metric f =
+      map3 f
+        (int_bound (Array.length subsystems - 1))
+        (int_bound (Array.length metric_names - 1))
+        scope
+    in
     frequency
       [
         ( 6,
           map
             (fun (cat, name, scope, now) -> Begin { cat; name; scope; now })
             (quad (int_bound 3) (int_bound 4) scope (int_bound 5_000)) );
+        (1, map2 (fun n keep -> Churn { n; keep }) (int_range 1 300) (int_range 2 16));
         (6, map2 (fun pick now -> End { pick; now }) (int_range (-1) 1_000) (int_bound 5_000));
         ( 5,
           map
@@ -247,6 +287,21 @@ let gen_obs_op =
           map2
             (fun cycles small -> Observe { sub; name; scope; cycles; small })
             (int_bound 3_000_000) bool );
+        ( 3,
+          map3
+            (fun h scope by -> H_add { h; scope; by })
+            (int_bound (Array.length counter_handles - 1))
+            scope (int_range (-3) 9) );
+        ( 2,
+          map3
+            (fun h scope v -> H_set { h; scope; v })
+            (int_bound (Array.length gauge_handles - 1))
+            scope (int_range (-50) 50) );
+        ( 3,
+          map3
+            (fun h scope cycles -> H_observe { h; scope; cycles })
+            (int_bound (Array.length timer_handles - 1))
+            scope (int_bound 3_000_000) );
         (1, map (fun b -> O_enable b) (frequency [ (3, return true); (1, return false) ]));
         (1, return O_reset);
       ])
@@ -346,6 +401,19 @@ let prop_obs_model =
             let h = Obs.span_begin o ~cat ~name ~rank ~core ~now in
             let hr = O_ref.span_begin r ~cat ~name ~rank ~core ~now in
             handles := (h, hr) :: !handles
+          | Churn { n; keep } ->
+            for i = 0 to n - 1 do
+              let rank, core = scopes.(i mod Array.length scopes) in
+              let cat = cats.(i mod 4) and name = names.(i mod 5) in
+              let h = Obs.span_begin o ~cat ~name ~rank ~core ~now:i in
+              let hr = O_ref.span_begin r ~cat ~name ~rank ~core ~now:i in
+              (match !handles with
+              | (p, pr) :: _ when i > 0 && (i - 1) mod keep <> 0 ->
+                Obs.span_end o p ~now:(i + 1);
+                O_ref.span_end r pr ~now:(i + 1)
+              | _ -> ());
+              handles := (h, hr) :: !handles
+            done
           | End { pick = k; now } ->
             let h, hr = pick k in
             Obs.span_end o h ~now;
@@ -380,6 +448,18 @@ let prop_obs_model =
             let hi, bins = if small then (Some 1_000.0, Some 4) else (None, None) in
             Obs.observe_cycles o ~rank ~core ?hi ?bins ~subsystem ~name cycles;
             O_ref.observe_cycles r ~rank ~core ?hi ?bins ~subsystem ~name cycles
+          | H_add { h; scope; by } ->
+            let rank, core = scopes.(scope) and m, subsystem, name = counter_handles.(h) in
+            Obs.add o ~rank ~core m by;
+            O_ref.incr r ~rank ~core ~subsystem ~name ~by ()
+          | H_set { h; scope; v } ->
+            let rank, core = scopes.(scope) and m, subsystem, name = gauge_handles.(h) in
+            Obs.set o ~rank ~core m v;
+            O_ref.set_gauge r ~rank ~core ~subsystem ~name v
+          | H_observe { h; scope; cycles } ->
+            let rank, core = scopes.(scope) and m, subsystem, name = timer_handles.(h) in
+            Obs.observe o ~rank ~core m cycles;
+            O_ref.observe_cycles r ~rank ~core ~subsystem ~name cycles
           | O_enable b ->
             Obs.set_enabled o b;
             O_ref.set_enabled r b
@@ -429,6 +509,86 @@ let test_causal_alloc () =
   check_int "all minted" n (Causal.node_count g);
   if words > float_of_int (55 * n) then
     Alcotest.failf "mint+link: %.1f minor words per pair, more than 55" (words /. float_of_int n)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards on the enabled hot paths: a handle-based counter,
+   gauge and timer update, and a one-shot span into a warm scope. *)
+
+let minor_words_per_call n f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_no_alloc what words =
+  if words > 0.0 then Alcotest.failf "%s: %.2f minor words per call, expected 0" what words
+
+let test_metric_alloc () =
+  let o = Obs.create ~enabled:true () in
+  let pwrite = pwrite_kind in
+  let rank = Sys.opaque_identity 5 and core = Sys.opaque_identity 2 in
+  let node = Obs.node_scope in
+  check_no_alloc "add"
+    (minor_words_per_call 10_000 (fun _ ->
+         Obs.add o ~rank ~core Bg_kabi.Metrics.Kernel.syscalls.(pwrite) 1));
+  check_no_alloc "add at node scope"
+    (minor_words_per_call 10_000 (fun i ->
+         Obs.add o ~rank:node ~core:node Bg_kabi.Metrics.Sched.busy_node_cycles i));
+  check_no_alloc "count"
+    (minor_words_per_call 10_000 (fun _ -> Obs.count o Bg_kabi.Metrics.Scheduler.jobs_started));
+  check_no_alloc "set"
+    (minor_words_per_call 10_000 (fun i ->
+         Obs.set o ~rank ~core:node Bg_kabi.Metrics.Ciod.queue_depth i));
+  check_no_alloc "observe"
+    (minor_words_per_call 10_000 (fun i ->
+         Obs.observe o ~rank ~core:node Bg_kabi.Metrics.Kernel.syscall_cycles.(pwrite) (i * 37)));
+  check_int "counted" 10_001
+    (Obs.counter_value o ~rank ~core ~subsystem:"syscall" ~name:"pwrite" ());
+  check_int "observed" 10_001
+    (match Obs.timer_stats o ~rank ~subsystem:"syscall" ~name:"pwrite" () with
+    | Some s -> Stats.Online.n s
+    | None -> 0)
+
+let test_span_record_alloc () =
+  (* a ring small enough to wrap many times, so the guard covers the
+     overwrite path and the dropped-span counter too *)
+  let o = Obs.create ~ring_capacity:64 ~enabled:true () in
+  let rank = Sys.opaque_identity 3 and core = Sys.opaque_identity 17 in
+  (* warm: the ring holds all 64 slots *)
+  for i = 1 to 64 do
+    Obs.span_record o ~cat:"cio" ~name:"queue_wait" ~rank ~core ~start:i ~finish:i
+  done;
+  check_no_alloc "span_record"
+    (minor_words_per_call 10_000 (fun i ->
+         Obs.span_record o ~cat:"cio" ~name:"queue_wait" ~rank ~core ~start:i ~finish:(i + 5)));
+  check_int "recorded" 10_065 (Obs.span_count o);
+  check_int "dropped" (10_065 - 64) (Obs.dropped_spans o)
+
+(* ------------------------------------------------------------------ *)
+(* The committed metric reference is the schema's own rendering. *)
+
+let test_metrics_doc () =
+  Alcotest.check_raises "a second declaration of a name"
+    (Invalid_argument "Obs.Metric: cio.acks declared twice") (fun () ->
+      ignore
+        (Obs.Metric.counter ~subsystem:"cio" ~name:"acks" ~unit:"count"
+           ~scopes:[ Obs.Metric.Rank ] "again"));
+  (* [dune test] runs in _build/default/test; [dune exec] in the root *)
+  let path =
+    if Sys.file_exists "../doc/METRICS.md" then "../doc/METRICS.md" else "doc/METRICS.md"
+  in
+  let committed = In_channel.with_open_bin path In_channel.input_all in
+  if committed <> Bg_kabi.Metrics.markdown () then
+    Alcotest.fail "doc/METRICS.md differs from the metric schema: run `make metrics-doc`";
+  (* every hot-path family resolves by name to the declared handle's slot *)
+  let o = Obs.create ~enabled:true () in
+  Array.iteri
+    (fun k name ->
+      Obs.add o ~rank:1 ~core:2 Bg_kabi.Metrics.Kernel.syscalls.(k) (k + 1);
+      check_int name (k + 1) (Obs.counter_value o ~rank:1 ~core:2 ~subsystem:"syscall" ~name ()))
+    Sysreq.kind_names
 
 (* ------------------------------------------------------------------ *)
 (* Per-kind syscall names: one sample request of every kind, with the
@@ -488,5 +648,9 @@ let suite =
       Alcotest.test_case "span_end after disable closes the handle" `Quick
         test_span_end_after_disable;
       Alcotest.test_case "causal mint+link allocation guard" `Quick test_causal_alloc;
+      Alcotest.test_case "handle-based metrics allocate nothing" `Quick test_metric_alloc;
+      Alcotest.test_case "span_record into a warm scope allocates nothing" `Quick
+        test_span_record_alloc;
       Alcotest.test_case "per-kind syscall names" `Quick test_request_names;
+      Alcotest.test_case "doc/METRICS.md matches the metric schema" `Quick test_metrics_doc;
     ]
