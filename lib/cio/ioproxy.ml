@@ -9,7 +9,8 @@ type t = {
   rank : int;
   pid : int;
   mutable cwd : string;
-  fds : (int, open_file) Hashtbl.t;
+  mutable fds : (int, open_file) Hashtbl.t option;
+      (* no table until the first descriptor: most proxies never open one *)
   mutable next_fd : int;
   mutable closed : bool;
 }
@@ -17,12 +18,22 @@ type t = {
 let fd_limit = 1024
 
 let create fs ~rank ~pid =
-  { fs; rank; pid; cwd = "/"; fds = Hashtbl.create 16; next_fd = 3; closed = false }
+  { fs; rank; pid; cwd = "/"; fds = None; next_fd = 3; closed = false }
+
+let fd_table t =
+  match t.fds with
+  | Some h -> h
+  | None ->
+    let h = Hashtbl.create 16 in
+    t.fds <- Some h;
+    h
+
+let fold_fds t f init = match t.fds with None -> init | Some h -> Hashtbl.fold f h init
 
 let rank t = t.rank
 let pid t = t.pid
 let cwd t = t.cwd
-let open_fds t = Hashtbl.length t.fds
+let open_fds t = match t.fds with None -> 0 | Some h -> Hashtbl.length h
 
 let ok_int i = Sysreq.R_int i
 let err e = Sysreq.R_err e
@@ -30,17 +41,19 @@ let err e = Sysreq.R_err e
 let of_result f = function Ok v -> f v | Error e -> err e
 
 let with_fd t fd f =
-  match Hashtbl.find_opt t.fds fd with Some o -> f o | None -> err Errno.EBADF
+  match t.fds with
+  | Some h -> ( match Hashtbl.find_opt h fd with Some o -> f o | None -> err Errno.EBADF)
+  | None -> err Errno.EBADF
 
 let do_open t path flags mode =
-  if Hashtbl.length t.fds >= fd_limit then err Errno.EMFILE
+  if open_fds t >= fd_limit then err Errno.EMFILE
   else
     of_result
       (fun inode ->
         let fd = t.next_fd in
         t.next_fd <- fd + 1;
         let offset = if flags.Sysreq.append then Fs.size t.fs inode else 0 in
-        Hashtbl.replace t.fds fd { inode; flags; offset };
+        Hashtbl.replace (fd_table t) fd { inode; flags; offset };
         ok_int fd)
       (Fs.open_file t.fs ~cwd:t.cwd path ~flags ~mode)
 
@@ -88,7 +101,7 @@ let handle t req =
   | Sysreq.Open { path; flags; mode } -> do_open t path flags mode
   | Sysreq.Close fd ->
     with_fd t fd (fun _ ->
-        Hashtbl.remove t.fds fd;
+        Hashtbl.remove (fd_table t) fd;
         Sysreq.R_unit)
   | Sysreq.Read { fd; len } -> do_read t fd len
   | Sysreq.Write { fd; data } -> do_write t fd data
@@ -126,11 +139,11 @@ let handle t req =
     of_result (fun () -> Sysreq.R_unit) (Fs.rename t.fs ~cwd:t.cwd ~src ~dst)
   | Sysreq.Dup fd ->
     with_fd t fd (fun o ->
-        if Hashtbl.length t.fds >= fd_limit then err Errno.EMFILE
+        if open_fds t >= fd_limit then err Errno.EMFILE
         else begin
           let nfd = t.next_fd in
           t.next_fd <- nfd + 1;
-          Hashtbl.replace t.fds nfd { inode = o.inode; flags = o.flags; offset = o.offset };
+          Hashtbl.replace (fd_table t) nfd { inode = o.inode; flags = o.flags; offset = o.offset };
           ok_int nfd
         end)
   | Sysreq.Fsync fd -> with_fd t fd (fun _ -> Sysreq.R_unit)
@@ -143,7 +156,7 @@ let closed t = t.closed
    neither raise nor disturb descriptors of a successor proxy. *)
 let close_all t =
   if not t.closed then begin
-    Hashtbl.reset t.fds;
+    t.fds <- None;
     t.closed <- true
   end
 
@@ -160,11 +173,11 @@ type snapshot = { snap_cwd : string; snap_next_fd : int; snap_fds : fd_snapshot 
 
 let snapshot t =
   let fds =
-    Hashtbl.fold
+    fold_fds t
       (fun fd o acc ->
         { snap_fd = fd; snap_inode = o.inode; snap_flags = o.flags; snap_offset = o.offset }
         :: acc)
-      t.fds []
+      []
   in
   {
     snap_cwd = t.cwd;
@@ -193,7 +206,7 @@ let capture t b =
   w_i t.next_fd;
   Buffer.add_uint8 b (if t.closed then 1 else 0);
   let fds =
-    Hashtbl.fold (fun fd o acc -> (fd, o) :: acc) t.fds []
+    fold_fds t (fun fd o acc -> (fd, o) :: acc) []
     |> List.sort (fun (i, _) (j, _) -> compare i j)
   in
   w_i (List.length fds);
@@ -228,7 +241,7 @@ let restore fs ~rank ~pid snap =
   t.next_fd <- snap.snap_next_fd;
   List.iter
     (fun s ->
-      Hashtbl.replace t.fds s.snap_fd
+      Hashtbl.replace (fd_table t) s.snap_fd
         { inode = s.snap_inode; flags = s.snap_flags; offset = s.snap_offset })
     snap.snap_fds;
   t

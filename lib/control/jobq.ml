@@ -68,5 +68,10 @@ let fold t ~init ~f =
   iter t (fun k v -> acc := f !acc k v);
   !acc
 
+(* Tail to head, so a list built with [::] comes out head first. *)
+let fold_back t ~init ~f =
+  let rec go acc = function None -> acc | Some n -> go (f n.key n.value acc) n.prev in
+  go init t.tail
+
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
 let keys t = List.map fst (to_list t)

@@ -35,6 +35,11 @@ val iter : 'a t -> (int -> 'a -> unit) -> unit
 (** Head-to-tail. The callback must not mutate the queue. *)
 
 val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
+
+val fold_back : 'a t -> init:'b -> f:(int -> 'a -> 'b -> 'b) -> 'b
+(** Tail-to-head: [fold_back q ~init:[] ~f:(fun _ v acc -> v :: acc)]
+    lists the values head first in one pass. *)
+
 val to_list : 'a t -> (int * 'a) list
 (** Head-to-tail snapshot; safe to mutate the queue afterwards. *)
 

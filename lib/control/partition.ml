@@ -10,6 +10,7 @@ type t = {
   occupied : bool array;  (* indexed by rank *)
   down : bool array;      (* RAS marked the node dead; never allocate *)
   spare : bool array;     (* held in reserve; activated by [substitute] *)
+  mutable free : int;     (* ranks neither occupied, down nor spare *)
   mutable substitutions : int;
   mutable live : allocation list;
   mutable next_id : int;
@@ -23,6 +24,7 @@ let create ~dims =
     occupied = Array.make (x * y * z) false;
     down = Array.make (x * y * z) false;
     spare = Array.make (x * y * z) false;
+    free = x * y * z;
     substitutions = 0;
     live = [];
     next_id = 1;
@@ -46,6 +48,16 @@ let box_ranks t (bx, by, bz) (sx, sy, sz) =
   !acc
 
 let rank_free t r = (not t.occupied.(r)) && (not t.down.(r)) && not t.spare.(r)
+
+(* Every write to the three masks goes through here, so [free] stays
+   the count {!free_nodes} would get by scanning them. *)
+let set_mask t mask r v =
+  let was = rank_free t r in
+  mask.(r) <- v;
+  match (was, rank_free t r) with
+  | true, false -> t.free <- t.free - 1
+  | false, true -> t.free <- t.free + 1
+  | _ -> ()
 
 let box_in_bounds t (bx, by, bz) (sx, sy, sz) =
   let x, y, z = t.dims in
@@ -119,7 +131,7 @@ let first_free_base t ~shape =
   end
 
 let commit t base shape ranks =
-  List.iter (fun r -> t.occupied.(r) <- true) ranks;
+  List.iter (fun r -> set_mask t t.occupied r true) ranks;
   let a = { id = t.next_id; base; shape; ranks } in
   t.next_id <- t.next_id + 1;
   t.live <- a :: t.live;
@@ -146,22 +158,17 @@ let release t id =
   match List.find_opt (fun a -> a.id = id) t.live with
   | None -> invalid_arg "Partition.release: unknown id"
   | Some a ->
-    List.iter (fun r -> t.occupied.(r) <- false) a.ranks;
+    List.iter (fun r -> set_mask t t.occupied r false) a.ranks;
     t.live <- List.filter (fun x -> x.id <> id) t.live
 
-let free_nodes t =
-  let free = ref 0 in
-  Array.iteri
-    (fun r o -> if (not o) && (not t.down.(r)) && not t.spare.(r) then incr free)
-    t.occupied;
-  !free
+let free_nodes t = t.free
 
 let allocated t = List.rev t.live
 let total_nodes t = Array.length t.occupied
 
 let set_down t ~rank down =
   if rank < 0 || rank >= Array.length t.down then invalid_arg "Partition.set_down";
-  t.down.(rank) <- down
+  set_mask t t.down rank down
 
 let is_down t ~rank = t.down.(rank)
 
@@ -181,7 +188,7 @@ let set_spare t ~rank flag =
   if rank < 0 || rank >= Array.length t.spare then invalid_arg "Partition.set_spare";
   if flag && (t.occupied.(rank) || t.down.(rank)) then
     invalid_arg "Partition.set_spare: rank is occupied or down";
-  t.spare.(rank) <- flag
+  set_mask t t.spare rank flag
 
 let spare_ranks t =
   let acc = ref [] in
@@ -194,7 +201,7 @@ let substitute t ~dead:_ =
   let rec find r =
     if r >= Array.length t.spare then None
     else if t.spare.(r) && not t.down.(r) then begin
-      t.spare.(r) <- false;
+      set_mask t t.spare r false;
       t.substitutions <- t.substitutions + 1;
       Some r
     end

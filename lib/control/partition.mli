@@ -47,7 +47,8 @@ val release : t -> int -> unit
 (** Free an allocation by id; unknown ids raise [Invalid_argument]. *)
 
 val free_nodes : t -> int
-(** Nodes neither occupied nor marked down. *)
+(** Nodes neither occupied, marked down nor held as spares. A count kept
+    up to date on every change to those marks, so O(1). *)
 
 val allocated : t -> allocation list
 val total_nodes : t -> int

@@ -11,31 +11,15 @@ type job_state =
 
 type job_class = Batch | Backfill_class
 
-type pending = {
-  jid : job_id;
-  shape : int * int * int;
-  cls : job_class;
-  tenant : int option;  (* SLO accounting scope; None = anonymous *)
-  gang : int option;  (* co-scheduling group: all members start together *)
-  est_cycles : int option;  (* user runtime estimate, for reservations *)
-  factory : ranks:int list -> Job.t;
-  walltime : int option;
-  restart_limit : int;
-  mutable restarts : int;
-  first_submitted : Cycles.t;  (* original submission, for turnaround timing *)
-  mutable submitted : Cycles.t;  (* (re)submission cycle, for queue-wait timing *)
-  mutable failed_at : Cycles.t option;  (* when RAS declared the incarnation dead *)
-}
-
 type job_info = {
   info_jid : job_id;
   info_shape : int * int * int;
   info_cls : job_class;
-  info_tenant : int option;
-  info_gang : int option;
-  info_est : int option;
+  info_tenant : int option;  (* SLO accounting scope; None = anonymous *)
+  info_gang : int option;  (* co-scheduling group: all members start together *)
+  info_est : int option;  (* user runtime estimate, for reservations *)
   info_walltime : int option;
-  info_submitted : Cycles.t;
+  info_submitted : Cycles.t;  (* (re)submission cycle, for queue-wait timing *)
   info_restarts : int;
 }
 
@@ -45,6 +29,27 @@ type running_info = {
   run_started : Cycles.t;
 }
 
+(* A job's fixed description and its incarnation's submit cycle and
+   restart count live in [view], the record strategies read: built once
+   at submit and replaced only when a failed incarnation bumps the
+   restart count or is requeued, so listing the queue builds no record
+   per job. *)
+type pending = {
+  mutable view : job_info;
+  factory : ranks:int list -> Job.t;
+  restart_limit : int;
+  first_submitted : Cycles.t;  (* original submission, for turnaround timing *)
+  mutable failed_at : Cycles.t option;  (* when RAS declared the incarnation dead *)
+}
+
+(* A running incarnation; [info] is what {!running_info} lists. *)
+type run = {
+  job : pending;
+  alloc : Partition.allocation;
+  span : Obs.handle;
+  info : running_info;
+}
+
 type t = {
   cluster : Cnk.Cluster.t;
   partition : Partition.t;
@@ -52,7 +57,10 @@ type t = {
   queue : pending Jobq.t;  (* FIFO, head first; O(1) append/remove *)
   states : (job_id, job_state) Hashtbl.t;
   jobs : (job_id, pending) Hashtbl.t;  (* every job ever submitted *)
-  running : (job_id, pending * Partition.allocation * Cycles.t * Obs.handle) Hashtbl.t;
+  running : (job_id, run) Hashtbl.t;
+  mutable running_view : running_info list;  (* [running]'s views, ascending job id *)
+  mutable pending_view : job_info list option;
+      (* the queue's views, head first, while the queue has not changed *)
   reported : (job_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (* ranks whose completion event arrived for the live incarnation *)
   tenant_usage : (int, int) Hashtbl.t;  (* tenant -> busy node-cycles *)
@@ -100,6 +108,8 @@ let create ?(backfill = false) cluster =
     states = Hashtbl.create 16;
     jobs = Hashtbl.create 16;
     running = Hashtbl.create 16;
+    running_view = [];
+    pending_view = None;
     reported = Hashtbl.create 16;
     tenant_usage = Hashtbl.create 16;
     next_id = 1;
@@ -117,6 +127,24 @@ let create ?(backfill = false) cluster =
     rejected = 0;
   }
 
+(* Every change to the queue goes through these three, which keep the
+   cached list of views in step: a submit or a requeue drops it, and
+   taking the head (the usual start) leaves its tail, still valid. *)
+let enqueue t (p : pending) =
+  Jobq.append t.queue ~key:p.view.info_jid p;
+  t.pending_view <- None
+
+let enqueue_front t (p : pending) =
+  Jobq.push_front t.queue ~key:p.view.info_jid p;
+  t.pending_view <- None
+
+let dequeue t jid =
+  ignore (Jobq.remove t.queue jid);
+  t.pending_view <-
+    (match t.pending_view with
+    | Some (head :: rest) when head.info_jid = jid -> Some rest
+    | _ -> None)
+
 let submit_factory t ?walltime_cycles ?(restart_limit = 0) ?(cls = Batch) ?tenant
     ?gang ?est_cycles ~shape factory =
   let x, y, z = Bg_hw.Torus.dims (Cnk.Cluster.machine t.cluster).Machine.torus in
@@ -126,22 +154,25 @@ let submit_factory t ?walltime_cycles ?(restart_limit = 0) ?(cls = Batch) ?tenan
   t.next_id <- jid + 1;
   let pending =
     {
-      jid;
-      shape;
-      cls;
-      tenant;
-      gang;
-      est_cycles;
+      view =
+        {
+          info_jid = jid;
+          info_shape = shape;
+          info_cls = cls;
+          info_tenant = tenant;
+          info_gang = gang;
+          info_est = est_cycles;
+          info_walltime = walltime_cycles;
+          info_submitted = now t;
+          info_restarts = 0;
+        };
       factory;
-      walltime = walltime_cycles;
       restart_limit;
-      restarts = 0;
       first_submitted = now t;
-      submitted = now t;
       failed_at = None;
     }
   in
-  Jobq.append t.queue ~key:jid pending;
+  enqueue t pending;
   Hashtbl.replace t.states jid Queued;
   Hashtbl.replace t.jobs jid pending;
   t.outstanding <- t.outstanding + 1;
@@ -185,29 +216,23 @@ let on_job_done t f = t.on_done <- t.on_done @ [ f ]
 let tenant_usage t tid =
   match Hashtbl.find_opt t.tenant_usage tid with Some v -> v | None -> 0
 
-let info_of (p : pending) =
-  {
-    info_jid = p.jid;
-    info_shape = p.shape;
-    info_cls = p.cls;
-    info_tenant = p.tenant;
-    info_gang = p.gang;
-    info_est = p.est_cycles;
-    info_walltime = p.walltime;
-    info_submitted = p.submitted;
-    info_restarts = p.restarts;
-  }
-
 let pending_info t =
-  List.rev (Jobq.fold t.queue ~init:[] ~f:(fun acc _ p -> info_of p :: acc))
+  match t.pending_view with
+  | Some view -> view
+  | None ->
+    let view = Jobq.fold_back t.queue ~init:[] ~f:(fun _ p acc -> p.view :: acc) in
+    t.pending_view <- Some view;
+    view
 
-let running_info t =
-  Hashtbl.fold
-    (fun _ (p, alloc, started, _) acc ->
-      { run_info = info_of p; run_ranks = alloc.Partition.ranks; run_started = started }
-      :: acc)
-    t.running []
-  |> List.sort (fun a b -> Int.compare a.run_info.info_jid b.run_info.info_jid)
+let running_info t = t.running_view
+
+let rec insert_running (r : running_info) = function
+  | x :: rest when x.run_info.info_jid < r.run_info.info_jid -> x :: insert_running r rest
+  | l -> r :: l
+
+let rec remove_running jid = function
+  | [] -> []
+  | x :: rest -> if x.run_info.info_jid = jid then rest else x :: remove_running jid rest
 
 (* Under a shape cap (degraded tier 2) large jobs wait even if space is
    free: a shrunken machine stops handing out its biggest blocks. *)
@@ -240,11 +265,12 @@ and try_start_builtin t =
   | Some (head_jid, head) -> (
     t.scan_visits <- t.scan_visits + 1;
     match
-      if within_cap t head.shape then Partition.allocate t.partition ~shape:head.shape
+      if within_cap t head.view.info_shape then
+        Partition.allocate t.partition ~shape:head.view.info_shape
       else Error "blocked by shape cap"
     with
     | Ok alloc ->
-      ignore (Jobq.remove t.queue head_jid);
+      dequeue t head_jid;
       start t head alloc;
       try_start_builtin t
     | Error _ ->
@@ -256,8 +282,8 @@ and try_start_builtin t =
                if jid <> head_jid && !picked = None then begin
                  t.scan_visits <- t.scan_visits + 1;
                  match
-                   if within_cap t p.shape then
-                     Partition.allocate t.partition ~shape:p.shape
+                   if within_cap t p.view.info_shape then
+                     Partition.allocate t.partition ~shape:p.view.info_shape
                    else Error "blocked by shape cap"
                  with
                  | Ok alloc ->
@@ -269,7 +295,7 @@ and try_start_builtin t =
         match !picked with
         | None -> ()
         | Some (p, alloc) ->
-          ignore (Jobq.remove t.queue p.jid);
+          dequeue t p.view.info_jid;
           Obs.count (obs t) Metrics.Scheduler.backfill_started;
           start t p alloc;
           try_start_builtin t
@@ -278,67 +304,67 @@ and try_start_builtin t =
 and start t pending alloc =
   let o = obs t in
   let start_cycle = now t in
+  let view = pending.view in
+  let jid = view.info_jid in
   (* Scheduler decisions live under the control-system pid, one tid lane
      per job id, so a queue's history reads as a Gantt chart. *)
   Obs.count o Metrics.Scheduler.jobs_started;
   Obs.observe o ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Scheduler.queue_wait_cycles
-    (start_cycle - pending.submitted);
-  (match pending.tenant with
+    (start_cycle - view.info_submitted);
+  (match view.info_tenant with
   | Some tid ->
     Obs.observe o ~rank:tid ~core:Obs.node_scope Metrics.Sched.queue_wait_cycles
-      (start_cycle - pending.submitted)
+      (start_cycle - view.info_submitted)
   | None -> ());
   (match pending.failed_at with
-  | Some failed when pending.restarts > 0 ->
+  | Some failed when view.info_restarts > 0 ->
     Obs.observe o ~rank:Obs.node_scope ~core:Obs.node_scope
       Metrics.Scheduler.recovery_latency_cycles
       (start_cycle - failed);
     pending.failed_at <- None
   | _ -> ());
-  let job_span =
+  let span =
     Obs.span_begin o ~cat:"scheduler"
-      ~name:(Printf.sprintf "job.%d" pending.jid)
-      ~rank:Obs.node_scope ~core:pending.jid ~now:start_cycle
+      ~name:(Printf.sprintf "job.%d" jid)
+      ~rank:Obs.node_scope ~core:jid ~now:start_cycle
   in
-  causal_mark t ~jid:pending.jid "start";
-  Hashtbl.replace t.states pending.jid (Running alloc.Partition.ranks);
-  Hashtbl.replace t.running pending.jid (pending, alloc, start_cycle, job_span);
-  Hashtbl.replace t.reported pending.jid
-    (Hashtbl.create (List.length alloc.Partition.ranks));
-  let job = pending.factory ~ranks:alloc.Partition.ranks in
+  causal_mark t ~jid "start";
+  let ranks = alloc.Partition.ranks in
+  let info = { run_info = view; run_ranks = ranks; run_started = start_cycle } in
+  Hashtbl.replace t.states jid (Running ranks);
+  Hashtbl.replace t.running jid { job = pending; alloc; span; info };
+  t.running_view <- insert_running info t.running_view;
+  Hashtbl.replace t.reported jid (Hashtbl.create (List.length ranks));
+  let job = pending.factory ~ranks in
   List.iter
     (fun rank ->
       let node = Cnk.Cluster.node t.cluster rank in
-      Cnk.Node.on_job_complete node (fun () -> member_completed t pending.jid ~rank))
-    alloc.Partition.ranks;
+      Cnk.Node.on_job_complete node (fun () -> member_completed t jid ~rank))
+    ranks;
   List.iter
     (fun rank ->
       match Cnk.Node.launch (Cnk.Cluster.node t.cluster rank) job with
       | Ok () -> ()
       | Error e -> failwith (Printf.sprintf "launch on rank %d: %s" rank e))
-    alloc.Partition.ranks;
-  List.iter (fun f -> f pending.jid ~ranks:alloc.Partition.ranks) t.on_start;
-  match pending.walltime with
+    ranks;
+  List.iter (fun f -> f jid ~ranks) t.on_start;
+  match view.info_walltime with
   | None -> ()
   | Some limit ->
     let sim = Cnk.Cluster.sim t.cluster in
-    let incarnation = pending.restarts in
+    let incarnation = view.info_restarts in
     ignore
       (Bg_engine.Sim.schedule_in sim limit (fun () ->
-           match Hashtbl.find_opt t.states pending.jid with
-           | Some (Running _) when pending.restarts = incarnation ->
+           match Hashtbl.find_opt t.states jid with
+           | Some (Running _) when pending.view.info_restarts = incarnation ->
              (* kill, but tell RAS first: silent job disappearance is the
                 §VI diagnosability sin *)
              let machine = Cnk.Cluster.machine t.cluster in
-             let rank = List.hd alloc.Partition.ranks in
+             let rank = List.hd ranks in
              Machine.ras_emit machine ~rank ~severity:Machine.Ras_warn
-               ~message:
-                 (Printf.sprintf "SCHED walltime job=%d rank=%d limit=%d" pending.jid
-                    rank limit);
+               ~message:(Printf.sprintf "SCHED walltime job=%d rank=%d limit=%d" jid rank limit);
              Obs.count o Metrics.Scheduler.walltime_kills;
-             List.iter
-               (fun rank -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster rank))
-               alloc.Partition.ranks
+             List.iter (fun rank -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster rank)) ranks
            | _ -> ()))
 
 (* The per-member completion event. The control network replays and
@@ -350,7 +376,7 @@ and member_completed t jid ~rank =
   | None ->
     t.duplicate_completions <- t.duplicate_completions + 1;
     Obs.count (obs t) Metrics.Scheduler.duplicate_completions
-  | Some (pending, alloc, started, span) ->
+  | Some run ->
     let seen =
       match Hashtbl.find_opt t.reported jid with
       | Some s -> s
@@ -359,28 +385,30 @@ and member_completed t jid ~rank =
         Hashtbl.replace t.reported jid s;
         s
     in
-    if Hashtbl.mem seen rank || not (List.mem rank alloc.Partition.ranks) then begin
+    if Hashtbl.mem seen rank || not (List.mem rank run.alloc.Partition.ranks) then begin
       t.duplicate_completions <- t.duplicate_completions + 1;
       Obs.count (obs t) Metrics.Scheduler.duplicate_completions
     end
     else begin
       Hashtbl.replace seen rank ();
-      if Hashtbl.length seen = List.length alloc.Partition.ranks then
-        finish t pending alloc started span
+      if Hashtbl.length seen = List.length run.alloc.Partition.ranks then finish t run
     end
 
 (* Every member node reported completion: decide between terminal states
    and a restart. A job failed if any process on any member node exited
    nonzero (a crash, a kill after a node death, or a walltime kill). *)
-and finish t pending alloc started span =
-  if Hashtbl.mem t.running pending.jid then begin
+and finish t { job = pending; alloc; span; info } =
+  let jid = pending.view.info_jid in
+  if Hashtbl.mem t.running jid then begin
     let o = obs t in
+    let started = info.run_started in
     Partition.release t.partition alloc.Partition.id;
-    Hashtbl.remove t.running pending.jid;
-    Hashtbl.remove t.reported pending.jid;
+    Hashtbl.remove t.running jid;
+    t.running_view <- remove_running jid t.running_view;
+    Hashtbl.remove t.reported jid;
     Obs.span_end o span ~now:(now t);
-    causal_mark t ~jid:pending.jid "finish";
-    (match pending.tenant with
+    causal_mark t ~jid "finish";
+    (match pending.view.info_tenant with
     | Some tid ->
       let busy = (now t - started) * List.length alloc.Partition.ranks in
       Hashtbl.replace t.tenant_usage tid (tenant_usage t tid + busy);
@@ -395,21 +423,20 @@ and finish t pending alloc started span =
             (Cnk.Node.exit_codes (Cnk.Cluster.node t.cluster rank)))
         alloc.Partition.ranks
     in
-    if failed && pending.restarts < pending.restart_limit then begin
-      pending.restarts <- pending.restarts + 1;
-      Hashtbl.replace t.states pending.jid Queued;
+    if failed && pending.view.info_restarts < pending.restart_limit then begin
+      let attempt = pending.view.info_restarts + 1 in
+      pending.view <- { pending.view with info_restarts = attempt };
+      Hashtbl.replace t.states jid Queued;
       let machine = Cnk.Cluster.machine t.cluster in
       let requeue () =
-        pending.submitted <- now t;
+        pending.view <- { pending.view with info_submitted = now t };
         (* requeue at the head: recovery preempts the waiting line *)
-        Jobq.push_front t.queue ~key:pending.jid pending;
+        enqueue_front t pending;
         Obs.count o Metrics.Scheduler.jobs_restarted;
         Machine.ras_emit machine
           ~rank:(List.hd alloc.Partition.ranks)
           ~severity:Machine.Ras_info
-          ~message:
-            (Printf.sprintf "SCHED restart job=%d attempt=%d" pending.jid
-               pending.restarts);
+          ~message:(Printf.sprintf "SCHED restart job=%d attempt=%d" jid attempt);
         try_start t
       in
       (* A recovery policy may hold the retry back (deterministic backoff:
@@ -418,7 +445,7 @@ and finish t pending alloc started span =
       match t.restart_policy with
       | None -> requeue ()
       | Some f ->
-        let delay = f ~jid:pending.jid ~attempt:pending.restarts in
+        let delay = f ~jid ~attempt in
         if delay <= 0 then requeue ()
         else ignore (Sim.schedule_in (Cnk.Cluster.sim t.cluster) delay requeue)
     end
@@ -426,8 +453,8 @@ and finish t pending alloc started span =
       let state =
         if failed && pending.restart_limit > 0 then Failed (now t) else Completed (now t)
       in
-      Hashtbl.replace t.states pending.jid state;
-      t.done_order <- pending.jid :: t.done_order;
+      Hashtbl.replace t.states jid state;
+      t.done_order <- jid :: t.done_order;
       t.outstanding <- t.outstanding - 1;
       Obs.count o Metrics.Scheduler.jobs_completed;
       (* Turnaround: original submission to final disposition, across any
@@ -435,7 +462,7 @@ and finish t pending alloc started span =
       let turnaround = now t - pending.first_submitted in
       Obs.observe o ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Scheduler.turnaround_cycles
         turnaround;
-      (match pending.tenant with
+      (match pending.view.info_tenant with
       | Some tid ->
         Obs.observe o ~rank:tid ~core:Obs.node_scope Metrics.Sched.turnaround_cycles turnaround;
         (* bounded slowdown, in milli-units: turnaround over max(run, tau) *)
@@ -449,7 +476,7 @@ and finish t pending alloc started span =
           | _ -> Metrics.Sched.jobs_completed)
           1
       | None -> ());
-      List.iter (fun f -> f pending.jid state) t.on_done;
+      List.iter (fun f -> f jid state) t.on_done;
       try_start t
     end
   end
@@ -463,8 +490,8 @@ let reserve t ?base ?shape jid =
   match Jobq.find t.queue jid with
   | None -> Error "not queued"
   | Some p ->
-    let sx, sy, sz = p.shape in
-    let shape = match shape with Some s -> s | None -> p.shape in
+    let sx, sy, sz = p.view.info_shape in
+    let shape = match shape with Some s -> s | None -> p.view.info_shape in
     let nx, ny, nz = shape in
     if nx * ny * nz <> sx * sy * sz then Error "reshape changes node count"
     else if not (within_cap t shape) then Error "blocked by shape cap"
@@ -478,7 +505,7 @@ let start_job t ?base ?shape jid =
   match reserve t ?base ?shape jid with
   | Error e -> Error e
   | Ok (p, alloc) ->
-    ignore (Jobq.remove t.queue jid);
+    dequeue t jid;
     start t p alloc;
     Ok ()
 
@@ -502,7 +529,7 @@ let start_jobs t specs =
   | Ok reserved ->
     List.iter
       (fun ((p : pending), alloc) ->
-        ignore (Jobq.remove t.queue p.jid);
+        dequeue t p.view.info_jid;
         start t p alloc)
       reserved;
     Ok ()
@@ -519,17 +546,16 @@ let mark_down t ~rank =
 let kill_spanning t ~rank =
   let victim =
     Hashtbl.fold
-      (fun _ (pending, alloc, _, _) acc ->
-        if List.mem rank alloc.Partition.ranks then Some (pending, alloc) else acc)
+      (fun _ run acc -> if List.mem rank run.alloc.Partition.ranks then Some run else acc)
       t.running None
   in
   match victim with
   | None -> ()
-  | Some (pending, alloc) ->
-    pending.failed_at <- Some (now t);
+  | Some { job; alloc; _ } ->
+    job.failed_at <- Some (now t);
     let machine = Cnk.Cluster.machine t.cluster in
     Machine.ras_emit machine ~rank ~severity:Machine.Ras_error
-      ~message:(Printf.sprintf "SCHED job_lost job=%d rank=%d" pending.jid rank);
+      ~message:(Printf.sprintf "SCHED job_lost job=%d rank=%d" job.view.info_jid rank);
     List.iter
       (fun r -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster r))
       alloc.Partition.ranks
@@ -577,23 +603,23 @@ let job_crashed t ~rank = kill_spanning t ~rank
 let shed_backfill t =
   let shed =
     Jobq.fold t.queue ~init:[] ~f:(fun acc _ p ->
-        if p.cls = Backfill_class then p :: acc else acc)
+        if p.view.info_cls = Backfill_class then p :: acc else acc)
     |> List.rev
   in
   List.iter
     (fun p ->
-      ignore (Jobq.remove t.queue p.jid);
-      Hashtbl.replace t.states p.jid (Failed (now t));
-      t.done_order <- p.jid :: t.done_order;
+      dequeue t p.view.info_jid;
+      Hashtbl.replace t.states p.view.info_jid (Failed (now t));
+      t.done_order <- p.view.info_jid :: t.done_order;
       t.outstanding <- t.outstanding - 1;
       Obs.count (obs t) Metrics.Scheduler.jobs_shed;
-      (match p.tenant with
+      (match p.view.info_tenant with
       | Some tid -> Obs.add (obs t) ~rank:tid ~core:Obs.node_scope Metrics.Sched.jobs_shed 1
       | None -> ());
-      causal_mark t ~jid:p.jid "shed";
-      List.iter (fun f -> f p.jid (Failed (now t))) t.on_done)
+      causal_mark t ~jid:p.view.info_jid "shed";
+      List.iter (fun f -> f p.view.info_jid (Failed (now t))) t.on_done)
     shed;
-  List.map (fun p -> p.jid) shed
+  List.map (fun p -> p.view.info_jid) shed
 
 let set_restart_policy t f = t.restart_policy <- f
 let kick t = try_start t
@@ -620,7 +646,7 @@ let state t jid =
 
 let restarts t jid =
   match Hashtbl.find_opt t.jobs jid with
-  | Some p -> p.restarts
+  | Some p -> p.view.info_restarts
   | None -> invalid_arg "Scheduler.restarts: unknown job"
 
 let completed_order t = List.rev t.done_order
@@ -640,12 +666,12 @@ let capture t b =
     w_i cz);
   w_i (Jobq.length t.queue);
   Jobq.iter t.queue (fun _ p ->
-      w_i p.jid;
-      w_i p.restarts;
-      w_i p.submitted;
-      Buffer.add_uint8 b (match p.cls with Batch -> 0 | Backfill_class -> 1);
-      w_i (match p.tenant with Some tid -> tid | None -> -1);
-      w_i (match p.gang with Some g -> g | None -> -1));
+      w_i p.view.info_jid;
+      w_i p.view.info_restarts;
+      w_i p.view.info_submitted;
+      Buffer.add_uint8 b (match p.view.info_cls with Batch -> 0 | Backfill_class -> 1);
+      w_i (match p.view.info_tenant with Some tid -> tid | None -> -1);
+      w_i (match p.view.info_gang with Some g -> g | None -> -1));
   let states =
     Hashtbl.fold (fun jid s acc -> (jid, s) :: acc) t.states []
     |> List.sort (fun (i, _) (j, _) -> compare i j)
@@ -668,7 +694,7 @@ let capture t b =
         w_i c)
     states;
   let running =
-    Hashtbl.fold (fun jid (_, a, _, _) acc -> (jid, a.Partition.id) :: acc) t.running []
+    Hashtbl.fold (fun jid run acc -> (jid, run.alloc.Partition.id) :: acc) t.running []
     |> List.sort compare
   in
   w_i (List.length running);

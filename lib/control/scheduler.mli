@@ -161,11 +161,16 @@ val outstanding : t -> int
 
 val set_dispatch : t -> (unit -> unit) option -> unit
 val pending_info : t -> job_info list
-(** Queued jobs, head of the line first. *)
+(** Queued jobs, head of the line first. Each job's record is built once
+    per incarnation (at submit, and again when a restart requeues it),
+    and the list itself is rebuilt only after the queue changed, so
+    repeated calls in a dispatch pass cost nothing. *)
 
 val pending_count : t -> int
 val running_info : t -> running_info list
-(** Currently running jobs, ascending job id. *)
+(** Currently running jobs, ascending job id; kept up to date at each
+    start and finish. A job's [run_info] is the record {!pending_info}
+    listed for the incarnation it started. *)
 
 val start_job :
   t -> ?base:int * int * int -> ?shape:int * int * int -> job_id -> (unit, string) result

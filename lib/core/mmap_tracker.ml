@@ -10,7 +10,8 @@ type t = {
   (* allocated mmap ranges, disjoint, sorted by address *)
   mutable mapped : (int * int) list;  (* (addr, len) *)
   mutable last_mprotect : (int * int) option;
-  dirty : (int, unit) Hashtbl.t;      (* dirty pages, keyed by page index *)
+  mutable dirty : (int, unit) Hashtbl.t option;
+      (* dirty pages, keyed by page index; no table until the first write *)
 }
 
 let create ~base ~bytes ~main_stack_bytes =
@@ -23,7 +24,7 @@ let create ~base ~bytes ~main_stack_bytes =
     break_ = base;
     mapped = [];
     last_mprotect = None;
-    dirty = Hashtbl.create 64;
+    dirty = None;
   }
 
 let heap_end t = t.break_
@@ -124,22 +125,36 @@ let free_bytes t = List.fold_left (fun acc (_, l) -> acc + l) 0 (gaps t)
 
 (* -- dirty-page tracking (incremental checkpoints) ---------------------- *)
 
+let dirty_table t =
+  match t.dirty with
+  | Some d -> d
+  | None ->
+    let d = Hashtbl.create 64 in
+    t.dirty <- Some d;
+    d
+
 let mark_dirty t ~addr ~len =
   if len > 0 then begin
     (* clamp to the tracked range; writes elsewhere (text, shared segment,
        persistent regions) are not checkpoint state *)
     let lo = max addr t.base and hi = min (addr + len) t.limit in
-    if lo < hi then
+    if lo < hi then begin
+      let dirty = dirty_table t in
       for page = lo / dirty_grain to (hi - 1) / dirty_grain do
-        Hashtbl.replace t.dirty page ()
+        Hashtbl.replace dirty page ()
       done
+    end
   end
 
-let clear_dirty t = Hashtbl.reset t.dirty
+let clear_dirty t = Option.iter Hashtbl.reset t.dirty
+
+let dirty_pages t =
+  match t.dirty with
+  | None -> []
+  | Some d -> Hashtbl.fold (fun page () acc -> page :: acc) d []
 
 let dirty_ranges t =
-  let pages = Hashtbl.fold (fun page () acc -> page :: acc) t.dirty [] in
-  let pages = List.sort_uniq compare pages in
+  let pages = List.sort_uniq compare (dirty_pages t) in
   (* coalesce runs of adjacent pages into (addr, len) ranges *)
   let rec coalesce acc = function
     | [] -> List.rev acc
@@ -153,7 +168,8 @@ let dirty_ranges t =
   in
   coalesce [] pages
 
-let dirty_bytes t = Hashtbl.length t.dirty * dirty_grain
+let dirty_bytes t =
+  match t.dirty with None -> 0 | Some d -> Hashtbl.length d * dirty_grain
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in

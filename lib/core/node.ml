@@ -56,6 +56,14 @@ type io_inflight = {
   mutable io_timer : Bg_engine.Event_queue.handle option;
 }
 
+(* A layout config, its map and each process's validated static TLB
+   entries. *)
+type layout = {
+  config : Mapping.config;
+  mapping : Mapping.t;
+  static_tlbs : Tlb.static_map array;
+}
+
 type nx = {
   ciod : Bg_cio.Ciod.t;
   mapping_config : Mapping.config;
@@ -68,9 +76,7 @@ type nx = {
   mutable strace : Buffer.t option;
   mutable ipis : int;
   mutable exit_codes : (int * int) list;
-  mutable layouts : (Mapping.config * Mapping.t * Tlb.static_map array) list;
-      (* one entry per layout config launched so far: its map and each
-         process's validated static TLB entries *)
+  mutable layouts : layout list;  (* one per layout config launched so far *)
 }
 
 type thread = (tx, px) Kernel.thread
@@ -785,13 +791,36 @@ let image_pattern (image : Image.t) len =
    TLB entries are immutable, so every launch with the same config shares
    one copy. Exited processes stay in [procs] until the next reset, and a
    node that runs a thousand jobs of a few shapes would otherwise keep a
-   thousand copies. A map whose entries do not all fit a core's TLB is
-   refused here, before [launch] changes any state: CNK never evicts a
-   static entry. *)
-let layout t config =
-  match List.find_opt (fun (c, _, _) -> c = config) t.nx.layouts with
-  | Some (_, mapping, static_tlbs) -> Ok (mapping, static_tlbs)
+   thousand copies. A node's configs differ only in the four fields a job
+   sets, so a launch looks its layout up by those and builds a config
+   only for a shape it has not seen. A map whose entries do not all fit a
+   core's TLB is refused here, before [launch] changes any state: CNK
+   never evicts a static entry. *)
+let rec find_layout ~nprocs ~text ~data ~shared = function
+  | [] -> None
+  | l :: rest ->
+    let c = l.config in
+    if
+      c.Mapping.nprocs = nprocs && c.text_bytes = text && c.data_bytes = data
+      && c.shared_bytes = shared
+    then Some l
+    else find_layout ~nprocs ~text ~data ~shared rest
+
+let layout t ~nprocs (job : Job.t) =
+  let text = job.Job.image.Image.text_bytes and data = job.Job.image.Image.data_bytes in
+  let shared = job.Job.shared_bytes in
+  match find_layout ~nprocs ~text ~data ~shared t.nx.layouts with
+  | Some l -> Ok l
   | None -> (
+    let config =
+      {
+        t.nx.mapping_config with
+        Mapping.nprocs;
+        text_bytes = text;
+        data_bytes = data;
+        shared_bytes = shared;
+      }
+    in
     match Mapping.compute config with
     | Error e -> Error e
     | Ok mapping -> (
@@ -803,26 +832,18 @@ let layout t config =
       match Array.fold_left check (Ok ()) static_tlbs with
       | Error msg -> Error ("CNK static map install failed: " ^ msg)
       | Ok () ->
-        t.nx.layouts <- (config, mapping, static_tlbs) :: t.nx.layouts;
-        Ok (mapping, static_tlbs)))
+        let l = { config; mapping; static_tlbs } in
+        t.nx.layouts <- l :: t.nx.layouts;
+        Ok l))
 
 let launch t (job : Job.t) =
   if not t.booted then Error "node not booted"
   else if t.job_active then Error "a job is already active"
   else begin
     let nprocs = Job.processes_per_node job.Job.mode in
-    let config =
-      {
-        t.nx.mapping_config with
-        Mapping.nprocs;
-        text_bytes = job.Job.image.Image.text_bytes;
-        data_bytes = job.Job.image.Image.data_bytes;
-        shared_bytes = job.Job.shared_bytes;
-      }
-    in
-    match layout t config with
+    match layout t ~nprocs job with
     | Error e -> Error e
-    | Ok (mapping, static_tlbs) ->
+    | Ok { mapping; static_tlbs; _ } ->
       t.job_active <- true;
       t.nx.exit_codes <- [];
       let sets = core_sets job.Job.mode (Array.length t.cores) in
@@ -834,7 +855,7 @@ let launch t (job : Job.t) =
           let tracker =
             Mmap_tracker.create ~base:pm.Mapping.heap_base
               ~bytes:pm.Mapping.heap_stack_bytes
-              ~main_stack_bytes:config.Mapping.main_stack_bytes
+              ~main_stack_bytes:t.nx.mapping_config.Mapping.main_stack_bytes
           in
           let p =
             new_proc t ~tracker (fun _ ->

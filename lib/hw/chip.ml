@@ -47,12 +47,13 @@ let create ?(params = Params.bgp) ~id () =
     (fun c ->
       Tlb.set_miss_hook c.tlb (fun () ->
           Upc.record t.upc ~core:c.core_id Upc.Tlb_miss 1);
-      Tlb.set_refill_hook c.tlb (fun () ->
-          Upc.record t.upc ~core:c.core_id Upc.Tlb_refill 1))
+      Tlb.set_refill_hook c.tlb (fun n ->
+          Upc.record t.upc ~core:c.core_id Upc.Tlb_refill n))
     t.cores;
-  Cache.set_access_hook t.l2 (fun () -> Upc.record t.upc Upc.L1_miss 1);
+  Cache.set_access_hook t.l2 (fun () ->
+      Upc.record t.upc ~core:Upc.chip_scope Upc.L1_miss 1);
   Dram.set_self_refresh_hook t.dram (fun () ->
-      Upc.record t.upc Upc.Dram_self_refresh 1);
+      Upc.record t.upc ~core:Upc.chip_scope Upc.Dram_self_refresh 1);
   t
 
 let id t = t.id
@@ -72,7 +73,8 @@ let upc t = t.upc
 
 let set_l2_mapping t mapping =
   t.l2 <- Cache.create ~banks:t.params.Params.l2_banks mapping;
-  Cache.set_access_hook t.l2 (fun () -> Upc.record t.upc Upc.L1_miss 1);
+  Cache.set_access_hook t.l2 (fun () ->
+      Upc.record t.upc ~core:Upc.chip_scope Upc.L1_miss 1);
   t
 
 let unit_status t u =

@@ -17,7 +17,7 @@ type t = {
   mutable evictions : int;
   mutable misses : int;
   mutable on_miss : unit -> unit;
-  mutable on_refill : unit -> unit;
+  mutable on_refill : int -> unit;  (* entries installed by one call *)
 }
 
 let create ~capacity =
@@ -70,7 +70,7 @@ let install t e =
         t.evictions <- t.evictions + 1
       end;
       t.entries <- e :: t.entries;
-      t.on_refill ();
+      t.on_refill 1;
       Ok ()
     end
 
@@ -110,9 +110,9 @@ let load t m =
   | Some msg -> Error msg
   | None -> (
     t.entries <- m.accepted;
-    for _ = 1 to m.accepted_count do
-      t.on_refill ()
-    done;
+    (* one hook call for the whole map: the counters see the same total
+       as one refill per entry *)
+    if m.accepted_count > 0 then t.on_refill m.accepted_count;
     match m.error with None -> Ok () | Some msg -> Error msg)
 
 let permitted access perm =
@@ -121,19 +121,25 @@ let permitted access perm =
   | Store -> perm.write
   | Fetch -> perm.execute
 
-let translate t access addr =
-  match List.find_opt (fun e -> covers e addr) t.entries with
-  | None ->
+let denied access addr =
+  Fault
+    (Printf.sprintf "%s access to 0x%x denied"
+       (match access with Load -> "load" | Store -> "store" | Fetch -> "fetch")
+       addr)
+
+(* A walk with the address as an argument: [List.find_opt] with a
+   closure over it would allocate on every translation. *)
+let rec lookup t access addr = function
+  | [] ->
     t.misses <- t.misses + 1;
     t.on_miss ();
     Miss
-  | Some e ->
-    if permitted access e.perm then Hit (e.paddr + (addr - e.vaddr))
-    else
-      Fault
-        (Printf.sprintf "%s access to 0x%x denied"
-           (match access with Load -> "load" | Store -> "store" | Fetch -> "fetch")
-           addr)
+  | e :: rest ->
+    if covers e addr then
+      if permitted access e.perm then Hit (e.paddr + (addr - e.vaddr)) else denied access addr
+    else lookup t access addr rest
+
+let translate t access addr = lookup t access addr t.entries
 
 let flush t = t.entries <- []
 

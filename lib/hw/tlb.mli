@@ -49,7 +49,9 @@ val prepare : entry list -> static_map
 val load : t -> static_map -> (unit, string) Stdlib.result
 (** Replace [t]'s entries with the map's: the same result as {!flush}
     followed by {!install} of each entry in order, stopping at the first
-    error — the same entries, refill-hook calls and error message. A map
+    error — the same entries, refill count and error message. The refill
+    hook is called once with the number of entries loaded (not at all
+    for an empty map), and a warm load allocates nothing. A map
     that would not fit without evictions is an error instead, and [t] is
     left unchanged: a static map never evicts (CNK treats it as a fault). *)
 
@@ -74,8 +76,9 @@ val misses : t -> int
 val set_miss_hook : t -> (unit -> unit) -> unit
 (** Called on every [Miss] result; the UPC feed. Default: no-op. *)
 
-val set_refill_hook : t -> (unit -> unit) -> unit
-(** Called on every successful {!install}; the UPC feed. Default: no-op. *)
+val set_refill_hook : t -> (int -> unit) -> unit
+(** Called with the number of entries each successful {!install} (1) or
+    {!load} put in; the UPC feed. Default: no-op. *)
 
 val capture : t -> Buffer.t -> unit
 (** Serialize snapshot-relevant state, little-endian, into [b]. Hashtable

@@ -69,7 +69,7 @@ let reset t =
   t.frozen <- None;
   t.running <- false
 
-let record t ?(core = chip_scope) event n =
+let record t ~core event n =
   if t.running then begin
     let i = slot t event core in
     t.counts.(i) <- t.counts.(i) + n

@@ -48,9 +48,10 @@ val running : t -> bool
 val reset : t -> unit
 (** Zero every counter, drop any frozen snapshot, stop counting. *)
 
-val record : t -> ?core:int -> event -> int -> unit
-(** Add to a live counter; no-op unless {!running}. [core] defaults to
-    {!chip_scope}. *)
+val record : t -> core:int -> event -> int -> unit
+(** Add to a live counter; no-op unless {!running}. Chip-scope events
+    pass {!chip_scope}. [core] is required, not optional: an optional
+    argument is boxed on every call from a hardware hook. *)
 
 val freeze : t -> unit
 (** Latch the live counters into a stable snapshot (counting continues).

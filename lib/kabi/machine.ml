@@ -68,14 +68,17 @@ let create ?(params = Bg_hw.Params.bgp) ?(seed = 1L) ?nodes_per_io_node ?obs ?ca
      the injecting/arriving chip's counter unit. *)
   Bg_hw.Torus.set_inject_hook t.torus (fun ~src ->
       if src >= 0 && src < n then
-        Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(src)) Bg_hw.Upc.Torus_packet 1);
+        Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(src)) ~core:Bg_hw.Upc.chip_scope
+          Bg_hw.Upc.Torus_packet 1);
   Bg_hw.Barrier_net.set_arrive_hook t.barrier (fun ~rank ->
       if rank >= 0 && rank < n then
-        Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(rank)) Bg_hw.Upc.Barrier_wait 1);
+        Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(rank)) ~core:Bg_hw.Upc.chip_scope
+          Bg_hw.Upc.Barrier_wait 1);
   Array.iteri
     (fun rank engine ->
       Bg_hw.Dma.set_inject_hook engine (fun ~bytes ->
-          Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(rank)) Bg_hw.Upc.Dma_descriptor 1;
+          Bg_hw.Upc.record (Bg_hw.Chip.upc t.chips.(rank)) ~core:Bg_hw.Upc.chip_scope
+            Bg_hw.Upc.Dma_descriptor 1;
           Bg_obs.Obs.add t.obs ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.injected 1;
           Bg_obs.Obs.add t.obs ~rank ~core:Bg_obs.Obs.node_scope Metrics.Net.injected_bytes bytes);
       Bg_hw.Dma.set_deliver_hook engine (fun ~bytes ->

@@ -55,19 +55,31 @@ let least_congested torus partition ~shape =
     (Partition.free_bases partition ~shape)
   |> Option.map fst
 
-let place ~fits torus partition ~nodes ~comm =
-  let shapes = shapes_for ~dims:(Torus.dims torus) ~nodes in
-  match
-    List.find_opt
-      (fun shape -> Option.is_some (Partition.first_free_base partition ~shape))
-      shapes
-  with
-  | None -> Error "no free box"
-  | Some shape when not (fits shape) ->
-    (* refused before any congestion scoring *)
-    Error "blocked by shape cap"
-  | Some shape ->
-    (* compute-only jobs take the allocator's own first fit: any free
-       box is as good as another for pure compute *)
-    let base = if comm then least_congested torus partition ~shape else None in
-    Ok { shape; base }
+type table = (int * int * int) list array
+
+let table ~dims =
+  let x, y, z = dims in
+  Array.init ((x * y * z) + 1) (fun nodes -> shapes_for ~dims ~nodes)
+
+let shapes table nodes =
+  if nodes >= 0 && nodes < Array.length table then table.(nodes) else []
+
+let place ~fits table torus partition ~nodes ~comm =
+  (* fewer free nodes than the job needs: no box can be free, so skip
+     the scan of every base of every shape *)
+  if Partition.free_nodes partition < nodes then Error "no free box"
+  else
+    match
+      List.find_opt
+        (fun shape -> Option.is_some (Partition.first_free_base partition ~shape))
+        (shapes table nodes)
+    with
+    | None -> Error "no free box"
+    | Some shape when not (fits shape) ->
+      (* refused before any congestion scoring *)
+      Error "blocked by shape cap"
+    | Some shape ->
+      (* compute-only jobs take the allocator's own first fit: any free
+         box is as good as another for pure compute *)
+      let base = if comm then least_congested torus partition ~shape else None in
+      Ok { shape; base }

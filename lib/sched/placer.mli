@@ -34,18 +34,28 @@ val congestion_score :
 
 type placement = { shape : int * int * int; base : (int * int * int) option }
 
+type table
+(** {!shapes_for} for every node count from 0 to the machine's size,
+    computed once: a strategy builds one when it is installed, so a
+    dispatch pass does not enumerate and sort factorizations again. *)
+
+val table : dims:int * int * int -> table
+
 val place :
   fits:(int * int * int -> bool) ->
+  table ->
   Bg_hw.Torus.t ->
   Bg_control.Partition.t ->
   nodes:int ->
   comm:bool ->
   (placement, string) result
 (** Choose where to put a job of [nodes] nodes right now: the most
-    compact shape that has a free box. If [fits] refuses that shape
-    (strategies pass the scheduler's shape cap), the result is an
-    [Error] before any base is scored. For [comm] jobs the base is the
-    least-congested free one (deterministic tie-break: lowest base in
-    rank order); for compute-only jobs it is [None], the allocator's
-    first fit. [Error] when nothing fits at the moment (or ever, for
-    impossible counts). *)
+    compact shape in [table] (built for the torus's dims) that has a
+    free box. If [fits] refuses that shape (strategies pass the
+    scheduler's shape cap), the result is an [Error] before any base is
+    scored. For [comm] jobs the base is the least-congested free one
+    (deterministic tie-break: lowest base in rank order); for
+    compute-only jobs it is [None], the allocator's first fit. [Error]
+    when nothing fits at the moment (or ever, for impossible counts);
+    with fewer free nodes than [nodes] that error comes before any box
+    is scanned. *)

@@ -30,6 +30,7 @@ type t = {
   kind : kind;
   sched : Sch.t;
   torus : Bg_hw.Torus.t;
+  shapes : Placer.table;  (* the torus's shapes per node count *)
   config : config;
   reservations : (Sch.job_id, int) Hashtbl.t;
   mutable backfilled : int;
@@ -72,8 +73,8 @@ let place_and_start t (i : Sch.job_info) =
   if failed_this_pass t n then Error "no placement for this size this pass"
   else
     match
-      Placer.place ~fits:(Sch.within_cap t.sched) t.torus (Sch.partition t.sched) ~nodes:n
-        ~comm:(t.config.comm_of i.Sch.info_jid)
+      Placer.place ~fits:(Sch.within_cap t.sched) t.shapes t.torus (Sch.partition t.sched)
+        ~nodes:n ~comm:(t.config.comm_of i.Sch.info_jid)
     with
     | Error e ->
       if n < Array.length t.failed_in then t.failed_in.(n) <- t.pass;
@@ -308,6 +309,7 @@ let install ?(config = default_config) kind sched =
       kind;
       sched;
       torus;
+      shapes = Placer.table ~dims:(Bg_hw.Torus.dims torus);
       config;
       reservations = Hashtbl.create 64;
       backfilled = 0;

@@ -292,6 +292,34 @@ let test_job_runs_and_exits () =
   check_bool "job done" true (not (Node.job_active (Cluster.node c 0)));
   Alcotest.(check (list (pair int int))) "exit 0" [ (1, 0) ] (Node.exit_codes (Cluster.node c 0))
 
+(* A launch loads each process's static map onto every core it owns with
+   one bulk TLB load: each core's UPC refill counter must still read the
+   number of entries that map put on the core, as if each had been
+   installed one at a time. *)
+let test_launch_refills_per_core () =
+  List.iter
+    (fun (mode, owner) ->
+      let cluster = Cluster.create ~dims:(1, 1, 1) () in
+      Cluster.boot_all cluster;
+      let chip = Machine.chip (Cluster.machine cluster) 0 in
+      Upc.start (Chip.upc chip);
+      Cluster.run_job cluster
+        (Job.create ~mode ~name:"maps" (Image.executable ~name:"maps" (fun () -> Coro.consume 100)));
+      let node = Cluster.node cluster 0 in
+      for core = 0 to 3 do
+        let pid = owner core + 1 in
+        let pm =
+          match Node.process_map node ~pid with
+          | Some pm -> pm
+          | None -> Alcotest.failf "no process %d" pid
+        in
+        let accepted = List.length (Mapping.tlb_entries pm) in
+        check_bool "a map of several entries" true (accepted > 1);
+        check_int "entries on the core" accepted (Tlb.entry_count (Chip.core chip core).Chip.tlb);
+        check_int "refills on the core" accepted (Upc.read (Chip.upc chip) ~core Upc.Tlb_refill)
+      done)
+    [ (Job.Smp, fun _ -> 0); (Job.Dual, fun core -> core / 2); (Job.Vn, fun core -> core) ]
+
 let test_identity_syscalls () =
   let seen = ref (0, 0, 0, "") in
   let c =
@@ -957,6 +985,8 @@ let qcheck = List.map QCheck_alcotest.to_alcotest [ prop_tile_alignment; prop_tr
 let suite =
   [
     Alcotest.test_case "mapping: smp layout" `Quick test_mapping_smp;
+    Alcotest.test_case "launch: refills per core = static map entries" `Quick
+      test_launch_refills_per_core;
     Alcotest.test_case "image: text = per-byte rng draws" `Quick
       test_image_pattern_matches_rng_draws;
     Alcotest.test_case "mapping: pa disjoint" `Quick test_mapping_no_overlap_pa;

@@ -160,7 +160,7 @@ let load_matches_sequential ~capacity ~preload entries =
   let make () =
     let tlb = Tlb.create ~capacity in
     let refills = ref 0 in
-    Tlb.set_refill_hook tlb (fun () -> incr refills);
+    Tlb.set_refill_hook tlb (fun n -> refills := !refills + n);
     List.iter (fun e -> ignore (Tlb.install tlb e)) preload;
     refills := 0;
     (tlb, refills)
@@ -229,6 +229,39 @@ let test_tlb_load_matches_sequential () =
   | Error msg ->
     Alcotest.(check string)
       "capacity error" "static map of 34 entries exceeds TLB capacity 8" msg
+
+(* Allocation guards on CNK's static-TLB path, through a chip's UPC
+   hooks with counting on: a translation miss (which fires the miss
+   hook) and a warm reload of a prepared map (one refill-hook call for
+   the whole map) allocate nothing. *)
+let tlb_words_per_call n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_tlb_hooks_allocate_nothing () =
+  let mb = 1024 * 1024 in
+  let chip = Chip.create ~id:0 () in
+  Upc.start (Chip.upc chip);
+  let tlb = (Chip.core chip 1).Chip.tlb in
+  let map =
+    Tlb.prepare (List.init 34 (fun i -> entry (i * 16 * mb) (i * 16 * mb) Page_size.P16m Tlb.perm_rwx))
+  in
+  let outside = Sys.opaque_identity (34 * 16 * mb) in
+  let check what words =
+    if words > 0.0 then Alcotest.failf "%s: %.2f minor words per call, expected 0" what words
+  in
+  check "miss hook"
+    (tlb_words_per_call 10_000 (fun () ->
+         ignore (Sys.opaque_identity (Tlb.translate tlb Tlb.Load outside))));
+  check "warm static load"
+    (tlb_words_per_call 10_000 (fun () -> ignore (Sys.opaque_identity (Tlb.load tlb map))));
+  check_int "every miss counted" 10_001 (Upc.read (Chip.upc chip) ~core:1 Upc.Tlb_miss);
+  check_int "every load counted in full" (34 * 10_001)
+    (Upc.read (Chip.upc chip) ~core:1 Upc.Tlb_refill)
 
 let tlb_entry_gen =
   let open QCheck.Gen in
@@ -761,6 +794,8 @@ let suite =
       test_tlb_fifo_evicts_exactly_oldest;
     Alcotest.test_case "tlb: prepared load = sequential installs" `Quick
       test_tlb_load_matches_sequential;
+    Alcotest.test_case "tlb: miss hook and warm load allocate nothing" `Quick
+      test_tlb_hooks_allocate_nothing;
     Alcotest.test_case "dac: store watch" `Quick test_dac_store_watch;
     Alcotest.test_case "dac: clear" `Quick test_dac_clear;
     Alcotest.test_case "cache: modulo mapping" `Quick test_cache_modulo_spreads_lines;

@@ -273,7 +273,7 @@ let test_upc_freeze_semantics () =
   check_int "stopped unit ignores records" 0 (Upc.read u ~core:0 Upc.Tlb_miss);
   Upc.start u;
   Upc.record u ~core:0 Upc.Tlb_miss 5;
-  Upc.record u Upc.Torus_packet 2;
+  Upc.record u ~core:Upc.chip_scope Upc.Torus_packet 2;
   check_int "live read" 5 (Upc.read u ~core:0 Upc.Tlb_miss);
   check_bool "no snapshot before freeze" true (Upc.frozen_snapshot u = None);
   Upc.freeze u;

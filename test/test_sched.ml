@@ -172,7 +172,10 @@ let test_placer_scores_congestion () =
   let busy = Placer.congestion_score torus p ~base:(0, 0, 0) ~shape:(2, 1, 1) in
   let quiet = Placer.congestion_score torus p ~base:(2, 0, 0) ~shape:(2, 1, 1) in
   check_bool "traffic raises the score" true (busy > quiet);
-  match Placer.place ~fits:(fun _ -> true) torus p ~nodes:2 ~comm:true with
+  match
+    Placer.place ~fits:(fun _ -> true) (Placer.table ~dims:(4, 1, 1)) torus p ~nodes:2
+      ~comm:true
+  with
   | Ok { Placer.base = Some (2, 0, 0); _ } -> ()
   | Ok { Placer.base; _ } ->
     Alcotest.fail
@@ -298,7 +301,10 @@ let prop_placer_matches_reference =
     (QCheck.make ~print:print_place_case place_case_gen)
     (fun c ->
       let p, torus = build_place_case c in
-      let got = Placer.place ~fits:(within c.cap) torus p ~nodes:c.nodes ~comm:c.comm in
+      let got =
+        Placer.place ~fits:(within c.cap) (Placer.table ~dims:c.dims) torus p ~nodes:c.nodes
+          ~comm:c.comm
+      in
       match (ref_place torus c, got) with
       | None, Error "no free box" -> true
       | Some (shape, _), Error "blocked by shape cap" -> not (within c.cap shape)
@@ -331,10 +337,95 @@ let prop_failure_depends_on_size_alone =
     (QCheck.make ~print:print_place_case place_case_gen)
     (fun c ->
       let p, torus = build_place_case c in
-      let place comm = Placer.place ~fits:(within c.cap) torus p ~nodes:c.nodes ~comm in
+      let table = Placer.table ~dims:c.dims in
+      let place comm = Placer.place ~fits:(within c.cap) table torus p ~nodes:c.nodes ~comm in
       let outcome = function Ok pl -> Ok pl.Placer.shape | Error e -> Error e in
       let first = outcome (place c.comm) in
       first = outcome (place (not c.comm)) && first = outcome (place c.comm))
+
+(* A reference copy of the placer before it read shapes from a table and
+   rejected on the free-node count: shapes enumerated and sorted with
+   polymorphic compare on every call, the first shape with a free base,
+   the shape cap, then the least congested free base for comm jobs. *)
+let today_shapes_for ~dims ~nodes =
+  let dx, dy, dz = dims in
+  let surface (a, b, c) = 2 * ((a * b) + (b * c) + (a * c)) in
+  let shapes = ref [] in
+  for a = 1 to min nodes dx do
+    if nodes mod a = 0 then begin
+      let rest = nodes / a in
+      for b = 1 to min rest dy do
+        if rest mod b = 0 then begin
+          let c = rest / b in
+          if c <= dz then shapes := (a, b, c) :: !shapes
+        end
+      done
+    end
+  done;
+  List.sort (fun s1 s2 -> compare (surface s1, s1) (surface s2, s2)) !shapes
+
+let today_least_congested torus p ~shape =
+  List.fold_left
+    (fun acc base ->
+      let score = Placer.congestion_score torus p ~base ~shape in
+      match acc with
+      | Some (_, best) when best <= score -> acc
+      | _ -> Some (base, score))
+    None
+    (Ctl.Partition.free_bases p ~shape)
+  |> Option.map fst
+
+let today_place ~fits torus p ~nodes ~comm =
+  match
+    List.find_opt
+      (fun shape -> Option.is_some (Ctl.Partition.first_free_base p ~shape))
+      (today_shapes_for ~dims:(Bg_hw.Torus.dims torus) ~nodes)
+  with
+  | None -> Error "no free box"
+  | Some shape when not (fits shape) -> Error "blocked by shape cap"
+  | Some shape ->
+    let base = if comm then today_least_congested torus p ~shape else None in
+    Ok { Placer.shape; base }
+
+(* Half the cases leave exactly one free box, every other rank occupied,
+   down or spare, and ask for exactly its volume: the free-node count
+   then equals the request, where an off-by-one reject would refuse a
+   job that fits. *)
+let equiv_case_gen =
+  let open QCheck.Gen in
+  oneofl [ (4, 4, 4); (4, 2, 3) ] >>= fun ((x, y, z) as dims) ->
+  let n = x * y * z in
+  let taken = frequency [ (2, return 1); (1, return 2); (1, return 3) ] in
+  bool >>= fun exact ->
+  (if exact then
+     triple (1 -- x) (1 -- y) (1 -- z) >>= fun (sx, sy, sz) ->
+     triple (0 -- (x - sx)) (0 -- (y - sy)) (0 -- (z - sz)) >>= fun (bx, by, bz) ->
+     array_repeat n taken >|= fun outside ->
+     let inside r =
+       let cx = r mod x and cy = r / x mod y and cz = r / (x * y) in
+       cx >= bx && cx < bx + sx && cy >= by && cy < by + sy && cz >= bz && cz < bz + sz
+     in
+     (Array.mapi (fun r st -> if inside r then 0 else st) outside, sx * sy * sz)
+   else
+     array_repeat n (frequency [ (6, return 0); (1, taken) ]) >>= fun states ->
+     (0 -- (n + 1)) >|= fun nodes -> (states, nodes))
+  >>= fun (states, nodes) ->
+  opt (triple (1 -- 4) (1 -- 4) (1 -- 4)) >>= fun cap ->
+  bool >>= fun comm ->
+  list_size (0 -- 8) (triple (0 -- (n - 1)) (0 -- (n - 1)) (1 -- 65536)) >>= fun traffic ->
+  map (fun events -> { dims; states; cap; nodes; comm; traffic; events }) (0 -- 200)
+
+let prop_placer_equals_today =
+  QCheck.Test.make ~name:"placer: shape table + free-node reject = the per-call placer"
+    ~count:500
+    (QCheck.make ~print:print_place_case equiv_case_gen)
+    (fun c ->
+      let p, torus = build_place_case c in
+      let free = Array.fold_left (fun n st -> if st = 0 then n + 1 else n) 0 c.states in
+      Ctl.Partition.free_nodes p = free
+      && Placer.place ~fits:(within c.cap) (Placer.table ~dims:c.dims) torus p ~nodes:c.nodes
+           ~comm:c.comm
+         = today_place ~fits:(within c.cap) torus p ~nodes:c.nodes ~comm:c.comm)
 
 (* ------------------------------------------------------------------ *)
 (* Strategy invariants *)
@@ -610,6 +701,46 @@ let test_service_deterministic_slo () =
   check_bool "same seed, same bill" true
     (Bg_engine.Fnv.equal (Slo.digest slo_a) (Slo.digest slo_b))
 
+(* A job's view is built once per incarnation. A failed job with
+   restart budget comes back at the head of the queue with a new view:
+   the requeue cycle as its submit cycle and one more restart. Once
+   restarted, running_info lists that same view. *)
+let test_requeue_rebuilds_job_view () =
+  let cluster = mk_cluster (2, 1, 1) in
+  let sim = Cnk.Cluster.sim cluster in
+  let sched = Sch.create cluster in
+  let passes = ref [] in
+  let rec dispatch () =
+    let pending = Sch.pending_info sched in
+    passes := (Sim.now sim, pending, Sch.running_info sched) :: !passes;
+    match pending with
+    | head :: _ when Result.is_ok (Sch.start_job sched head.Sch.info_jid) -> dispatch ()
+    | _ -> ()
+  in
+  Sch.set_dispatch sched (Some dispatch);
+  let jid =
+    Sch.submit_factory sched ~restart_limit:1 ~est_cycles:5_000_000 ~shape:(1, 1, 1)
+      (factory ~name:"crashy" ~runtime:2_000_000)
+  in
+  let crash_at = 500_000 in
+  ignore (Sim.schedule_at sim crash_at (fun () -> Sch.job_crashed sched ~rank:0));
+  Sch.drain sched;
+  check_int "restarted once" 1 (Sch.restarts sched jid);
+  (* passes in order: the first start, the pass after it, the requeue,
+     and the pass after the restart *)
+  match List.rev !passes with
+  | (_, [ first ], []) :: (_, [], [ _ ]) :: (requeued_at, [ again ], []) :: (_, [], [ run ]) :: _ ->
+    check_int "first incarnation" 0 first.Sch.info_restarts;
+    check_int "same job" jid again.Sch.info_jid;
+    check_bool "requeued after the crash" true (requeued_at >= crash_at);
+    check_int "new submit cycle" requeued_at again.Sch.info_submitted;
+    check_int "new restart count" 1 again.Sch.info_restarts;
+    check_bool "fixed fields carried over" true
+      (again.Sch.info_shape = first.Sch.info_shape && again.Sch.info_est = first.Sch.info_est);
+    check_bool "running lists the requeued view itself" true (run.Sch.run_info == again);
+    check_int "started at the requeue" requeued_at run.Sch.run_started
+  | passes -> Alcotest.failf "unexpected dispatch passes: %d" (List.length passes)
+
 let suite =
   [
     ("workload: same seed, same stream", `Quick, test_workload_deterministic);
@@ -627,7 +758,12 @@ let suite =
       `Quick,
       test_duplicate_completions_idempotent );
     ("scheduler: scan visits stay linear", `Quick, test_scan_visits_stay_linear);
+    ("scheduler: a requeue rebuilds the job view", `Quick, test_requeue_rebuilds_job_view);
     ("service: same-seed SLO bill reproduces", `Quick, test_service_deterministic_slo);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_placer_matches_reference; prop_failure_depends_on_size_alone ]
+      [
+        prop_placer_matches_reference;
+        prop_failure_depends_on_size_alone;
+        prop_placer_equals_today;
+      ]
