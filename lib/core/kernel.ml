@@ -78,7 +78,12 @@ and ('t, 'p, 'c, 'n) policy = {
   write_word : ('t, 'p, 'c, 'n) t -> ('t, 'p) thread -> int -> int -> unit;
   clear_tid : ('t, 'p, 'c, 'n) t -> ('t, 'p) thread -> int -> unit;
   fault : ('t, 'p, 'c, 'n) t -> ('t, 'p) thread -> string -> (unit -> unit) -> unit;
-  consume : ('t, 'p, 'c, 'n) t -> ('t, 'p) thread -> int -> (unit -> Coro.step) -> unit;
+  consume :
+    ('t, 'p, 'c, 'n) t ->
+    ('t, 'p) thread ->
+    int ->
+    (unit, Coro.step) Effect.Deep.continuation ->
+    unit;
   switch_in : ('t, 'p, 'c, 'n) t -> ('t, 'p, 'c) core -> ('t, 'p) thread -> int;
   syscall_cycles : int;
   syscall :
@@ -300,7 +305,7 @@ and wake_futex t p addr count =
 
 (* Handlers are kernel-invoked closures (effect-free); a fatal signal with
    no handler kills the thread. Returns [true] if the thread survived. *)
-let deliver_signals t th =
+let deliver_pending t th =
   let pending = List.rev th.pending_sigs in
   th.pending_sigs <- [];
   List.for_all
@@ -317,6 +322,9 @@ let deliver_signals t th =
         thread_exit t th signo;
         false)
     pending
+
+(* Every consume ends here; with nothing pending it builds nothing. *)
+let deliver_signals t th = match th.pending_sigs with [] -> true | _ -> deliver_pending t th
 
 (* --- the step driver --------------------------------------------------- *)
 
@@ -378,41 +386,44 @@ let rec step t th (s : Coro.step) =
       ras t Machine.Ras_error
         (Printf.sprintf "tid %d crashed: %s" th.tid (Printexc.to_string e));
       thread_exit t th 1
-    | Coro.Rdtsc k -> step t th (k (Sim.now (sim t)))
     | Coro.Yield k ->
-      th.resume <- Some (fun () -> step t th (k ()));
+      th.resume <- Some (fun () -> step t th (Effect.Deep.continue k ()));
       requeue t th
     | Coro.Consume (n, k) -> t.policy.consume t th n k
     | Coro.Load (addr, len, k) -> (
       match t.policy.read t th addr len with
-      | data -> step t th (k data)
+      | data -> step t th (Effect.Deep.continue k data)
       | exception Fault reason ->
         (* a fault policy that survives drops the access: it reads as zero *)
-        t.policy.fault t th reason (fun () -> step t th (k (Bytes.make len '\000'))))
+        t.policy.fault t th reason (fun () ->
+            step t th (Effect.Deep.continue k (Bytes.make len '\000'))))
     | Coro.Store (addr, data, k) -> (
       match t.policy.write t th addr data with
-      | true -> step t th (k ())
-      | false -> if deliver_signals t th then step t th (k ())
-      | exception Fault reason -> t.policy.fault t th reason (fun () -> step t th (k ())))
+      | true -> step t th (Effect.Deep.continue k ())
+      | false -> if deliver_signals t th then step t th (Effect.Deep.continue k ())
+      | exception Fault reason ->
+        t.policy.fault t th reason (fun () -> step t th (Effect.Deep.continue k ())))
     | Coro.Cas (addr, expected, desired, k) -> (
       match
         let v = t.policy.read_word t th addr in
         if v = expected then t.policy.write_word t th addr desired;
         v = expected
       with
-      | swapped -> step t th (k swapped)
-      | exception Fault reason -> t.policy.fault t th reason (fun () -> step t th (k false)))
+      | swapped -> step t th (Effect.Deep.continue k swapped)
+      | exception Fault reason ->
+        t.policy.fault t th reason (fun () -> step t th (Effect.Deep.continue k false)))
     | Coro.Fetch_add (addr, delta, k) -> (
       match
         let v = t.policy.read_word t th addr in
         t.policy.write_word t th addr (v + delta);
         v
       with
-      | v -> step t th (k v)
-      | exception Fault reason -> t.policy.fault t th reason (fun () -> step t th (k 0)))
+      | v -> step t th (Effect.Deep.continue k v)
+      | exception Fault reason ->
+        t.policy.fault t th reason (fun () -> step t th (Effect.Deep.continue k 0)))
     | Coro.Syscall (req, k) ->
       t.policy.hook t (Trap (th, req));
-      let k = instrument_syscall t th req k in
+      let k = instrument_syscall t th req (Effect.Deep.continue k) in
       let k = account_syscall t th req k in
       ignore
         (Sim.schedule_in (sim t) t.policy.syscall_cycles (fun () ->

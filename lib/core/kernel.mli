@@ -87,8 +87,14 @@ and ('t, 'p, 'c, 'n) policy = {
   fault : ('t, 'p, 'c, 'n) t -> ('t, 'p) thread -> string -> (unit -> unit) -> unit;
       (** a faulting access: kill the thread, or call the continuation to
           go on with the access dropped *)
-  consume : ('t, 'p, 'c, 'n) t -> ('t, 'p) thread -> int -> (unit -> Coro.step) -> unit;
-      (** run [n] cycles of work, then deliver signals and step on *)
+  consume :
+    ('t, 'p, 'c, 'n) t ->
+    ('t, 'p) thread ->
+    int ->
+    (unit, Coro.step) Effect.Deep.continuation ->
+    unit;
+      (** run [n] cycles of work, then deliver signals and resume the
+          continuation *)
   switch_in : ('t, 'p, 'c, 'n) t -> ('t, 'p, 'c) core -> ('t, 'p) thread -> int;
       (** a thread takes the core; returns the context-switch cycles *)
   syscall_cycles : int;  (** syscall entry cost *)

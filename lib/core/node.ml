@@ -338,7 +338,7 @@ let consume t (th : thread) n k =
              Accounting.attribute (acct t) ~rank:t.rank ~core:th.core_id
                ~now:(Sim.now (sim t))
                [ (Accounting.Daemon, penalty); (Accounting.Interrupt, ipi) ];
-           if deliver_signals t th then step t th (k ())
+           if deliver_signals t th then step t th (Effect.Deep.continue k ())
          end))
 
 (* --- lifecycle hooks ---------------------------------------------------- *)

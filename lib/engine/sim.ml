@@ -37,8 +37,14 @@ let schedule_in t delta thunk =
 let cancel t h = Event_queue.cancel t.queue h
 let pending t = Event_queue.length t.queue
 
+(* The time of the event being fired, on whichever simulator fires it.
+   Simulated threads run only inside fired events, so this is the
+   running thread's own [now]: its timebase, read without a trap. *)
+let firing = ref 0
+
 let fire t time thunk =
   t.clock <- time;
+  firing := time;
   t.fired <- t.fired + 1;
   thunk ()
 
@@ -49,6 +55,8 @@ let step t =
     fire t time (Event_queue.take_top t.queue);
     true
   end
+
+let firing_time () = !firing
 
 let halt t reason = t.halt_reason <- Some reason
 

@@ -41,6 +41,13 @@ val run : ?until:Cycles.t -> ?max_events:int -> t -> outcome
 val step : t -> bool
 (** Fire exactly one event. Returns [false] when the queue is empty. *)
 
+val firing_time : unit -> Cycles.t
+(** The time of the event being fired, by whichever simulator fires it
+    (the last one fired, between events). Simulated threads run only
+    inside fired events, so it is the running thread's [now]: a timebase
+    read that needs no simulator in hand. It is one cell for the whole
+    process, so simulators on different domains cannot share it. *)
+
 val halt : t -> string -> unit
 (** Request that the enclosing {!run} stop after the current event. *)
 

@@ -207,61 +207,58 @@ let fault t (th : thread) reason continue =
 
 (* --- time policy ---------------------------------------------------------- *)
 
+(* Close a window in the cycle ledger: steals to Interrupt/Daemon, kernel
+   service folded into the window (TLB refills, fault handling) to
+   Kernel, the rest to the app. *)
+let account t (th : thread) ~tick ~daemon ~kernel =
+  if (tick > 0 || daemon > 0 || kernel > 0) && Accounting.enabled (acct t) then
+    Accounting.attribute (acct t) ~rank:t.rank ~core:th.core_id
+      ~now:(Sim.now (sim t))
+      [ (Accounting.Interrupt, tick); (Accounting.Daemon, daemon); (Accounting.Kernel, kernel) ]
+
 (* Preemptive, noisy consume: split at time-slice boundaries when other
    threads wait on the core; every quantum is stretched by ticks and
-   daemon activations. *)
+   daemon activations. The [min] keeps kernel attribution inside the
+   window when a large penalty spills across a slice split. *)
 let rec consume t (th : thread) work k =
   let core = t.cores.(th.core_id) in
   let now = Sim.now (sim t) in
   let pen = core.penalty in
   let work = work + pen in
   core.penalty <- 0;
-  (* Close the window in the cycle ledger: steals to Interrupt/Daemon,
-     kernel service folded into the window (TLB refills, fault handling)
-     to Kernel, the rest to the app. The [min] keeps attribution inside
-     the window when a large penalty spills across a slice split. *)
-  let account ~window (steal : Noise_model.steal) =
-    let kernel_part = min pen window in
-    if steal.Noise_model.tick > 0 || steal.Noise_model.daemon > 0 || kernel_part > 0 then
-      Accounting.attribute (acct t) ~rank:t.rank ~core:th.core_id
-        ~now:(Sim.now (sim t))
-        [
-          (Accounting.Interrupt, steal.Noise_model.tick);
-          (Accounting.Daemon, steal.Noise_model.daemon);
-          (Accounting.Kernel, kernel_part);
-        ]
-  in
   let has_waiters = not (Queue.is_empty core.ready) in
   if has_waiters && work > th.tx.slice_left then begin
     let part = th.tx.slice_left in
     let window = refresh_stretch t now part in
-    let finish, steal = Noise_model.advance2 core.cx ~start:now ~work:window in
+    let finish = Noise_model.advance core.cx ~start:now ~work:window in
+    let tick = Noise_model.window_tick core.cx and daemon = Noise_model.window_daemon core.cx in
+    let kernel = min pen window in
     ignore
       (Sim.schedule_at (sim t) finish (fun () ->
            if th.state <> Zombie then begin
-             account ~window steal;
+             account t th ~tick ~daemon ~kernel;
              th.resume <- Some (fun () -> consume t th (work - part) k);
              requeue t th
            end))
   end
   else begin
     let window = refresh_stretch t now work in
-    let finish, steal = Noise_model.advance2 core.cx ~start:now ~work:window in
+    let finish = Noise_model.advance core.cx ~start:now ~work:window in
+    let tick = Noise_model.window_tick core.cx and daemon = Noise_model.window_daemon core.cx in
+    let kernel = min pen window in
     th.tx.slice_left <- max 1 (th.tx.slice_left - work);
     ignore
       (Sim.schedule_at (sim t) finish (fun () ->
            if th.state <> Zombie then begin
-             account ~window steal;
-             if deliver_signals t th then step t th (k ())
+             account t th ~tick ~daemon ~kernel;
+             if deliver_signals t th then step t th (Effect.Deep.continue k ())
            end))
   end
 
 (* Run [work] kernel cycles on the thread's core through the noise model,
    then [f] unless the thread died meanwhile. *)
 let in_kernel t (th : thread) work f =
-  let finish, _steal =
-    Noise_model.advance2 t.cores.(th.core_id).cx ~start:(Sim.now (sim t)) ~work
-  in
+  let finish = Noise_model.advance t.cores.(th.core_id).cx ~start:(Sim.now (sim t)) ~work in
   ignore (Sim.schedule_at (sim t) finish (fun () -> if th.state <> Zombie then f ()))
 
 (* --- the FWK's own syscalls ------------------------------------------------ *)

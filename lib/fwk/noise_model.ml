@@ -40,94 +40,128 @@ let nfs =
 
 let io_node_daemon_set ~core = suse_daemon_set ~core @ nfs
 
-type source = { daemon : daemon; mutable next_at : float }
-
+(* Daemon phases sit in a flat float array, so advancing one writes an
+   unboxed float. [first] and [first_at] cache the earliest daemon (the
+   first listed among equal phases) and its phase truncated to a cycle,
+   which is what the walk compares with the tick and the deadline: a
+   window with nothing due costs two int compares. *)
 type t = {
   tick_interval : int;
   tick_cost : int;
-  sources : source list;
+  daemons : daemon array;
+  next_at : float array;  (* by daemon *)
   rng : Rng.t;
   mutable next_tick : int;
   mutable stolen : int;
+  mutable first : int;  (* -1 with no daemons *)
+  mutable first_at : int;  (* [int_of_float next_at.(first)]; [max_int] with no daemons *)
+  mutable window_tick : int;  (* the last window's steal, by cause *)
+  mutable window_daemon : int;
 }
 
+let find_first t =
+  let n = Array.length t.next_at in
+  if n > 0 then begin
+    let best = ref 0 in
+    for i = 1 to n - 1 do
+      if t.next_at.(i) < t.next_at.(!best) then best := i
+    done;
+    t.first <- !best;
+    t.first_at <- int_of_float t.next_at.(!best)
+  end
+
+(* A period under one cycle would let the idle catch-up in [advance]
+   move a phase by less than a cycle per draw, which never ends over a
+   long gap; a non-positive tick interval divides by zero there or
+   loops forever. *)
 let create ?(tick_interval = default_tick_interval) ?(tick_cost = default_tick_cost)
     ~daemons ~rng () =
-  let sources =
-    List.map
-      (fun d -> { daemon = d; next_at = Rng.float rng d.period_mean })
-      daemons
+  if tick_interval <= 0 then
+    invalid_arg
+      (Printf.sprintf "Noise_model.create: tick_interval %d is not positive" tick_interval);
+  if tick_cost < 0 then
+    invalid_arg (Printf.sprintf "Noise_model.create: tick_cost %d is negative" tick_cost);
+  List.iter
+    (fun d ->
+      if not (d.period_mean >= 1.0) then
+        invalid_arg
+          (Printf.sprintf "Noise_model.create: daemon %s has period %g, under one cycle"
+             d.daemon_name d.period_mean))
+    daemons;
+  let daemons = Array.of_list daemons in
+  let t =
+    {
+      tick_interval;
+      tick_cost;
+      daemons;
+      next_at = Array.map (fun d -> Rng.float rng d.period_mean) daemons;
+      rng;
+      next_tick = tick_interval;
+      stolen = 0;
+      first = -1;
+      first_at = max_int;
+      window_tick = 0;
+      window_daemon = 0;
+    }
   in
-  { tick_interval; tick_cost; sources; rng; next_tick = tick_interval; stolen = 0 }
+  find_first t;
+  t
 
-let draw rng mean jitter =
+let[@inline] draw rng mean jitter =
   let lo = mean *. (1.0 -. jitter) and hi = mean *. (1.0 +. jitter) in
   lo +. Rng.float rng (max 1.0 (hi -. lo))
 
-type steal = { tick : int; daemon : int }
+(* Skip the daemon activations that fell while the core was idle, each
+   daemon in list order. *)
+let catch_up t start =
+  let start = float_of_int start in
+  for i = 0 to Array.length t.next_at - 1 do
+    let d = t.daemons.(i) in
+    while t.next_at.(i) < start do
+      t.next_at.(i) <- t.next_at.(i) +. draw t.rng d.period_mean d.period_jitter
+    done
+  done;
+  find_first t
 
-(* Pop the earliest interference event at or before [deadline], if any.
-   Returns its cost, tagged tick-or-daemon, and advances that source. *)
-let pop_event t deadline =
-  let tick_time = t.next_tick in
-  let best_daemon =
-    List.fold_left
-      (fun acc s ->
-        match acc with
-        | Some best when best.next_at <= s.next_at -> acc
-        | _ -> Some s)
-      None t.sources
-  in
-  let daemon_time =
-    match best_daemon with Some s -> int_of_float s.next_at | None -> max_int
-  in
-  if tick_time <= daemon_time && tick_time <= deadline then begin
-    t.next_tick <- t.next_tick + t.tick_interval;
-    let cost = t.tick_cost + Rng.int t.rng (t.tick_cost / 4) in
-    Some (`Tick, cost)
+(* Charge every interference event at or before [finish], earliest
+   first and the tick first on a tie, each one pushing [finish] out. A
+   tick's jitter is a quarter of its cost, drawn only when non-zero. *)
+let rec walk t finish =
+  let tick = t.next_tick in
+  if tick <= finish && tick <= t.first_at then begin
+    t.next_tick <- tick + t.tick_interval;
+    let jitter = t.tick_cost / 4 in
+    let cost = t.tick_cost + if jitter > 0 then Rng.int t.rng jitter else 0 in
+    t.stolen <- t.stolen + cost;
+    t.window_tick <- t.window_tick + cost;
+    walk t (finish + cost)
   end
-  else if daemon_time <= deadline then begin
-    match best_daemon with
-    | None -> None
-    | Some s ->
-      let d = s.daemon in
-      s.next_at <- s.next_at +. draw t.rng d.period_mean d.period_jitter;
-      Some (`Daemon, int_of_float (draw t.rng d.cost_mean d.cost_jitter))
-    end
-  else None
+  else if t.first_at <= finish && t.first >= 0 then begin
+    let i = t.first in
+    let d = t.daemons.(i) in
+    t.next_at.(i) <- t.next_at.(i) +. draw t.rng d.period_mean d.period_jitter;
+    let cost = int_of_float (draw t.rng d.cost_mean d.cost_jitter) in
+    find_first t;
+    t.stolen <- t.stolen + cost;
+    t.window_daemon <- t.window_daemon + cost;
+    walk t (finish + cost)
+  end
+  else finish
 
-let advance2 t ~start ~work =
+let advance t ~start ~work =
   (* Skip events that would have fired while the core was idle: the
      timeline starts at [start]. *)
   if t.next_tick < start then begin
     let missed = (start - t.next_tick) / t.tick_interval in
     t.next_tick <- t.next_tick + ((missed + 1) * t.tick_interval)
   end;
-  List.iter
-    (fun (s : source) ->
-      let d = s.daemon in
-      while s.next_at < float_of_int start do
-        s.next_at <- s.next_at +. draw t.rng d.period_mean d.period_jitter
-      done)
-    t.sources;
-  let finish = ref (start + work) in
-  let tick = ref 0 in
-  let daemon = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match pop_event t !finish with
-    | Some (kind, cost) ->
-      t.stolen <- t.stolen + cost;
-      (match kind with
-      | `Tick -> tick := !tick + cost
-      | `Daemon -> daemon := !daemon + cost);
-      finish := !finish + cost
-    | None -> continue := false
-  done;
-  (!finish, { tick = !tick; daemon = !daemon })
+  if t.first >= 0 && t.next_at.(t.first) < float_of_int start then catch_up t start;
+  t.window_tick <- 0;
+  t.window_daemon <- 0;
+  walk t (start + work)
 
-let advance t ~start ~work = fst (advance2 t ~start ~work)
-
+let window_tick t = t.window_tick
+let window_daemon t = t.window_daemon
 let stolen_cycles t = t.stolen
 
 let capture t b =
@@ -137,10 +171,10 @@ let capture t b =
   w_i t.next_tick;
   w_i t.stolen;
   Buffer.add_int64_le b (Rng.state t.rng);
-  w_i (List.length t.sources);
-  List.iter
-    (fun (s : source) ->
-      w_i (String.length s.daemon.daemon_name);
-      Buffer.add_string b s.daemon.daemon_name;
-      Buffer.add_int64_le b (Int64.bits_of_float s.next_at))
-    t.sources
+  w_i (Array.length t.daemons);
+  Array.iteri
+    (fun i d ->
+      w_i (String.length d.daemon_name);
+      Buffer.add_string b d.daemon_name;
+      Buffer.add_int64_le b (Int64.bits_of_float t.next_at.(i)))
+    t.daemons

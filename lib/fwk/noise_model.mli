@@ -45,22 +45,25 @@ val create :
   rng:Bg_engine.Rng.t ->
   unit ->
   t
-(** One core's interference source. [rng] must be a dedicated stream. *)
+(** One core's interference source. [rng] must be a dedicated stream.
+    @raise Invalid_argument when [tick_interval <= 0], [tick_cost < 0]
+    or a daemon's [period_mean] is under one cycle (or NaN), before any
+    draw. *)
 
 val advance : t -> start:Bg_engine.Cycles.t -> work:int -> Bg_engine.Cycles.t
 (** Finish time of [work] cycles of computation starting at [start],
     including every tick and daemon activation that lands in the window
     (each stolen interval extends the window, possibly admitting more
     events — the walk iterates to the true fixpoint). Calls must be made
-    with nondecreasing [start] (a core's timeline moves forward). *)
+    with nondecreasing [start] (a core's timeline moves forward).
+    Allocates nothing but the RNG's boxed floats of a daemon draw. *)
 
-type steal = { tick : int; daemon : int }
-(** Cycles stolen from one window, split by cause. *)
+val window_tick : t -> int
+(** Cycles the last {!advance} window lost to timer ticks. *)
 
-val advance2 : t -> start:Bg_engine.Cycles.t -> work:int -> Bg_engine.Cycles.t * steal
-(** Like {!advance}, also reporting the window's steal decomposed into
-    timer-tick and daemon cycles — the raw material for per-source noise
-    attribution. [advance] is [fst] of this. *)
+val window_daemon : t -> int
+(** Cycles the last {!advance} window lost to daemons. With
+    {!window_tick}, the raw material for per-source noise attribution. *)
 
 val stolen_cycles : t -> int
 (** Total interference charged so far. *)

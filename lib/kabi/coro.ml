@@ -4,7 +4,6 @@ open Effect.Deep
 type _ Effect.t +=
   | E_consume : int -> unit Effect.t
   | E_syscall : Sysreq.request -> Sysreq.reply Effect.t
-  | E_rdtsc : Bg_engine.Cycles.t Effect.t
   | E_load : (int * int) -> bytes Effect.t
   | E_store : (int * bytes) -> unit Effect.t
   | E_yield : unit Effect.t
@@ -17,7 +16,9 @@ let consume n =
   if n < 0 then invalid_arg "Coro.consume: negative cycles";
   if n > 0 then perform (E_consume n)
 
-let rdtsc () = perform E_rdtsc
+(* The timebase is user-readable, as on the PPC450: no effect, no trap.
+   A thread runs only inside a fired event, whose time is its now. *)
+let rdtsc () = Bg_engine.Sim.firing_time ()
 let syscall r = perform (E_syscall r)
 let load ~addr ~len = perform (E_load (addr, len))
 let store ~addr data = perform (E_store (addr, data))
@@ -28,14 +29,13 @@ let fetch_add ~addr delta = perform (E_faa (addr, delta))
 type step =
   | Finished
   | Crashed of exn
-  | Consume of int * (unit -> step)
-  | Syscall of Sysreq.request * (Sysreq.reply -> step)
-  | Rdtsc of (Bg_engine.Cycles.t -> step)
-  | Load of int * int * (bytes -> step)
-  | Store of int * bytes * (unit -> step)
-  | Yield of (unit -> step)
-  | Cas of int * int * int * (bool -> step)
-  | Fetch_add of int * int * (int -> step)
+  | Consume of int * (unit, step) continuation
+  | Syscall of Sysreq.request * (Sysreq.reply, step) continuation
+  | Load of int * int * (bytes, step) continuation
+  | Store of int * bytes * (unit, step) continuation
+  | Yield of (unit, step) continuation
+  | Cas of int * int * int * (bool, step) continuation
+  | Fetch_add of int * int * (int, step) continuation
 
 let start f =
   match_with f ()
@@ -45,16 +45,12 @@ let start f =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | E_consume n ->
-            Some (fun (k : (a, step) continuation) -> Consume (n, fun () -> continue k ()))
-          | E_syscall r -> Some (fun k -> Syscall (r, fun reply -> continue k reply))
-          | E_rdtsc -> Some (fun k -> Rdtsc (fun t -> continue k t))
-          | E_load (addr, len) -> Some (fun k -> Load (addr, len, fun b -> continue k b))
-          | E_store (addr, data) -> Some (fun k -> Store (addr, data, fun () -> continue k ()))
-          | E_yield -> Some (fun k -> Yield (fun () -> continue k ()))
-          | E_cas (addr, expected, desired) ->
-            Some (fun k -> Cas (addr, expected, desired, fun ok -> continue k ok))
-          | E_faa (addr, delta) ->
-            Some (fun k -> Fetch_add (addr, delta, fun old -> continue k old))
+          | E_consume n -> Some (fun (k : (a, step) continuation) -> Consume (n, k))
+          | E_syscall r -> Some (fun k -> Syscall (r, k))
+          | E_load (addr, len) -> Some (fun k -> Load (addr, len, k))
+          | E_store (addr, data) -> Some (fun k -> Store (addr, data, k))
+          | E_yield -> Some (fun k -> Yield k)
+          | E_cas (addr, expected, desired) -> Some (fun k -> Cas (addr, expected, desired, k))
+          | E_faa (addr, delta) -> Some (fun k -> Fetch_add (addr, delta, k))
           | _ -> None);
     }

@@ -4,8 +4,11 @@
     only through the operations below. Each operation performs an OCaml 5
     effect; {!start} reifies the computation into a {!step} value the
     kernel schedules — exactly the boundary a real kernel sees (trap in,
-    decide, resume). Continuations are one-shot: each [step]'s resume
-    function must be called at most once.
+    decide, resume). Each suspended [step] carries the continuation
+    itself; the kernel answers it with [Effect.Deep.continue], at most
+    once, since continuations are one-shot.
+    The timebase is the exception: {!rdtsc} is a user-mode register read
+    on the real core, so it performs no effect and never suspends.
 
     [consume] is time: a block of straight-line computation costing [n]
     cycles. Kernels decide how much wall-clock those cycles take (CNK:
@@ -16,7 +19,9 @@ val consume : int -> unit
 (** Retire [n >= 0] cycles of computation. *)
 
 val rdtsc : unit -> Bg_engine.Cycles.t
-(** Read the core's timebase register. *)
+(** Read the core's timebase register: the time of the event the
+    thread runs in ({!Bg_engine.Sim.firing_time}). No trap, no kernel
+    involvement and no cost, as on the PPC450. *)
 
 val syscall : Sysreq.request -> Sysreq.reply
 
@@ -39,14 +44,14 @@ val fetch_add : addr:int -> int -> int
 type step =
   | Finished
   | Crashed of exn
-  | Consume of int * (unit -> step)
-  | Syscall of Sysreq.request * (Sysreq.reply -> step)
-  | Rdtsc of (Bg_engine.Cycles.t -> step)
-  | Load of int * int * (bytes -> step)
-  | Store of int * bytes * (unit -> step)
-  | Yield of (unit -> step)
-  | Cas of int * int * int * (bool -> step)      (** addr, expected, desired *)
-  | Fetch_add of int * int * (int -> step)       (** addr, delta *)
+  | Consume of int * (unit, step) Effect.Deep.continuation
+  | Syscall of Sysreq.request * (Sysreq.reply, step) Effect.Deep.continuation
+  | Load of int * int * (bytes, step) Effect.Deep.continuation
+  | Store of int * bytes * (unit, step) Effect.Deep.continuation
+  | Yield of (unit, step) Effect.Deep.continuation
+  | Cas of int * int * int * (bool, step) Effect.Deep.continuation
+      (** addr, expected, desired *)
+  | Fetch_add of int * int * (int, step) Effect.Deep.continuation  (** addr, delta *)
 
 val start : (unit -> unit) -> step
 (** Run [f] until it finishes, crashes, or performs its first operation. *)

@@ -979,6 +979,119 @@ let test_image_pattern_matches_rng_draws () =
   Alcotest.(check int64) "stream position" (Rng.next_int64 b) (Rng.next_int64 a)
 
 (* ------------------------------------------------------------------ *)
+(* The timebase: a user-mode register read, no trap *)
+
+(* Two machines stepped one event at a time, in turn: a thread on each
+   must read its own machine's clock, not the other's. *)
+let test_rdtsc_reads_own_machine () =
+  let booted () =
+    let c = Cluster.create ~dims:(1, 1, 1) () in
+    Cluster.boot_all c;
+    c
+  in
+  let a = booted () and b = booted () in
+  let mismatches = ref 0 and reads = ref [] in
+  let launch c work =
+    let sim = Cluster.sim c in
+    Cluster.launch_all c
+      (Job.create ~name:"tb"
+         (Image.executable ~name:"tb" (fun () ->
+              for i = 1 to 40 do
+                let t = Coro.rdtsc () in
+                if t <> Sim.now sim then incr mismatches;
+                reads := t :: !reads;
+                Coro.consume (work * i)
+              done)))
+  in
+  launch a 1_000;
+  launch b 7_919;
+  let rec drive () =
+    let fa = Sim.step (Cluster.sim a) in
+    let fb = Sim.step (Cluster.sim b) in
+    if fa || fb then drive ()
+  in
+  drive ();
+  check_int "80 reads" 80 (List.length !reads);
+  check_int "each read its own machine's now" 0 !mismatches;
+  check_bool "the two clocks differed" true (Sim.now (Cluster.sim a) <> Sim.now (Cluster.sim b))
+
+(* On CNK a consume costs exactly its cycles plus the DRAM refresh stalls
+   it spans; reading the timebase around it costs nothing. *)
+let test_rdtsc_brackets_consume_exactly () =
+  let p = Params.bgp in
+  let interval = p.Params.dram_refresh_interval_cycles in
+  let stall = p.Params.dram_refresh_stall_cycles in
+  let got = ref [] in
+  let c =
+    run_user (fun _ ->
+        List.iter
+          (fun n ->
+            let t0 = Coro.rdtsc () in
+            Coro.consume n;
+            let t1 = Coro.rdtsc () in
+            got := (t0, n, t1) :: !got)
+          [ 1; 100; interval - 1; interval; 3 * interval; 658_958; 12_345 ])
+  in
+  no_faults c;
+  check_int "seven samples" 7 (List.length !got);
+  let stalls =
+    List.fold_left
+      (fun acc (t0, n, t1) ->
+        let k = ((t0 + n) / interval) - (t0 / interval) in
+        check_int (Printf.sprintf "consume %d from %d" n t0) (n + (k * stall)) (t1 - t0);
+        acc + k)
+      0 !got
+  in
+  check_bool "some refresh stall was paid" true (stalls > 0)
+
+(* Minor words per FWQ sample ([rdtsc; consume; rdtsc]) in a one-thread
+   job, measured inside the job after a warm-up pass, so the count is
+   everything the sample costs: effects, kernel, event queue. *)
+let fwq_sample_words kernel =
+  let samples = 2_000 in
+  let words = ref nan in
+  let faults, _ =
+    run_on kernel (fun () ->
+        let out = Array.make samples 0 in
+        let sample i =
+          let t0 = Coro.rdtsc () in
+          Coro.consume Bg_apps.Daxpy.quantum_cycles;
+          out.(i) <- Coro.rdtsc () - t0
+        in
+        for i = 0 to samples - 1 do
+          sample i
+        done;
+        let before = Gc.minor_words () in
+        for i = 0 to samples - 1 do
+          sample i
+        done;
+        words := (Gc.minor_words () -. before) /. float_of_int samples)
+  in
+  Alcotest.(check (list (pair int string))) "no faults" [] faults;
+  !words
+
+let check_words name ~limit words =
+  if not (words <= float_of_int limit) then
+    Alcotest.failf "%s: %.1f minor words, more than %d" name words limit
+
+let test_rdtsc_allocates_nothing () =
+  let calls = 10_000 in
+  let words = ref nan in
+  let c =
+    run_user (fun _ ->
+        let before = Gc.minor_words () in
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (Coro.rdtsc ()))
+        done;
+        words := Gc.minor_words () -. before)
+  in
+  no_faults c;
+  if !words > 0. then Alcotest.failf "Coro.rdtsc: %.0f words over %d calls" !words calls
+
+let test_fwq_sample_words_cnk () = check_words "CNK FWQ sample" ~limit:26 (fwq_sample_words `Cnk)
+let test_fwq_sample_words_fwk () = check_words "FWK FWQ sample" ~limit:75 (fwq_sample_words `Fwk)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest [ prop_tile_alignment; prop_tracker_mmap_disjoint ]
 
@@ -1047,5 +1160,12 @@ let suite =
     Alcotest.test_case "node: reproducible runs" `Quick test_reproducible_two_runs_identical;
     Alcotest.test_case "node: reset preserves persist" `Quick
       test_reset_self_refresh_preserves_persist;
+    Alcotest.test_case "timebase: each machine reads its own clock" `Quick
+      test_rdtsc_reads_own_machine;
+    Alcotest.test_case "timebase: rdtsc brackets a consume exactly" `Quick
+      test_rdtsc_brackets_consume_exactly;
+    Alcotest.test_case "timebase: rdtsc allocates 0 words" `Quick test_rdtsc_allocates_nothing;
+    Alcotest.test_case "timebase: CNK FWQ sample <= 26 words" `Quick test_fwq_sample_words_cnk;
+    Alcotest.test_case "timebase: FWK FWQ sample <= 75 words" `Quick test_fwq_sample_words_fwk;
   ]
   @ qcheck

@@ -98,6 +98,151 @@ let test_noise_deterministic () =
   in
   Alcotest.(check (list int)) "same seed same timeline" (run ()) (run ())
 
+(* [create] refuses settings the walk cannot run, before any draw: a
+   tick interval of 0 divided by zero at the first consume past cycle 0,
+   -5 never returned, and a period under one cycle makes the idle
+   catch-up crawl. *)
+let rejected_settings =
+  let daemon period =
+    { Fwk.Noise_model.daemon_name = "d"; period_mean = period; period_jitter = 0.3;
+      cost_mean = 2_500.0; cost_jitter = 0.3 }
+  in
+  let model ?tick_interval ?tick_cost ?(daemons = []) () =
+    ignore (Fwk.Noise_model.create ?tick_interval ?tick_cost ~daemons ~rng:(Rng.create 1L) ())
+  in
+  let node tick_interval () =
+    let machine = Machine.create ~dims:(1, 1, 1) () in
+    ignore (Fwk.Node.create ~tick_interval machine ~rank:0 ~stripped:true ())
+  in
+  [
+    ("node tick_interval 0", node 0);
+    ("node tick_interval -5", node (-5));
+    ("tick_interval 0", fun () -> model ~tick_interval:0 ());
+    ("tick_interval min_int", fun () -> model ~tick_interval:min_int ());
+    ("tick_cost -1", fun () -> model ~tick_cost:(-1) ());
+    ("daemon period 0", fun () -> model ~daemons:[ daemon 0.0 ] ());
+    ("daemon period -4.2e6", fun () -> model ~daemons:[ daemon (-4.2e6) ] ());
+    ("daemon period 0.5", fun () -> model ~daemons:[ daemon 0.5 ] ());
+    ("daemon period nan", fun () -> model ~daemons:[ daemon Float.nan ] ());
+    ("second daemon period 0", fun () -> model ~daemons:[ daemon 4.2e6; daemon 0.0 ] ());
+  ]
+  |> List.map (fun (name, make) ->
+         Alcotest.test_case ("noise: rejects " ^ name) `Quick (fun () ->
+             match make () with
+             | () -> Alcotest.failf "%s was accepted" name
+             | exception Invalid_argument _ -> ()))
+
+(* The settings in use stay accepted: no tick ([max_int], noise
+   injection), a tick past any run ([1 lsl 50], the messaging sweep),
+   and a tick too cheap to jitter, which now costs exactly its cycles. *)
+let test_noise_accepts_settings_in_use () =
+  let machine = Machine.create ~dims:(1, 1, 1) () in
+  ignore (Fwk.Node.create ~tick_interval:(1 lsl 50) machine ~rank:0 ~stripped:true ());
+  let untimed =
+    Fwk.Noise_model.create ~tick_interval:max_int ~tick_cost:0 ~daemons:[] ~rng:(Rng.create 1L) ()
+  in
+  check_int "no tick ever" 5_000_000 (Fwk.Noise_model.advance untimed ~start:0 ~work:5_000_000);
+  List.iter
+    (fun tick_cost ->
+      let n =
+        Fwk.Noise_model.create ~tick_interval:1_000 ~tick_cost ~daemons:[] ~rng:(Rng.create 1L) ()
+      in
+      check_int (Printf.sprintf "tick cost %d" tick_cost) (10_000 + (10 * tick_cost))
+        (Fwk.Noise_model.advance n ~start:0 ~work:10_000);
+      check_int "window tick" (10 * tick_cost) (Fwk.Noise_model.window_tick n))
+    [ 0; 1; 3 ]
+
+(* The walk against the model as it was before it was rewritten
+   ([noise_model_reference.ml]): same finish, same steal split, same
+   stolen total, same RNG position and the same capture bytes after
+   every call, over nondecreasing starts with idle gaps of many periods. *)
+module Ref = Noise_model_reference
+
+let tiny_ties =
+  (* periods of a few cycles, so phases truncate to the same cycle as each
+     other and as a 16-cycle tick, and the tick-first tie rule decides
+     (phases are sums of random floats, so two never meet exactly and the
+     first-listed rule between daemons cannot be driven). A cost of
+     [c] draws in [c, c + 1), so these steal about 0.6 of each cycle with
+     the tick; at 1.0 or more a window would never close. *)
+  let d name period_mean period_jitter cost_mean =
+    { Fwk.Noise_model.daemon_name = name; period_mean; period_jitter; cost_mean; cost_jitter = 0.0 }
+  in
+  [ d "a" 4.0 0.0 1.0; d "b" 4.0 0.5 0.0; d "c" 6.0 0.0 1.0; d "a'" 4.0 0.0 0.0 ]
+
+let twins =
+  (* equal periods at the paper's scale *)
+  let rcu = List.hd (Fwk.Noise_model.suse_daemon_set ~core:1) in
+  [ rcu; { rcu with Fwk.Noise_model.daemon_name = "rcu2" }; { rcu with period_jitter = 0.0 } ]
+
+(* (name, daemons, tick intervals, tick cost, largest gap, largest work) *)
+let walk_sets =
+  let paper = [ Fwk.Noise_model.default_tick_interval; max_int; 1 lsl 50 ] in
+  let cost = Fwk.Noise_model.default_tick_cost in
+  [|
+    ("suse core 0", Fwk.Noise_model.suse_daemon_set ~core:0, paper, cost, 2_000_000_000, 3_000_000);
+    ("suse core 1 (light)", Fwk.Noise_model.suse_daemon_set ~core:1, paper, cost, 2_000_000_000,
+     3_000_000);
+    ("quiet", Fwk.Noise_model.quiet_daemon_set ~core:0, paper, cost, 2_000_000_000, 3_000_000);
+    ("io_node core 0", Fwk.Noise_model.io_node_daemon_set ~core:0, paper, cost, 2_000_000_000,
+     3_000_000);
+    ("io_node core 1", Fwk.Noise_model.io_node_daemon_set ~core:1, paper, cost, 2_000_000_000,
+     3_000_000);
+    ("twins", twins, paper, cost, 200_000_000, 3_000_000);
+    ("tiny ties", tiny_ties, [ 16; max_int ], 4, 400, 120);
+  |]
+
+let walk_case_gen =
+  let open QCheck.Gen in
+  int_bound (Array.length walk_sets - 1) >>= fun set ->
+  let _, _, ticks, _, max_gap, max_work = walk_sets.(set) in
+  oneofl ticks >>= fun tick ->
+  int_bound 1_000_000 >>= fun seed ->
+  let gap =
+    frequency
+      [ (4, int_bound (max_gap / 1_000)); (2, return 0); (2, int_range (max_gap / 10) max_gap) ]
+  in
+  list_size (1 -- 30) (pair gap (int_bound max_work)) >>= fun calls ->
+  return (set, tick, seed, calls)
+
+let print_walk_case (set, tick, seed, calls) =
+  let name, _, _, _, _, _ = walk_sets.(set) in
+  Printf.sprintf "%s, tick %d, seed %d, (gap, work) %s" name tick seed
+    (String.concat "; " (List.map (fun (g, w) -> Printf.sprintf "(%d, %d)" g w) calls))
+
+let walk_matches_reference (set, tick, seed, calls) =
+  let _, daemons, _, tick_cost, _, _ = walk_sets.(set) in
+  let rng = Rng.create (Int64.of_int seed) and ref_rng = Rng.create (Int64.of_int seed) in
+  let n = Fwk.Noise_model.create ~tick_interval:tick ~tick_cost ~daemons ~rng () in
+  let r = Ref.create ~tick_interval:tick ~tick_cost ~daemons ~rng:ref_rng () in
+  let capture f =
+    let b = Buffer.create 128 in
+    f b;
+    Buffer.contents b
+  in
+  let same what a b = if a <> b then QCheck.Test.fail_reportf "%s: %d, reference %d" what a b in
+  let start = ref 0 in
+  List.iteri
+    (fun i (gap, work) ->
+      start := !start + gap;
+      let finish = Fwk.Noise_model.advance n ~start:!start ~work in
+      let ref_finish, steal = Ref.advance2 r ~start:!start ~work in
+      let at what = Printf.sprintf "call %d %s" i what in
+      same (at "finish") finish ref_finish;
+      same (at "tick steal") (Fwk.Noise_model.window_tick n) steal.Ref.tick;
+      same (at "daemon steal") (Fwk.Noise_model.window_daemon n) steal.Ref.daemon;
+      same (at "stolen") (Fwk.Noise_model.stolen_cycles n) (Ref.stolen_cycles r);
+      if Rng.state rng <> Rng.state ref_rng then QCheck.Test.fail_reportf "%s" (at "rng state");
+      if capture (Fwk.Noise_model.capture n) <> capture (Ref.capture r) then
+        QCheck.Test.fail_reportf "%s" (at "capture bytes"))
+    calls;
+  true
+
+let prop_walk_matches_reference =
+  QCheck.Test.make ~name:"noise: walk = pre-rewrite reference model" ~count:400
+    (QCheck.make ~print:print_walk_case walk_case_gen)
+    walk_matches_reference
+
 (* ------------------------------------------------------------------ *)
 (* FWK node end-to-end *)
 
@@ -429,6 +574,8 @@ let suite =
     Alcotest.test_case "noise: quiet ticks" `Quick test_noise_quiet_is_ticks_only;
     Alcotest.test_case "noise: heavy vs light core" `Quick test_noise_heavy_core_noisier;
     Alcotest.test_case "noise: deterministic" `Quick test_noise_deterministic;
+    Alcotest.test_case "noise: settings in use accepted" `Quick test_noise_accepts_settings_in_use;
+    QCheck_alcotest.to_alcotest prop_walk_matches_reference;
     Alcotest.test_case "fwk: same runtime as cnk" `Quick test_fwk_runs_same_runtime;
     Alcotest.test_case "fwk: demand paging" `Quick test_fwk_demand_paging_counts;
     Alcotest.test_case "fwk: tlb pressure" `Quick test_fwk_tlb_pressure_evicts;
@@ -448,3 +595,4 @@ let suite =
       test_fwk_contiguous_degrades_with_churn;
     Alcotest.test_case "fwk: not reproducible" `Quick test_fwk_not_reproducible_across_environments;
   ]
+  @ rejected_settings
