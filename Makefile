@@ -183,7 +183,9 @@ perf-base:
 # the _perf/base build and on this tree. Each run's stdout and exit
 # status go to _perf/smoke-base/<name>.out and _perf/smoke-head/<name>.out
 # (the files a tool writes land beside them). It prints one same/DIFF line
-# per run and fails if any run differs.
+# per run, then compares every file the runs wrote (a DIFF line for each
+# file that differs or exists on one side only), and fails on any
+# difference.
 smoke-diff: perf-base
 	@rm -rf _perf/smoke-base _perf/smoke-head
 	@mkdir -p _perf/smoke-base _perf/smoke-head
@@ -229,7 +231,16 @@ smoke-diff: perf-base
 	  done; \
 	  if cmp -s _perf/smoke-base/$$name.out _perf/smoke-head/$$name.out; then \
 	    echo "same  $$name"; else echo "DIFF  $$name"; status=1; fi; \
-	done; exit $$status; }
+	done; \
+	files=$$( { (cd _perf/smoke-base && find . -type f ! -name '*.out'); \
+	            (cd _perf/smoke-head && find . -type f ! -name '*.out'); } | sort -u); \
+	n=0; for f in $$files; do \
+	  n=$$((n + 1)); f=$${f#./}; \
+	  if ! cmp -s "_perf/smoke-base/$$f" "_perf/smoke-head/$$f"; then \
+	    echo "DIFF  file $$f"; status=1; fi; \
+	done; \
+	test $$status -ne 0 || echo "same  $$n written files"; \
+	exit $$status; }
 
 # Before/after host-performance pair against another revision:
 # `make perf-ab BASE=<rev>` runs `perf run` once on the _perf/base build

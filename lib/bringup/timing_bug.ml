@@ -17,7 +17,7 @@ let arm bug cluster ~rank ~temperature_seed =
       ignore
         (Sim.schedule_at sim (bug.glitch_cycle + offset) (fun () ->
              (* the arbiter glitch: an observable spurious event *)
-             Sim.emit sim ~label:"torus.arbiter.glitch" ~value:(Int64.of_int rank)))
+             Sim.emit sim ~label:"torus.arbiter.glitch" ~value:rank))
     end
   end
 

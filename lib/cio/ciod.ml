@@ -69,19 +69,20 @@ let alive t = t.alive
 
 let register_node t ~rank ~deliver = Hashtbl.replace t.deliver rank deliver
 
+(* A rank's proxy table outlives its jobs: job end empties it in place. *)
 let rank_proxies t rank =
-  match Itbl.find_opt t.proxies rank with
-  | Some by_pid -> by_pid
-  | None ->
+  match Itbl.find t.proxies rank with
+  | by_pid -> by_pid
+  | exception Not_found ->
     let by_pid = Itbl.create 4 in
     Itbl.add t.proxies rank by_pid;
     by_pid
 
 let proxy t ~rank ~pid =
   let by_pid = rank_proxies t rank in
-  match Itbl.find_opt by_pid pid with
-  | Some p -> p
-  | None ->
+  match Itbl.find by_pid pid with
+  | p -> p
+  | exception Not_found ->
     let p = Ioproxy.create t.fs ~rank ~pid in
     Itbl.add by_pid pid p;
     p
@@ -98,22 +99,25 @@ let mark t ~rank name =
   let now = Sim.now t.machine.Machine.sim in
   Obs.span_record (obs t) ~cat:"cio" ~name ~rank ~core:worker_tid_base ~start:now ~finish:now
 
+let rec start_procs t rank = function
+  | [] -> ()
+  | pid :: rest ->
+    let p = proxy t ~rank ~pid in
+    Manifest.add_proc t.manifest ~rank ~pid;
+    Manifest.record_proxy t.manifest ~rank ~pid (Ioproxy.snapshot p);
+    start_procs t rank rest
+
 let job_start t ~rank ~pids =
   mark t ~rank "job_start";
-  List.iter
-    (fun pid ->
-      let p = proxy t ~rank ~pid in
-      Manifest.add_proc t.manifest ~rank ~pid;
-      Manifest.record_proxy t.manifest ~rank ~pid (Ioproxy.snapshot p))
-    pids
+  start_procs t rank pids
 
 let job_end t ~rank =
   mark t ~rank "job_end";
-  (match Itbl.find_opt t.proxies rank with
-  | Some by_pid ->
+  (match Itbl.find t.proxies rank with
+  | by_pid ->
     Itbl.iter (fun _ p -> Ioproxy.close_all p) by_pid;
-    Itbl.remove t.proxies rank
-  | None -> ());
+    Itbl.clear by_pid
+  | exception Not_found -> ());
   Manifest.remove_rank t.manifest ~rank
 
 let request_cost req =
@@ -171,7 +175,7 @@ let submit_raw t data =
     (Sim.schedule_at sim finish (fun () ->
          t.served <- t.served + 1;
          count t Metrics.Ciod.served;
-         Sim.emit sim ~label:"ciod.served" ~value:(Int64.of_int hdr.Proto.rank);
+         Sim.emit sim ~label:"ciod.served" ~value:hdr.Proto.rank;
          let reply = Ioproxy.handle p req in
          Manifest.record_proxy t.manifest ~rank:hdr.Proto.rank ~pid:hdr.Proto.pid
            (Ioproxy.snapshot p);
@@ -224,7 +228,7 @@ let service t (f : Frame.t) req =
         depth_gauge t;
         t.served <- t.served + 1;
         count t Metrics.Ciod.served;
-        Sim.emit sim ~label:"ciod.served" ~value:(Int64.of_int f.Frame.rank);
+        Sim.emit sim ~label:"ciod.served" ~value:f.Frame.rank;
         if Obs.enabled o then begin
           let lane = worker_tid_base + worker in
           if start > now then
@@ -358,7 +362,7 @@ let crash t =
     t.alive <- false;
     t.crashes <- t.crashes + 1;
     count t Metrics.Ciod.crashes;
-    Sim.emit t.machine.Machine.sim ~label:"ciod.crash" ~value:(Int64.of_int t.io_node);
+    Sim.emit t.machine.Machine.sim ~label:"ciod.crash" ~value:t.io_node;
     (* Queued work and all daemon-resident state die with the process.
        The manifest survives: it models control-system storage. *)
     Hashtbl.iter (fun _ h -> Sim.cancel t.machine.Machine.sim h) t.inflight;
@@ -373,7 +377,7 @@ let restart t =
   if not t.alive then begin
     t.alive <- true;
     count t Metrics.Ciod.restarts;
-    Sim.emit t.machine.Machine.sim ~label:"ciod.restart" ~value:(Int64.of_int t.io_node);
+    Sim.emit t.machine.Machine.sim ~label:"ciod.restart" ~value:t.io_node;
     (* Rebuild every proxy from its manifest snapshot; descriptors, offsets
        and cwd come back exactly as of the last executed request. *)
     List.iter

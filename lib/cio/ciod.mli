@@ -43,7 +43,8 @@ val job_start : t -> rank:int -> pids:int list -> unit
 
 val job_end : t -> rank:int -> unit
 (** Tear down rank's proxies, closing their descriptors, and drop the
-    rank from the manifest. *)
+    rank's processes from the manifest. The rank's tables are emptied in
+    place and kept for its next job. *)
 
 val submit : t -> bytes -> unit
 (** A marshaled message has arrived at the I/O node (the uplink transit is

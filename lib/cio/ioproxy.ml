@@ -4,6 +4,15 @@ type open_file = {
   mutable offset : int;
 }
 
+type fd_snapshot = {
+  snap_fd : int;
+  snap_inode : Fs.inode;
+  snap_flags : Sysreq.open_flags;
+  snap_offset : int;
+}
+
+type snapshot = { snap_cwd : string; snap_next_fd : int; snap_fds : fd_snapshot list }
+
 type t = {
   fs : Fs.t;
   rank : int;
@@ -13,12 +22,17 @@ type t = {
       (* no table until the first descriptor: most proxies never open one *)
   mutable next_fd : int;
   mutable closed : bool;
+  mutable snap : snapshot;
+      (* the last snapshot taken, or [stale] once the state has changed *)
 }
+
+(* Compared by address only. *)
+let stale = { snap_cwd = "<stale>"; snap_next_fd = -1; snap_fds = [] }
 
 let fd_limit = 1024
 
 let create fs ~rank ~pid =
-  { fs; rank; pid; cwd = "/"; fds = None; next_fd = 3; closed = false }
+  { fs; rank; pid; cwd = "/"; fds = None; next_fd = 3; closed = false; snap = stale }
 
 let fd_table t =
   match t.fds with
@@ -94,9 +108,18 @@ let do_lseek t fd offset whence =
         ok_int target
       end)
 
+(* The requests that can change the cwd, the fd table, an offset or the
+   next fd; any other leaves the last snapshot current. *)
+let changes_proxy = function
+  | Sysreq.Open _ | Sysreq.Close _ | Sysreq.Read _ | Sysreq.Write _ | Sysreq.Lseek _
+  | Sysreq.Chdir _ | Sysreq.Dup _ ->
+    true
+  | _ -> false
+
 let handle t req =
   if t.closed then err Errno.EBADF
-  else
+  else begin
+  if changes_proxy req then t.snap <- stale;
   match req with
   | Sysreq.Open { path; flags; mode } -> do_open t path flags mode
   | Sysreq.Close fd ->
@@ -148,6 +171,7 @@ let handle t req =
         end)
   | Sysreq.Fsync fd -> with_fd t fd (fun _ -> Sysreq.R_unit)
   | _ -> err Errno.ENOSYS
+  end
 
 let closed t = t.closed
 
@@ -157,33 +181,38 @@ let closed t = t.closed
 let close_all t =
   if not t.closed then begin
     t.fds <- None;
-    t.closed <- true
+    t.closed <- true;
+    t.snap <- stale
   end
 
 (* --- crash-recovery snapshots ---------------------------------------- *)
 
-type fd_snapshot = {
-  snap_fd : int;
-  snap_inode : Fs.inode;
-  snap_flags : Sysreq.open_flags;
-  snap_offset : int;
-}
-
-type snapshot = { snap_cwd : string; snap_next_fd : int; snap_fds : fd_snapshot list }
-
+(* Snapshots are immutable, so an unchanged proxy hands out the one it
+   took last: a request that changed nothing costs CIOD no allocation. *)
 let snapshot t =
-  let fds =
-    fold_fds t
-      (fun fd o acc ->
-        { snap_fd = fd; snap_inode = o.inode; snap_flags = o.flags; snap_offset = o.offset }
-        :: acc)
-      []
-  in
-  {
-    snap_cwd = t.cwd;
-    snap_next_fd = t.next_fd;
-    snap_fds = List.sort (fun a b -> compare a.snap_fd b.snap_fd) fds;
-  }
+  if t.snap != stale then t.snap
+  else begin
+    let fds =
+      fold_fds t
+        (fun fd o acc ->
+          { snap_fd = fd; snap_inode = o.inode; snap_flags = o.flags; snap_offset = o.offset }
+          :: acc)
+        []
+    in
+    let s =
+      {
+        snap_cwd = t.cwd;
+        snap_next_fd = t.next_fd;
+        snap_fds =
+          (* [List.sort] builds its closures even for a short list *)
+          (match fds with
+          | [] | [ _ ] -> fds
+          | _ -> List.sort (fun a b -> compare a.snap_fd b.snap_fd) fds);
+      }
+    in
+    t.snap <- s;
+    s
+  end
 
 let w_flags b (f : Sysreq.open_flags) =
   let w_b v = Buffer.add_uint8 b (if v then 1 else 0) in

@@ -14,15 +14,17 @@ type rank_entry = {
   replies : cached_reply Itbl.t Itbl.t;  (* pid -> tid -> reply *)
 }
 
-(* Rank first, so job teardown drops one entry. *)
+(* Rank first, so job teardown touches one entry. A rank's entry lives
+   as long as the manifest: job teardown empties its tables in place, so
+   the next job on that rank allocates no tables. *)
 type t = rank_entry Itbl.t
 
 let create () = Itbl.create 16
 
 let rank_entry t rank =
-  match Itbl.find_opt t rank with
-  | Some e -> e
-  | None ->
+  match Itbl.find t rank with
+  | e -> e
+  | exception Not_found ->
     let e = { procs = Itbl.create 4; proxies = Itbl.create 4; replies = Itbl.create 4 } in
     Itbl.add t rank e;
     e
@@ -116,4 +118,10 @@ let capture t b =
         Buffer.add_int64_le b (Bg_engine.Fnv.add_bytes Bg_engine.Fnv.empty frame))
     replies
 
-let remove_rank t ~rank = Itbl.remove t rank
+let remove_rank t ~rank =
+  match Itbl.find t rank with
+  | e ->
+    Itbl.clear e.procs;
+    Itbl.clear e.proxies;
+    Itbl.clear e.replies
+  | exception Not_found -> ()

@@ -41,7 +41,9 @@ val retire_reply : t -> rank:int -> pid:int -> tid:int -> seq:int -> unit
 val remove_rank : t -> rank:int -> unit
 (** Forget every process, proxy snapshot, and cached reply of [rank]
     (job teardown). Entries are kept per rank, so this costs the same
-    however many other ranks the I/O node serves. *)
+    however many other ranks the I/O node serves; the rank's tables are
+    emptied in place and reused by its next job. An empty entry adds no
+    bytes to {!capture}. *)
 
 val capture : t -> Buffer.t -> unit
 (** Serialize snapshot-relevant state, little-endian, sorted; cached

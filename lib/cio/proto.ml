@@ -1,21 +1,32 @@
 type header = { rank : int; pid : int; tid : int }
 
-(* --- primitive encoders -------------------------------------------- *)
+(* --- primitive encoders --------------------------------------------
+   A message is written straight into one [bytes] of its exact wire size.
+   Each writer stores at [pos] and returns the position after what it
+   wrote. *)
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
+let int_bytes = 8
+let str_bytes s = int_bytes + String.length s
 
-let put_int b v =
-  let x = Bytes.create 8 in
-  Bytes.set_int64_le x 0 (Int64.of_int v);
-  Buffer.add_bytes b x
+let put_u8 b pos v =
+  Bytes.set_uint8 b pos (v land 0xff);
+  pos + 1
 
-let put_str b s =
-  put_int b (String.length s);
-  Buffer.add_string b s
+let put_int b pos v =
+  Bytes.set_int64_le b pos (Int64.of_int v);
+  pos + int_bytes
 
-let put_bytes b d =
-  put_int b (Bytes.length d);
-  Buffer.add_bytes b d
+let put_str b pos s =
+  let n = String.length s in
+  let pos = put_int b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
+let put_bytes b pos d =
+  let n = Bytes.length d in
+  let pos = put_int b pos n in
+  Bytes.blit d 0 b pos n;
+  pos + n
 
 type error = Malformed of string
 
@@ -67,10 +78,14 @@ let finished c =
   if c.pos <> Bytes.length c.data then
     bad "trailing garbage: %d byte(s) past the message" (Bytes.length c.data - c.pos)
 
-let put_header b { rank; pid; tid } =
-  put_int b rank;
-  put_int b pid;
-  put_int b tid
+let header_bytes = 3 * int_bytes
+
+(* A message of [body] bytes after the header, with the header written;
+   the body starts at [header_bytes]. *)
+let message { rank; pid; tid } body =
+  let b = Bytes.create (header_bytes + body) in
+  ignore (put_int b (put_int b (put_int b 0 rank) pid) tid : int);
+  b
 
 let get_header c =
   let rank = get_int c in
@@ -106,84 +121,59 @@ let byte_whence = function
   | 2 -> Sysreq.Seek_end
   | n -> bad "bad whence %d" n
 
+(* Wire size of a request's body: its tag byte and its fields. *)
+let request_body = function
+  | Sysreq.Open { path; _ } -> 1 + str_bytes path + 1 + int_bytes
+  | Sysreq.Close _ | Sysreq.Fstat _ | Sysreq.Dup _ | Sysreq.Fsync _ -> 1 + int_bytes
+  | Sysreq.Read _ | Sysreq.Ftruncate _ -> 1 + (2 * int_bytes)
+  | Sysreq.Write { data; _ } -> 1 + (2 * int_bytes) + Bytes.length data
+  | Sysreq.Pread _ -> 1 + (3 * int_bytes)
+  | Sysreq.Pwrite { data; _ } -> 1 + (3 * int_bytes) + Bytes.length data
+  | Sysreq.Lseek _ -> 1 + (2 * int_bytes) + 1
+  | Sysreq.Stat path | Sysreq.Unlink path | Sysreq.Rmdir path | Sysreq.Readdir path
+  | Sysreq.Chdir path ->
+    1 + str_bytes path
+  | Sysreq.Mkdir { path; _ } -> 1 + str_bytes path + int_bytes
+  | Sysreq.Getcwd -> 1
+  | Sysreq.Rename { src; dst } -> 1 + str_bytes src + str_bytes dst
+  | _ -> 0
+
 let encode_request hdr req =
   if not (Sysreq.is_file_io req) then
     invalid_arg
       (Printf.sprintf "Proto.encode_request: %s is not function-shipped"
          (Sysreq.request_name req));
-  let b = Buffer.create 64 in
-  put_header b hdr;
-  (match req with
-  | Sysreq.Open { path; flags; mode } ->
-    put_u8 b 1;
-    put_str b path;
-    put_u8 b (flags_byte flags);
-    put_int b mode
-  | Sysreq.Close fd ->
-    put_u8 b 2;
-    put_int b fd
-  | Sysreq.Read { fd; len } ->
-    put_u8 b 3;
-    put_int b fd;
-    put_int b len
-  | Sysreq.Write { fd; data } ->
-    put_u8 b 4;
-    put_int b fd;
-    put_bytes b data
-  | Sysreq.Pread { fd; len; offset } ->
-    put_u8 b 5;
-    put_int b fd;
-    put_int b len;
-    put_int b offset
-  | Sysreq.Pwrite { fd; data; offset } ->
-    put_u8 b 6;
-    put_int b fd;
-    put_bytes b data;
-    put_int b offset
-  | Sysreq.Lseek { fd; offset; whence } ->
-    put_u8 b 7;
-    put_int b fd;
-    put_int b offset;
-    put_u8 b (whence_byte whence)
-  | Sysreq.Fstat fd ->
-    put_u8 b 8;
-    put_int b fd
-  | Sysreq.Stat path ->
-    put_u8 b 9;
-    put_str b path
-  | Sysreq.Ftruncate { fd; length } ->
-    put_u8 b 10;
-    put_int b fd;
-    put_int b length
-  | Sysreq.Unlink path ->
-    put_u8 b 11;
-    put_str b path
-  | Sysreq.Mkdir { path; mode } ->
-    put_u8 b 12;
-    put_str b path;
-    put_int b mode
-  | Sysreq.Rmdir path ->
-    put_u8 b 13;
-    put_str b path
-  | Sysreq.Readdir path ->
-    put_u8 b 14;
-    put_str b path
-  | Sysreq.Chdir path ->
-    put_u8 b 15;
-    put_str b path
-  | Sysreq.Getcwd -> put_u8 b 16
-  | Sysreq.Rename { src; dst } ->
-    put_u8 b 17;
-    put_str b src;
-    put_str b dst
-  | Sysreq.Dup fd ->
-    put_u8 b 18;
-    put_int b fd
-  | Sysreq.Fsync fd ->
-    put_u8 b 19;
-    put_int b fd
-  | _ -> assert false);
-  Buffer.to_bytes b
+  let b = message hdr (request_body req) in
+  let p = header_bytes in
+  let (_ : int) =
+    match req with
+    | Sysreq.Open { path; flags; mode } ->
+      let p = put_str b (put_u8 b p 1) path in
+      put_int b (put_u8 b p (flags_byte flags)) mode
+    | Sysreq.Close fd -> put_int b (put_u8 b p 2) fd
+    | Sysreq.Read { fd; len } -> put_int b (put_int b (put_u8 b p 3) fd) len
+    | Sysreq.Write { fd; data } -> put_bytes b (put_int b (put_u8 b p 4) fd) data
+    | Sysreq.Pread { fd; len; offset } ->
+      put_int b (put_int b (put_int b (put_u8 b p 5) fd) len) offset
+    | Sysreq.Pwrite { fd; data; offset } ->
+      put_int b (put_bytes b (put_int b (put_u8 b p 6) fd) data) offset
+    | Sysreq.Lseek { fd; offset; whence } ->
+      put_u8 b (put_int b (put_int b (put_u8 b p 7) fd) offset) (whence_byte whence)
+    | Sysreq.Fstat fd -> put_int b (put_u8 b p 8) fd
+    | Sysreq.Stat path -> put_str b (put_u8 b p 9) path
+    | Sysreq.Ftruncate { fd; length } -> put_int b (put_int b (put_u8 b p 10) fd) length
+    | Sysreq.Unlink path -> put_str b (put_u8 b p 11) path
+    | Sysreq.Mkdir { path; mode } -> put_int b (put_str b (put_u8 b p 12) path) mode
+    | Sysreq.Rmdir path -> put_str b (put_u8 b p 13) path
+    | Sysreq.Readdir path -> put_str b (put_u8 b p 14) path
+    | Sysreq.Chdir path -> put_str b (put_u8 b p 15) path
+    | Sysreq.Getcwd -> put_u8 b p 16
+    | Sysreq.Rename { src; dst } -> put_str b (put_str b (put_u8 b p 17) src) dst
+    | Sysreq.Dup fd -> put_int b (put_u8 b p 18) fd
+    | Sysreq.Fsync fd -> put_int b (put_u8 b p 19) fd
+    | _ -> assert false
+  in
+  b
 
 let decode_request data =
   try
@@ -257,35 +247,36 @@ let byte_kind = function
   | n -> bad "bad kind %d" n
 
 let encode_reply hdr reply =
-  let b = Buffer.create 64 in
-  put_header b hdr;
-  (match reply with
-  | Sysreq.R_unit -> put_u8 b 1
-  | Sysreq.R_int i ->
-    put_u8 b 2;
-    put_int b i
-  | Sysreq.R_bytes d ->
-    put_u8 b 3;
-    put_bytes b d
-  | Sysreq.R_stat s ->
-    put_u8 b 4;
-    put_int b s.Sysreq.st_size;
-    put_u8 b (kind_byte s.Sysreq.st_kind);
-    put_int b s.Sysreq.st_perm
-  | Sysreq.R_names names ->
-    put_u8 b 5;
-    put_int b (List.length names);
-    List.iter (put_str b) names
-  | Sysreq.R_string s ->
-    put_u8 b 6;
-    put_str b s
-  | Sysreq.R_err e ->
-    put_u8 b 7;
-    put_int b (Errno.code e)
-  | Sysreq.R_map _ | Sysreq.R_uname _ | Sysreq.R_personality _ | Sysreq.R_ranges _
-  | Sysreq.R_perf _ | Sysreq.R_dma_packets _ ->
-    invalid_arg "Proto.encode_reply: reply kind never crosses the wire");
-  Buffer.to_bytes b
+  let body =
+    match reply with
+    | Sysreq.R_unit -> 1
+    | Sysreq.R_int _ | Sysreq.R_err _ -> 1 + int_bytes
+    | Sysreq.R_bytes d -> 1 + int_bytes + Bytes.length d
+    | Sysreq.R_stat _ -> 1 + int_bytes + 1 + int_bytes
+    | Sysreq.R_names names ->
+      List.fold_left (fun n s -> n + str_bytes s) (1 + int_bytes) names
+    | Sysreq.R_string s -> 1 + str_bytes s
+    | Sysreq.R_map _ | Sysreq.R_uname _ | Sysreq.R_personality _ | Sysreq.R_ranges _
+    | Sysreq.R_perf _ | Sysreq.R_dma_packets _ ->
+      invalid_arg "Proto.encode_reply: reply kind never crosses the wire"
+  in
+  let b = message hdr body in
+  let p = header_bytes in
+  let (_ : int) =
+    match reply with
+    | Sysreq.R_unit -> put_u8 b p 1
+    | Sysreq.R_int i -> put_int b (put_u8 b p 2) i
+    | Sysreq.R_bytes d -> put_bytes b (put_u8 b p 3) d
+    | Sysreq.R_stat s ->
+      let p = put_int b (put_u8 b p 4) s.Sysreq.st_size in
+      put_int b (put_u8 b p (kind_byte s.Sysreq.st_kind)) s.Sysreq.st_perm
+    | Sysreq.R_names names ->
+      List.fold_left (put_str b) (put_int b (put_u8 b p 5) (List.length names)) names
+    | Sysreq.R_string s -> put_str b (put_u8 b p 6) s
+    | Sysreq.R_err e -> put_int b (put_u8 b p 7) (Errno.code e)
+    | _ -> assert false
+  in
+  b
 
 let errno_of_code code =
   let all =

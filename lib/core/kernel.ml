@@ -100,7 +100,7 @@ let sim t = t.machine.Machine.sim
 let memory t = Chip.memory t.chip
 
 let emit t label value =
-  Sim.emit (sim t) ~label ~value:(Int64.of_int ((t.rank * 1_000_000) + value))
+  Sim.emit (sim t) ~label ~value:((t.rank * 1_000_000) + value)
 
 let obs t = t.machine.Machine.obs
 let acct t = t.machine.Machine.acct

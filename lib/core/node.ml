@@ -213,10 +213,6 @@ let read_virtual t ~pid ~addr ~len =
   let pa = static_translate t ~pid addr in
   Memory.read (memory t) ~addr:pa ~len
 
-let write_virtual t ~pid ~addr data =
-  let pa = static_translate t ~pid addr in
-  Memory.write (memory t) ~addr:pa data
-
 let read_word t (th : thread) va =
   let pa = translate t th Tlb.Load va 8 in
   Int64.to_int (Memory.read_int64 (memory t) ~addr:pa)
@@ -782,10 +778,25 @@ let core_sets mode total =
   | Job.Vn -> List.init total (fun i -> [ i ])
 
 (* Deterministic pseudo-contents standing in for the program image. *)
-let image_pattern (image : Image.t) len =
+let text_pattern name len =
   let b = Bytes.create len in
-  Rng.fill_bytes (Rng.create (Rng.seed_of_string image.Image.name)) b;
+  Rng.fill_bytes (Rng.create (Rng.seed_of_string name)) b;
   b
+
+let image_pattern (image : Image.t) len = text_pattern image.Image.name len
+
+(* Load the image text so scans and persist tests see real data. The
+   write is deferred: no job reads its text, so the bytes are drawn only
+   when something looks at them (a read, a capture, a scan). The draw
+   holds the name, not the image, so a pending write in a DRAM kept
+   through self-refresh does not keep a finished job alive. *)
+let load_text t ~pid (image : Image.t) =
+  let len = min image.Image.text_bytes 4096 in
+  let name = image.Image.name and machine = t.machine in
+  Memory.write_deferred (memory t)
+    ~addr:(static_translate t ~pid Mapping.text_va)
+    ~len
+    (fun () -> Machine.launch_text machine ~name ~len (fun () -> text_pattern name len))
 
 (* A map is a pure function of its config, and both it and the validated
    TLB entries are immutable, so every launch with the same config shares
@@ -872,14 +883,7 @@ let launch t (job : Job.t) =
                 ~core:core_id ~start:now ~finish:now;
               t.cores.(core_id).cx.mapped_pid <- Some p.pid)
             cores;
-          (* Load the image text so scans and persist tests see real data. *)
-          let image = job.Job.image in
-          let len = min image.Image.text_bytes 4096 in
-          let text =
-            Machine.launch_text t.machine ~name:image.Image.name ~len (fun () ->
-                image_pattern image len)
-          in
-          write_virtual t ~pid:p.pid ~addr:Mapping.text_va text;
+          load_text t ~pid:p.pid job.Job.image;
           (* Main thread on the first core of the set. *)
           let main =
             spawn t p ~core_id:(List.hd cores) { is_main = true; guard = None; guard_slot = None }

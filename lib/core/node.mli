@@ -87,7 +87,9 @@ val launch : t -> Job.t -> (unit, string) result
 val image_pattern : Image.t -> int -> Bytes.t
 (** The [len] bytes {!launch} writes at the text base: deterministic
     pseudo-contents standing in for the program text, drawn from a
-    stream seeded by the image name. *)
+    stream seeded by the image name. The write is deferred
+    ({!Bg_hw.Memory.write_deferred}), so they are drawn only when
+    something reads the text or digests the node's DRAM. *)
 
 val job_active : t -> bool
 val on_job_complete : t -> (unit -> unit) -> unit
@@ -111,8 +113,6 @@ val persist : t -> Persist.t
 
 val read_virtual : t -> pid:int -> addr:int -> len:int -> bytes
 (** Debug port: read through a process's static map (no DAC, no timing). *)
-
-val write_virtual : t -> pid:int -> addr:int -> bytes -> unit
 
 val set_io_enabled : t -> bool -> unit
 (** Bringup control flag: with I/O off, file syscalls fail with [ENOSYS]

@@ -53,7 +53,7 @@ val halt : t -> string -> unit
 
 val trace : t -> Trace.t
 
-val emit : t -> label:string -> value:int64 -> unit
+val emit : t -> label:string -> value:int -> unit
 (** Append an observable event at the current cycle. *)
 
 val rng : t -> string -> Rng.t

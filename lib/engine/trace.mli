@@ -15,8 +15,10 @@ type t
 val create : ?keep_records:bool -> unit -> t
 (** [keep_records] defaults to [false]: only the digest is kept. *)
 
-val emit : t -> cycle:Cycles.t -> label:string -> value:int64 -> unit
-(** Append an observable event. *)
+val emit : t -> cycle:Cycles.t -> label:string -> value:int -> unit
+(** Append an observable event. The digest folds [value] as the eight
+    bytes of [Int64.of_int value], and a kept record holds that [int64].
+    Allocates nothing unless [keep_records] is set. *)
 
 val digest : t -> Fnv.t
 (** Digest over every event emitted so far. *)

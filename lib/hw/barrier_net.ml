@@ -54,7 +54,7 @@ let arrive t ~rank ~on_release =
     let all = List.sort (fun a b -> compare a.rank b.rank) t.waiters in
     t.waiters <- [];
     t.generation <- t.generation + 1;
-    Sim.emit t.sim ~label:"barrier.release" ~value:(Int64.of_int t.generation);
+    Sim.emit t.sim ~label:"barrier.release" ~value:t.generation;
     List.iter
       (fun w ->
         ignore

@@ -101,13 +101,13 @@ let deliver_copy t rng ~payload ~arrival ~on_arrival =
   let f = t.faults in
   if f.drop_rate > 0. && Rng.float rng 1.0 < f.drop_rate then begin
     t.drops <- t.drops + 1;
-    Sim.emit t.sim ~label:"collective.drop" ~value:(Int64.of_int t.drops)
+    Sim.emit t.sim ~label:"collective.drop" ~value:t.drops
   end
   else begin
     let payload =
       if f.corrupt_rate > 0. && Rng.float rng 1.0 < f.corrupt_rate then begin
         t.corruptions <- t.corruptions + 1;
-        Sim.emit t.sim ~label:"collective.corrupt" ~value:(Int64.of_int t.corruptions);
+        Sim.emit t.sim ~label:"collective.corrupt" ~value:t.corruptions;
         corrupt_copy rng payload
       end
       else payload
@@ -135,7 +135,7 @@ let ship t busy idx ~payload ~on_arrival =
     deliver_copy t rng ~payload ~arrival ~on_arrival;
     if t.faults.dup_rate > 0. && Rng.float rng 1.0 < t.faults.dup_rate then begin
       t.duplicates <- t.duplicates + 1;
-      Sim.emit t.sim ~label:"collective.dup" ~value:(Int64.of_int t.duplicates);
+      Sim.emit t.sim ~label:"collective.dup" ~value:t.duplicates;
       deliver_copy t rng ~payload ~arrival ~on_arrival
     end
   end
@@ -159,10 +159,10 @@ let capture t b =
 
 let to_io_node t ~cn ~payload ~on_arrival =
   let io = io_node_of t ~cn in
-  Sim.emit t.sim ~label:"collective.up" ~value:(Int64.of_int cn);
+  Sim.emit t.sim ~label:"collective.up" ~value:cn;
   ship t t.up_busy io ~payload ~on_arrival
 
 let to_compute_node t ~cn ~payload ~on_arrival =
   let io = io_node_of t ~cn in
-  Sim.emit t.sim ~label:"collective.down" ~value:(Int64.of_int cn);
+  Sim.emit t.sim ~label:"collective.down" ~value:cn;
   ship t t.down_busy io ~payload ~on_arrival

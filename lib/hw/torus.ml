@@ -241,7 +241,7 @@ let transfer t ~src ~dst ~bytes ?(on_arrival = fun ~arrival_cycle:_ -> ()) () =
            let link = links.(i) in
            t.in_flight.(link) <- t.in_flight.(link) - 1
          done;
-         Sim.emit t.sim ~label:"torus.arrival" ~value:(Int64.of_int ((src * 65536) + dst));
+         Sim.emit t.sim ~label:"torus.arrival" ~value:((src * 65536) + dst);
          on_arrival ~arrival_cycle:arrival))
 
 let estimate_cycles t ~src ~dst ~bytes =

@@ -116,10 +116,10 @@ let chip t i = t.chips.(i)
 let dma t i = t.dma.(i)
 let sim t = t.sim
 
-(* One entry, not a table: the launches of one job start run back to
-   back, so they all hit it, and the next job start replaces it. It holds
-   the text, not the image, so nothing of a finished job stays reachable
-   from the machine. *)
+(* One entry, not a table: a launch defers its text write, and a capture
+   or scan settles the pending writes of one job's nodes back to back, so
+   they all hit it. It holds the text, not the image, so nothing of a
+   finished job stays reachable from the machine. *)
 let launch_text t ~name ~len draw =
   match t.launch_text with
   | Some (n, l, text) when l = len && String.equal n name -> text

@@ -39,8 +39,8 @@ type t = {
     (rank:int -> severity:ras_severity -> message:string -> unit) list;
       (** use {!on_ras} / {!ras_emit} rather than touching this directly *)
   mutable launch_text : (string * int * bytes) option;
-      (** the program text the last CNK launch wrote: (image name,
-          length, bytes); use {!launch_text} *)
+      (** the program text the last settled CNK text write drew: (image
+          name, length, bytes); use {!launch_text} *)
 }
 
 val create :
@@ -69,8 +69,8 @@ val launch_text : t -> name:string -> len:int -> (unit -> bytes) -> bytes
     call with the same name and length returned, else [draw ()], which
     then replaces that entry. [draw] must be a pure function of the name
     and length, and callers must not mutate the result. All nodes of a
-    machine share the entry, so the launches of one job start draw the
-    text once. *)
+    machine share the entry, so a capture or scan that settles the
+    deferred text writes of every node of one job draws the text once. *)
 
 val obs : t -> Bg_obs.Obs.t
 val acct : t -> Bg_obs.Accounting.t

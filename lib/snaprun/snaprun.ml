@@ -68,7 +68,7 @@ let schedule_glitch (m : Machine.t) ~glitch ~glitch_cycle =
   ignore
     (Sim.schedule_at sim glitch_cycle (fun () ->
          if glitch then begin
-           Sim.emit sim ~label:"snap.glitch" ~value:1L;
+           Sim.emit sim ~label:"snap.glitch" ~value:1;
            Bg_obs.Obs.span_record m.Machine.obs ~cat:"snap" ~name:"glitch" ~rank:0
              ~core:0 ~start:(Sim.now sim) ~finish:(Sim.now sim);
            ignore

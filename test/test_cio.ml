@@ -224,6 +224,132 @@ let prop_proto_roundtrip =
       | Ok (_, req') -> req = req'
       | Error _ -> false)
 
+(* The encoders write each message straight into one [bytes] of its wire
+   size; [Proto_reference] is the [Buffer]-based encoder they replaced.
+   Every request and reply kind, with empty and 64 KiB payloads, empty
+   strings and negative ints, must give the same bytes. *)
+let payloads = [ Bytes.empty; Bytes.of_string "x"; Bytes.init 65536 (fun i -> Char.chr (i land 0xff)) ]
+
+let every_request =
+  let flags = { Sysreq.o_rdwr with Sysreq.append = true; excl = true } in
+  List.concat
+    [
+      List.concat_map
+        (fun data ->
+          [ Sysreq.Write { fd = 3; data }; Sysreq.Pwrite { fd = 4; data; offset = 1 lsl 40 } ])
+        payloads;
+      List.concat_map
+        (fun path ->
+          [
+            Sysreq.Open { path; flags; mode = 0o644 };
+            Sysreq.Stat path;
+            Sysreq.Unlink path;
+            Sysreq.Mkdir { path; mode = 0o755 };
+            Sysreq.Rmdir path;
+            Sysreq.Readdir path;
+            Sysreq.Chdir path;
+            Sysreq.Rename { src = path; dst = path ^ ".new" };
+          ])
+        [ ""; "/a/b"; String.make 300 'p' ];
+      [
+        Sysreq.Open { path = "o"; flags = Sysreq.o_create_trunc; mode = -1 };
+        Sysreq.Close 3;
+        Sysreq.Read { fd = 3; len = 0 };
+        Sysreq.Read { fd = -1; len = 65536 };
+        Sysreq.Pread { fd = 5; len = 512; offset = max_int };
+        Sysreq.Lseek { fd = 3; offset = -8; whence = Sysreq.Seek_set };
+        Sysreq.Lseek { fd = 3; offset = 8; whence = Sysreq.Seek_cur };
+        Sysreq.Lseek { fd = 3; offset = 0; whence = Sysreq.Seek_end };
+        Sysreq.Fstat 3;
+        Sysreq.Ftruncate { fd = 3; length = min_int };
+        Sysreq.Getcwd;
+        Sysreq.Dup 7;
+        Sysreq.Fsync 3;
+      ];
+    ]
+
+let every_reply =
+  List.map (fun d -> Sysreq.R_bytes d) payloads
+  @ [
+      Sysreq.R_unit;
+      Sysreq.R_int 0;
+      Sysreq.R_int (-42);
+      Sysreq.R_stat { Sysreq.st_size = 1 lsl 33; st_kind = Sysreq.Regular; st_perm = 0o644 };
+      Sysreq.R_stat { Sysreq.st_size = 0; st_kind = Sysreq.Directory; st_perm = 0o755 };
+      Sysreq.R_names [];
+      Sysreq.R_names [ ""; "a"; String.make 200 'n' ];
+      Sysreq.R_string "";
+      Sysreq.R_string "/cwd";
+      Sysreq.R_err Errno.ENOENT;
+      Sysreq.R_err Errno.ENAMETOOLONG;
+    ]
+
+let headers = [ hdr; { Proto.rank = 0; pid = 0; tid = 0 }; { Proto.rank = -1; pid = max_int; tid = min_int } ]
+
+let test_proto_encoders_match_reference () =
+  let check what expected actual =
+    if not (Bytes.equal expected actual) then
+      Alcotest.failf "%s: %d reference bytes, %d encoded, first difference at %d" what
+        (Bytes.length expected) (Bytes.length actual)
+        (let n = min (Bytes.length expected) (Bytes.length actual) in
+         let rec go i = if i < n && Bytes.get expected i = Bytes.get actual i then go (i + 1) else i in
+         go 0)
+  in
+  List.iter
+    (fun h ->
+      List.iter
+        (fun req ->
+          check (Sysreq.request_name req) (Proto_reference.encode_request h req)
+            (Proto.encode_request h req))
+        every_request;
+      List.iter
+        (fun reply ->
+          check "reply" (Proto_reference.encode_reply h reply) (Proto.encode_reply h reply))
+        every_reply)
+    headers;
+  (* all nineteen request tags are covered *)
+  let tags =
+    List.sort_uniq compare
+      (List.map (fun r -> Bytes.get_uint8 (Proto.encode_request hdr r) 24) every_request)
+  in
+  Alcotest.(check (list int)) "request tags" (List.init 19 (fun i -> i + 1)) tags;
+  (* a reply kind that never crosses the wire is refused by both *)
+  let refuses f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let local = Sysreq.R_ranges [ (0, 4096) ] in
+  Alcotest.(check bool) "encoder refuses local reply" true
+    (refuses (fun () -> Proto.encode_reply hdr local));
+  Alcotest.(check bool) "reference refuses local reply" true
+    (refuses (fun () -> Proto_reference.encode_reply hdr local))
+
+(* An encoder allocates the message and nothing else: a [bytes] of n
+   bytes takes n / 8 + 1 words and a header. *)
+let test_proto_encoders_allocate_only_the_message () =
+  let check what encode =
+    let n = Bytes.length (encode ()) and calls = 1_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (encode ()))
+    done;
+    let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+    let message = float_of_int ((n / 8) + 2) in
+    if per_call > message then
+      Alcotest.failf "%s: %.1f words per call for a %d-byte message (%.0f)" what per_call n message
+  in
+  let data = Bytes.make 512 'x' in
+  let pwrite = Sysreq.Pwrite { fd = 3; data; offset = 4096 }
+  and open_ = Sysreq.Open { path = "/out/rank7"; flags = o_rwct; mode = 0o644 }
+  and int_reply = Sysreq.R_int 512
+  and bytes_reply = Sysreq.R_bytes data in
+  check "pwrite request" (fun () -> Proto.encode_request hdr pwrite);
+  check "open request" (fun () -> Proto.encode_request hdr open_);
+  check "int reply" (fun () -> Proto.encode_reply hdr int_reply);
+  check "bytes reply" (fun () -> Proto.encode_reply hdr bytes_reply)
+
+let prop_proto_matches_reference =
+  QCheck.Test.make ~name:"proto: request bytes = Buffer-based reference encoder" ~count:300
+    (QCheck.make gen_io_request)
+    (fun req -> Bytes.equal (Proto_reference.encode_request hdr req) (Proto.encode_request hdr req))
+
 (* A shrinking truncate must not leave the cut-off bytes behind for a
    later write past EOF to expose: the hole reads as zeros. *)
 let test_fs_hole_after_shrink_reads_zeros () =
@@ -426,6 +552,56 @@ let test_ioproxy_non_io_enosys () =
   | Sysreq.R_err Errno.ENOSYS -> ()
   | _ -> Alcotest.fail "expected ENOSYS"
 
+(* A proxy hands out its last snapshot until a request changes it. After
+   every request the snapshot must restore to a proxy that captures the
+   same bytes as the live one, and a request that changed nothing must
+   hand back the very same snapshot. *)
+let test_ioproxy_snapshot_tracks_changes () =
+  let fs = Fs.create () in
+  ignore (ok (Fs.mkdir fs ~cwd:"/" "/d" ~mode:0o755));
+  let p = Ioproxy.create fs ~rank:3 ~pid:7 in
+  let capture p =
+    let b = Buffer.create 64 in
+    Ioproxy.capture p b;
+    Buffer.contents b
+  in
+  let data = Bytes.of_string "0123456789" in
+  let steps =
+    [
+      (true, Sysreq.Open { path = "f"; flags = o_rwct; mode = 0o644 });
+      (true, Sysreq.Write { fd = 3; data });
+      (false, Sysreq.Pwrite { fd = 3; data; offset = 40 });
+      (false, Sysreq.Pread { fd = 3; len = 4; offset = 0 });
+      (false, Sysreq.Fstat 3);
+      (true, Sysreq.Lseek { fd = 3; offset = 2; whence = Sysreq.Seek_set });
+      (true, Sysreq.Read { fd = 3; len = 3 });
+      (true, Sysreq.Dup 3);
+      (false, Sysreq.Ftruncate { fd = 4; length = 5 });
+      (true, Sysreq.Chdir "/d");
+      (false, Sysreq.Getcwd);
+      (false, Sysreq.Stat "/f");
+      (true, Sysreq.Close 3);
+      (true, Sysreq.Close 3);
+    ]
+  in
+  let before = ref (Ioproxy.snapshot p) in
+  List.iteri
+    (fun i (changes, req) ->
+      ignore (Ioproxy.handle p req : Sysreq.reply);
+      let snap = Ioproxy.snapshot p in
+      let what = Printf.sprintf "step %d (%s)" i (Sysreq.request_name req) in
+      Alcotest.(check string) (what ^ " restores") (capture p)
+        (capture (Ioproxy.restore fs ~rank:3 ~pid:7 snap));
+      if not changes then Alcotest.(check bool) (what ^ " reuses its snapshot") true (snap == !before);
+      before := snap)
+    steps;
+  Ioproxy.close_all p;
+  let closed = Ioproxy.snapshot p in
+  Alcotest.(check bool) "close_all takes a new snapshot" false (closed == !before);
+  let restored = Ioproxy.restore fs ~rank:3 ~pid:7 closed in
+  check_int "closed proxy restores with no descriptor" 0 (Ioproxy.open_fds restored);
+  Alcotest.(check string) "closed proxy keeps its cwd" "/d" (Ioproxy.cwd restored)
+
 (* ------------------------------------------------------------------ *)
 (* Ciod end-to-end *)
 
@@ -487,7 +663,8 @@ let test_ciod_job_end_closes () =
 (* ------------------------------------------------------------------ *)
 
 let qcheck =
-  List.map QCheck_alcotest.to_alcotest [ prop_proto_roundtrip; prop_fs_matches_flat_reference ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_proto_roundtrip; prop_proto_matches_reference; prop_fs_matches_flat_reference ]
 
 let suite =
   [
@@ -511,12 +688,17 @@ let suite =
     Alcotest.test_case "proto: write roundtrip" `Quick test_proto_write_roundtrip;
     Alcotest.test_case "proto: rejects non-io" `Quick test_proto_rejects_non_io;
     Alcotest.test_case "proto: reply roundtrips" `Quick test_proto_reply_roundtrips;
+    Alcotest.test_case "proto: encoders = reference" `Quick test_proto_encoders_match_reference;
+    Alcotest.test_case "proto: encoders allocate only the message" `Quick
+      test_proto_encoders_allocate_only_the_message;
     Alcotest.test_case "ioproxy: fd lifecycle" `Quick test_ioproxy_fd_lifecycle;
     Alcotest.test_case "ioproxy: offsets mirror process" `Quick
       test_ioproxy_offset_mirrors_process_state;
     Alcotest.test_case "ioproxy: cwd" `Quick test_ioproxy_cwd;
     Alcotest.test_case "ioproxy: dup" `Quick test_ioproxy_dup_shares_nothing_after;
     Alcotest.test_case "ioproxy: non-io ENOSYS" `Quick test_ioproxy_non_io_enosys;
+    Alcotest.test_case "ioproxy: snapshot tracks every change" `Quick
+      test_ioproxy_snapshot_tracks_changes;
     Alcotest.test_case "ciod: round trip" `Quick test_ciod_round_trip;
     Alcotest.test_case "ciod: aggregation to one client" `Quick
       test_ciod_many_nodes_one_fs_client;

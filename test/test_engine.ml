@@ -472,8 +472,8 @@ let test_sim_rng_stream_persistent () =
 
 let test_trace_record_retention () =
   let t = Trace.create ~keep_records:true () in
-  Trace.emit t ~cycle:5 ~label:"a" ~value:1L;
-  Trace.emit t ~cycle:9 ~label:"b" ~value:2L;
+  Trace.emit t ~cycle:5 ~label:"a" ~value:1;
+  Trace.emit t ~cycle:9 ~label:"b" ~value:2;
   check_int "count" 2 (Trace.count t);
   check_int "last cycle" 9 (Trace.last_cycle t);
   (match Trace.records t with
@@ -483,8 +483,8 @@ let test_trace_record_retention () =
   | _ -> Alcotest.fail "expected two records");
   (* digest matches a record-free trace fed the same events *)
   let t2 = Trace.create () in
-  Trace.emit t2 ~cycle:5 ~label:"a" ~value:1L;
-  Trace.emit t2 ~cycle:9 ~label:"b" ~value:2L;
+  Trace.emit t2 ~cycle:5 ~label:"a" ~value:1;
+  Trace.emit t2 ~cycle:9 ~label:"b" ~value:2;
   Alcotest.(check bool) "digest independent of retention" true
     (Fnv.equal (Trace.digest t) (Trace.digest t2));
   Alcotest.(check (list (pair int string))) "no records kept by default" []
@@ -496,7 +496,7 @@ let test_sim_trace_digest_reproducible () =
     for i = 1 to 50 do
       ignore
         (Sim.schedule_at sim (i * 10) (fun () ->
-             Sim.emit sim ~label:"tick" ~value:(Int64.of_int i)))
+             Sim.emit sim ~label:"tick" ~value:i))
     done;
     ignore (Sim.run sim);
     Trace.digest (Sim.trace sim)
@@ -529,7 +529,7 @@ let test_stats_spread_zero_min () =
 let test_trace_iter_matches_records () =
   let t = Trace.create ~keep_records:true () in
   for i = 1 to 5 do
-    Trace.emit t ~cycle:(i * 3) ~label:(Printf.sprintf "e%d" i) ~value:(Int64.of_int i)
+    Trace.emit t ~cycle:(i * 3) ~label:(Printf.sprintf "e%d" i) ~value:i
   done;
   let seen = ref [] in
   Trace.iter t (fun r -> seen := r :: !seen);
@@ -537,7 +537,7 @@ let test_trace_iter_matches_records () =
     (List.rev !seen = Trace.records t);
   (* iter on a record-free trace visits nothing *)
   let bare = Trace.create () in
-  Trace.emit bare ~cycle:1 ~label:"x" ~value:0L;
+  Trace.emit bare ~cycle:1 ~label:"x" ~value:0;
   Trace.iter bare (fun _ -> Alcotest.fail "no records should be retained")
 
 let test_stats_online_matches_batch () =
@@ -614,6 +614,40 @@ let test_sim_run_alloc () =
   check_int "all fired" n !fired;
   if words > 0. then Alcotest.failf "Sim.run allocated %.0f words over %d events" words n
 
+(* A trace that keeps no records folds each emit into its digest in
+   place, with nothing boxed. *)
+let test_trace_emit_alloc () =
+  let n = 10_000 in
+  let t = Trace.create ~keep_records:false () in
+  let label = "ciod.served" in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n do
+          Trace.emit t ~cycle:(i * 7) ~label ~value:(i - 5_000)
+        done)
+  in
+  check_int "all counted" n (Trace.count t);
+  if words > 0. then Alcotest.failf "Trace.emit allocated %.0f words over %d emits" words n
+
+(* The digest folds an int value as the eight bytes of its [int64], as
+   it did when values were [int64]: negative, zero, small and extreme. *)
+let test_trace_digest_folds_int64_bytes () =
+  let values = [ 0; 1; 255; 256; -1; -1_000_003; 64_000_123; max_int; min_int ] in
+  let t = Trace.create ~keep_records:true () in
+  let expect =
+    List.fold_left
+      (fun (h, cycle) v ->
+        Trace.emit t ~cycle ~label:"e" ~value:v;
+        let h = Fnv.add_int64 (Fnv.add_string (Fnv.add_int h cycle) "e") (Int64.of_int v) in
+        (h, cycle + 3))
+      (Fnv.empty, 0) values
+    |> fst
+  in
+  Alcotest.(check string) "digest" (Fnv.to_hex expect) (Fnv.to_hex (Trace.digest t));
+  Alcotest.(check (list int64)) "records hold the int64 values"
+    (List.map Int64.of_int values)
+    (List.map (fun r -> r.Trace.value) (Trace.records t))
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck =
@@ -658,6 +692,9 @@ let suite =
     Alcotest.test_case "stats: spread" `Quick test_stats_spread;
     Alcotest.test_case "stats: spread zero-min guard" `Quick test_stats_spread_zero_min;
     Alcotest.test_case "trace: iter matches records" `Quick test_trace_iter_matches_records;
+    Alcotest.test_case "trace: emit allocates nothing" `Quick test_trace_emit_alloc;
+    Alcotest.test_case "trace: digest folds int64 bytes" `Quick
+      test_trace_digest_folds_int64_bytes;
     Alcotest.test_case "stats: online = batch" `Quick test_stats_online_matches_batch;
     Alcotest.test_case "stats: histogram" `Quick test_stats_histogram;
   ]

@@ -66,6 +66,175 @@ let prop_memory_roundtrip =
       Memory.write m ~addr (Bytes.of_string s);
       Bytes.to_string (Memory.read m ~addr ~len:(String.length s)) = s)
 
+(* Deferred writes: the same operations on an eager memory (where
+   [write_deferred] is [write (draw ())]) and on a deferred one must give
+   equal results at every step. A model of the pending writes says which
+   deferrals each operation must settle; a deferral nobody observes, or
+   one a later deferral covers, must never be drawn. *)
+type mem_op =
+  | M_write of int * int * int  (* addr, len, seed *)
+  | M_defer of int * int * int
+  | M_read of int * int
+  | M_read_byte of int
+  | M_write_byte of int * int
+  | M_read_int64 of int
+  | M_write_int64 of int * int
+  | M_fill of int * int * char
+  | M_copy of int * int * int  (* src, dst, len *)
+  | M_zero
+  | M_digest
+  | M_touched
+
+let pp_mem_op = function
+  | M_write (a, l, s) -> Printf.sprintf "write %#x+%d s%d" a l s
+  | M_defer (a, l, s) -> Printf.sprintf "defer %#x+%d s%d" a l s
+  | M_read (a, l) -> Printf.sprintf "read %#x+%d" a l
+  | M_read_byte a -> Printf.sprintf "read_byte %#x" a
+  | M_write_byte (a, v) -> Printf.sprintf "write_byte %#x %d" a v
+  | M_read_int64 a -> Printf.sprintf "read_int64 %#x" a
+  | M_write_int64 (a, v) -> Printf.sprintf "write_int64 %#x %d" a v
+  | M_fill (a, l, c) -> Printf.sprintf "fill %#x+%d %C" a l c
+  | M_copy (s, d, l) -> Printf.sprintf "copy %#x -> %#x +%d" s d l
+  | M_zero -> "zero"
+  | M_digest -> "digest"
+  | M_touched -> "touched_bytes"
+
+let mem_model_size = 4 * 65536
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  (* near a chunk edge, so ranges straddle chunks *)
+  let edge = map2 (fun k d -> max 0 ((k * 65536) + d)) (0 -- 4) (-40 -- 40) in
+  let addr = frequency [ (3, edge); (2, 0 -- (mem_model_size - 1)); (2, oneofl [ 1000; 1100; 5000 ]) ] in
+  let len = frequency [ (1, return 0); (3, 1 -- 200); (2, 4000 -- 4200); (1, 60_000 -- 70_000) ] in
+  let range = map2 (fun a l -> (min a (mem_model_size - 1), l)) addr len in
+  let clamp (a, l) = (a, min l (mem_model_size - a)) in
+  let r = map clamp range in
+  frequency
+    [
+      (3, map2 (fun (a, l) s -> M_write (a, l, s)) r (0 -- 1000));
+      (6, map2 (fun (a, l) s -> M_defer (a, l, s)) r (0 -- 1000));
+      (3, map (fun (a, l) -> M_read (a, l)) r);
+      (1, map (fun a -> M_read_byte (min a (mem_model_size - 1))) addr);
+      (1, map2 (fun a v -> M_write_byte (min a (mem_model_size - 1), v)) addr (0 -- 255));
+      (1, map (fun a -> M_read_int64 (min a (mem_model_size - 8))) addr);
+      (1, map2 (fun a v -> M_write_int64 (min a (mem_model_size - 8), v)) addr int);
+      (1, map2 (fun (a, l) c -> M_fill (a, l, c)) r printable);
+      ( 1,
+        map3
+          (fun s d l ->
+            let s = min s (mem_model_size - 1) and d = min d (mem_model_size - 1) in
+            M_copy (s, d, min l (mem_model_size - max s d)))
+          addr addr len );
+      (1, return M_zero);
+      (1, return M_digest);
+      (1, return M_touched);
+    ]
+
+let mem_pattern ~seed len = Bytes.init len (fun i -> Char.unsafe_chr ((seed * 131) + (i * 7) + (i lsr 8)))
+
+let prop_memory_deferred_matches_eager =
+  QCheck.Test.make ~name:"memory: deferred writes = eager writes, drawn only when seen"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+       QCheck.Gen.(list_size (1 -- 40) gen_mem_op))
+    (fun ops ->
+      let eager = Memory.create ~size:mem_model_size
+      and lazy_ = Memory.create ~size:mem_model_size in
+      let draws = Hashtbl.create 16 (* deferral id -> draws *)
+      and expected = Hashtbl.create 16 in
+      (* model: pending deferrals as (id, addr, len) *)
+      let pending = ref [] in
+      let overlaps (_, a, l) addr len = len > 0 && a < addr + len && addr < a + l in
+      let observe addr len =
+        let hit, keep = List.partition (fun p -> overlaps p addr len) !pending in
+        pending := keep;
+        List.iter (fun (id, _, _) -> Hashtbl.replace expected id 1) hit
+      in
+      let observe_all () = observe 0 mem_model_size in
+      let fail step what =
+        QCheck.Test.fail_reportf "step %d (%s): %s differs" step
+          (pp_mem_op (List.nth ops step))
+          what
+      in
+      List.iteri
+        (fun step op ->
+          let same what eq a b = if not (eq a b) then fail step what in
+          (match op with
+          | M_write (addr, len, seed) ->
+            observe addr len;
+            let d = mem_pattern ~seed len in
+            Memory.write eager ~addr d;
+            Memory.write lazy_ ~addr (Bytes.copy d)
+          | M_defer (addr, len, seed) ->
+            pending :=
+              List.filter
+                (fun (_, a, l) -> not (len > 0 && addr <= a && a + l <= addr + len))
+                !pending;
+            observe addr len;
+            let id = step in
+            if len > 0 then pending := (id, addr, len) :: !pending;
+            Hashtbl.replace draws id 0;
+            Hashtbl.replace expected id 0;
+            Memory.write eager ~addr (mem_pattern ~seed len);
+            Memory.write_deferred lazy_ ~addr ~len (fun () ->
+                Hashtbl.replace draws id (Hashtbl.find draws id + 1);
+                mem_pattern ~seed len)
+          | M_read (addr, len) ->
+            observe addr len;
+            same "read" Bytes.equal (Memory.read eager ~addr ~len) (Memory.read lazy_ ~addr ~len)
+          | M_read_byte addr ->
+            observe addr 1;
+            same "read_byte" Int.equal (Memory.read_byte eager ~addr)
+              (Memory.read_byte lazy_ ~addr)
+          | M_write_byte (addr, v) ->
+            observe addr 1;
+            Memory.write_byte eager ~addr v;
+            Memory.write_byte lazy_ ~addr v
+          | M_read_int64 addr ->
+            observe addr 8;
+            same "read_int64" Int64.equal (Memory.read_int64 eager ~addr)
+              (Memory.read_int64 lazy_ ~addr)
+          | M_write_int64 (addr, v) ->
+            observe addr 8;
+            Memory.write_int64 eager ~addr (Int64.of_int v);
+            Memory.write_int64 lazy_ ~addr (Int64.of_int v)
+          | M_fill (addr, len, c) ->
+            observe addr len;
+            Memory.fill eager ~addr ~len c;
+            Memory.fill lazy_ ~addr ~len c
+          | M_copy (src_addr, dst_addr, len) ->
+            observe src_addr len;
+            observe dst_addr len;
+            Memory.copy ~src:eager ~src_addr ~dst:eager ~dst_addr ~len;
+            Memory.copy ~src:lazy_ ~src_addr ~dst:lazy_ ~dst_addr ~len
+          | M_zero ->
+            pending := [];
+            Memory.zero eager;
+            Memory.zero lazy_
+          | M_digest ->
+            observe_all ();
+            same "digest" Fnv.equal (Memory.digest eager) (Memory.digest lazy_)
+          | M_touched ->
+            observe_all ();
+            same "touched_bytes" Int.equal (Memory.touched_bytes eager)
+              (Memory.touched_bytes lazy_));
+          Hashtbl.iter
+            (fun id n ->
+              let want = Hashtbl.find expected id in
+              if n <> want then
+                QCheck.Test.fail_reportf "step %d (%s): deferral from step %d drawn %d times, want %d"
+                  step (pp_mem_op op) id n want)
+            draws)
+        ops;
+      (* at the end every byte and the chunk set agree *)
+      Fnv.equal (Memory.digest eager) (Memory.digest lazy_)
+      && Memory.touched_bytes eager = Memory.touched_bytes lazy_
+      && Bytes.equal
+           (Memory.read eager ~addr:0 ~len:mem_model_size)
+           (Memory.read lazy_ ~addr:0 ~len:mem_model_size))
+
 (* ------------------------------------------------------------------ *)
 (* Tlb *)
 
@@ -769,6 +938,7 @@ let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_memory_roundtrip;
+      prop_memory_deferred_matches_eager;
       prop_torus_hops_symmetric;
       prop_torus_hops_bounded;
       prop_torus_matches_hashtable_reference;

@@ -58,19 +58,56 @@ let[@inline never] run_tracked_job cluster =
    may keep the image. Before the reset the exited processes still hold
    it. *)
 let test_finished_job_is_collectable () =
-  let cluster = booted_cluster () in
-  let weak = run_tracked_job cluster in
-  Gc.full_major ();
-  check_bool "exited processes hold the job until reset" true (Weak.check weak 0);
-  let node = Cluster.node cluster 0 in
-  Node.prepare_and_reset node ~reproducible:false ~on_ready:ignore;
+  (* A cold reset zeroes DRAM; a reproducible one keeps it in
+     self-refresh, and with it the job's deferred text write, whose draw
+     must not hold the image either. *)
+  List.iter
+    (fun reproducible ->
+      let what = if reproducible then " (self-refresh)" else "" in
+      let cluster = booted_cluster () in
+      let weak = run_tracked_job cluster in
+      Gc.full_major ();
+      check_bool ("exited processes hold the job until reset" ^ what) true (Weak.check weak 0);
+      let node = Cluster.node cluster 0 in
+      Node.prepare_and_reset node ~reproducible ~on_ready:ignore;
+      Cluster.run_until_quiet cluster;
+      check_bool ("rebooted" ^ what) true (Node.booted node);
+      Gc.full_major ();
+      check_bool ("image collected after reset" ^ what) false (Weak.check weak 0);
+      (* the machine is still live and still runs jobs *)
+      Cluster.run_job cluster (Job.create ~name:"after" (Image.executable ~name:"after" ignore));
+      check_int ("machine live" ^ what) 1 (Machine.nodes (Cluster.machine cluster)))
+    [ false; true ]
+
+(* A launch defers its text write, so launching on a node whose DRAM
+   was never written allocates no 64 KiB chunk (8,193 words) and draws no
+   4 KiB pattern (513 words); both go straight to the major heap. An
+   eager write would put a chunk per process there, 32,776 words for
+   this VN launch. Node 0 runs the same job first, so only node 1's own
+   first-launch work is left, and it stays in the minor heap.
+   [Gc.counters] is read rather than [Gc.quick_stat], which does not
+   count a direct major allocation until the next collection. *)
+let test_launch_allocates_no_major_words () =
+  let cluster = booted_cluster ~dims:(2, 1, 1) () in
+  let image = Image.executable ~name:"major" (fun () -> Coro.consume 1_000) in
+  let launch rank =
+    match Node.launch (Cluster.node cluster rank) (Job.create ~mode:Job.Vn ~name:"m" image) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "launch on rank %d: %s" rank e
+  in
+  launch 0;
   Cluster.run_until_quiet cluster;
-  check_bool "rebooted" true (Node.booted node);
-  Gc.full_major ();
-  check_bool "image collected after reset" false (Weak.check weak 0);
-  (* the machine is still live and still runs jobs *)
-  Cluster.run_job cluster (Job.create ~name:"after" (Image.executable ~name:"after" ignore));
-  check_int "machine live" 1 (Machine.nodes (Cluster.machine cluster))
+  Gc.minor ();
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  launch 1;
+  let words = major_words () -. before in
+  if words > 256. then Alcotest.failf "a warm launch on a fresh node put %.0f words on the major heap" words;
+  Cluster.run_until_quiet cluster;
+  List.iter (fun pid -> check_text (Cluster.node cluster 1) ~pid image 4096) [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Job completion *)
@@ -265,6 +302,34 @@ let test_ciod_job_end_keeps_other_ranks () =
   Alcotest.(check bool) "rank 1 has no descriptor" true
     (Hashtbl.find_opt replies (1, 1, 2) = Some (Sysreq.R_err Errno.EBADF))
 
+(* A rank's CIOD tables outlive its jobs: a warm start/end pair with one
+   pid allocates only the new proxy (9 words), its snapshot (4), three
+   table cells (12) and [Hashtbl.iter]'s closure (4), 29 words in all,
+   and leaves nothing a capture can see. *)
+let test_ciod_warm_job_allocates_little () =
+  let machine = Machine.create ~dims:(2, 1, 1) () in
+  let ciod = Ciod.create machine ~io_node:0 () in
+  let capture () =
+    let b = Buffer.create 256 in
+    Ciod.capture ciod b;
+    Buffer.contents b
+  in
+  let fresh = capture () in
+  Ciod.job_start ciod ~rank:1 ~pids:[ 1 ];
+  Ciod.job_end ciod ~rank:1;
+  let jobs = 100 in
+  let pids = Array.init jobs (fun i -> [ i + 2 ]) in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun pids ->
+      Ciod.job_start ciod ~rank:1 ~pids;
+      Ciod.job_end ciod ~rank:1)
+    pids;
+  let per_job = (Gc.minor_words () -. before) /. float_of_int jobs in
+  if per_job > 30. then
+    Alcotest.failf "a warm job_start/job_end pair allocated %.1f words (at most 30)" per_job;
+  Alcotest.(check string) "an emptied rank adds no capture bytes" fresh (capture ())
+
 let suite =
   [
     Alcotest.test_case "text: every process holds its image's" `Quick
@@ -277,4 +342,8 @@ let suite =
       test_oversized_launch_is_refused;
     Alcotest.test_case "ciod: job end keeps other ranks" `Quick
       test_ciod_job_end_keeps_other_ranks;
+    Alcotest.test_case "ciod: warm job start/end allocates little" `Quick
+      test_ciod_warm_job_allocates_little;
+    Alcotest.test_case "gc: warm launch on a fresh node allocates no major words" `Quick
+      test_launch_allocates_no_major_words;
   ]

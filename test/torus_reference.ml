@@ -1,8 +1,9 @@
 (* Reference implementation for the torus model test in [test_hw.ml]: the
    torus as it was when every per-link table was a [Hashtbl] keyed by
    [(rank, dir)] and routing walked coordinate tuples. Kept verbatim apart
-   from this header and the [open] below, which names the library the
-   module used to live in. *)
+   from this header, the [open] below, which names the library the
+   module used to live in, and its one trace emit, whose value is now a
+   plain int. *)
 
 open Bg_hw
 
@@ -226,7 +227,7 @@ let transfer t ~src ~dst ~bytes ?(on_arrival = fun ~arrival_cycle:_ -> ()) () =
   ignore
     (Sim.schedule_at t.sim arrival (fun () ->
          List.iter (fun link -> bump t.in_flight link (-1)) links;
-         Sim.emit t.sim ~label:"torus.arrival" ~value:(Int64.of_int ((src * 65536) + dst));
+         Sim.emit t.sim ~label:"torus.arrival" ~value:((src * 65536) + dst);
          on_arrival ~arrival_cycle:arrival))
 
 let estimate_cycles t ~src ~dst ~bytes =
