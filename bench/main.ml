@@ -1096,8 +1096,11 @@ let run_health () =
     let machine = Cnk.Cluster.machine cluster in
     Bg_obs.Obs.set_enabled machine.Machine.obs true;
     let svc =
-      if health then Some (Machine.attach_health ~window:100_000 ~rules machine)
-      else None
+      if not health then None
+      else
+        match Machine.attach_health ~window:100_000 ~rules machine with
+        | Ok h -> Some h
+        | Error e -> failwith ("bench health: " ^ Bg_obs.Health.rule_error_message e)
     in
     Cnk.Cluster.boot_all cluster;
     let entry () =

@@ -132,7 +132,11 @@ let export_health dir samples =
   let module Ts = Bg_obs.Timeseries in
   let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) () in
   let machine = Cnk.Cluster.machine cluster in
-  let h = Machine.attach_health ~window:100_000 machine in
+  let h =
+    match Machine.attach_health ~window:100_000 machine with
+    | Ok h -> h
+    | Error e -> failwith (Bg_obs.Health.rule_error_message e)
+  in
   Cnk.Cluster.boot_all cluster;
   let sched = Bg_control.Scheduler.create cluster in
   let entry, _ = Bg_apps.Fwq.program ~samples ~threads:4 () in

@@ -104,17 +104,13 @@ type report = {
   sched_digest : string;
 }
 
-(* The alert rule Recovery listens for, checked against the metric
-   schema so a misspelt series fails here instead of never firing. *)
+(* The alert rule Recovery listens for; [Machine.attach_health] checks
+   it against the metric schema, so a misspelt series fails there
+   instead of never firing. *)
 let rules =
-  let rules =
-    List.map
-      (fun s -> match Health.parse_rule s with Ok r -> r | Error e -> failwith e)
-      [ "node_deaths: resilience.deaths_handled delta >= 1 warn" ]
-  in
-  match Health.check_schema rules with
-  | Ok () -> rules
-  | Error e -> failwith ("heal_tool: " ^ Health.schema_error_message e)
+  List.map
+    (fun s -> match Health.parse_rule s with Ok r -> r | Error e -> failwith e)
+    [ "node_deaths: resilience.deaths_handled delta >= 1 warn" ]
 
 let scenario ~seed ~faults =
   let cluster =
@@ -125,7 +121,9 @@ let scenario ~seed ~faults =
   let sim = Cnk.Cluster.sim cluster in
   let obs = Machine.obs machine in
   Obs.set_enabled obs true;
-  ignore (Machine.attach_health ~rules machine);
+  (match Machine.attach_health ~rules machine with
+  | Ok _ -> ()
+  | Error e -> failwith ("heal_tool: " ^ Health.rule_error_message e));
   Cnk.Cluster.boot_all cluster;
   let fabric = Bg_msg.Dcmf.make_fabric machine in
   let sched = Ctl.Scheduler.create ~backfill:true cluster in

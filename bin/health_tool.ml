@@ -50,30 +50,25 @@ let workload () =
   done;
   Bg_rt.Libc.close fd
 
-(* Checked against the metric schema, so a misspelt series fails here
-   instead of never firing. *)
+(* [Machine.attach_health] checks them against the metric schema, so a
+   misspelt series fails there instead of never firing. *)
 let rules =
-  let rules =
-    List.map
-      (fun s ->
-        match Health.parse_rule s with
-        | Ok r -> r
-        | Error e -> failwith ("health_tool: bad rule: " ^ e))
-      [
-        (* Per-node retransmit rate (events per million cycles): the
-           operator's "which pset is sick". *)
-        "retransmit_rate: cio.retransmits rate >= 10 warn";
-        (* Any error on the RAS stream trips the machine-level pager. *)
-        "ras_errors: ras.error value >= 1 error";
-        (* Quiet on this scenario; present so the heat table shows the
-           whole rule set, firing or not. *)
-        "dma_stall: dma.inject_stalls value > 0 warn";
-        "span_loss: obs.dropped_spans delta > 0 info";
-      ]
-  in
-  match Health.check_schema rules with
-  | Ok () -> rules
-  | Error e -> failwith ("health_tool: " ^ Health.schema_error_message e)
+  List.map
+    (fun s ->
+      match Health.parse_rule s with
+      | Ok r -> r
+      | Error e -> failwith ("health_tool: bad rule: " ^ e))
+    [
+      (* Per-node retransmit rate (events per million cycles): the
+         operator's "which pset is sick". *)
+      "retransmit_rate: cio.retransmits rate >= 10 warn";
+      (* Any error on the RAS stream trips the machine-level pager. *)
+      "ras_errors: ras.error value >= 1 error";
+      (* Quiet on this scenario; present so the heat table shows the
+         whole rule set, firing or not. *)
+      "dma_stall: dma.inject_stalls value > 0 warn";
+      "span_loss: obs.dropped_spans delta > 0 info";
+    ]
 
 let run seed postmortem_path quiet =
   let cluster =
@@ -93,9 +88,13 @@ let run seed postmortem_path quiet =
      flight recorder captures its bundle) before Recovery's escalation
      floods the stream with the gang-kill's own events. *)
   let h =
-    Machine.attach_health ~window
-      ~recorder:{ Health.default_recorder with Health.max_reports = 12 }
-      ~rules machine
+    match
+      Machine.attach_health ~window
+        ~recorder:{ Health.default_recorder with Health.max_reports = 12 }
+        ~rules machine
+    with
+    | Ok h -> h
+    | Error e -> failwith ("health_tool: " ^ Health.rule_error_message e)
   in
   let injector = Res.Injector.attach cluster in
   ignore

@@ -361,8 +361,8 @@ and start t pending alloc =
                 §VI diagnosability sin *)
              let machine = Cnk.Cluster.machine t.cluster in
              let rank = List.hd ranks in
-             Machine.ras_emit machine ~rank ~severity:Machine.Ras_warn
-               ~message:(Printf.sprintf "SCHED walltime job=%d rank=%d limit=%d" jid rank limit);
+             Machine.ras_note machine ~rank Bg_obs.Rasdb.Warn
+               (Printf.sprintf "SCHED walltime job=%d rank=%d limit=%d" jid rank limit);
              Obs.count o Metrics.Scheduler.walltime_kills;
              List.iter (fun rank -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster rank)) ranks
            | _ -> ()))
@@ -433,10 +433,10 @@ and finish t { job = pending; alloc; span; info } =
         (* requeue at the head: recovery preempts the waiting line *)
         enqueue_front t pending;
         Obs.count o Metrics.Scheduler.jobs_restarted;
-        Machine.ras_emit machine
+        Machine.ras_note machine
           ~rank:(List.hd alloc.Partition.ranks)
-          ~severity:Machine.Ras_info
-          ~message:(Printf.sprintf "SCHED restart job=%d attempt=%d" jid attempt);
+          Bg_obs.Rasdb.Info
+          (Printf.sprintf "SCHED restart job=%d attempt=%d" jid attempt);
         try_start t
       in
       (* A recovery policy may hold the retry back (deterministic backoff:
@@ -554,8 +554,8 @@ let kill_spanning t ~rank =
   | Some { job; alloc; _ } ->
     job.failed_at <- Some (now t);
     let machine = Cnk.Cluster.machine t.cluster in
-    Machine.ras_emit machine ~rank ~severity:Machine.Ras_error
-      ~message:(Printf.sprintf "SCHED job_lost job=%d rank=%d" job.view.info_jid rank);
+    Machine.ras_note machine ~rank Bg_obs.Rasdb.Error
+      (Printf.sprintf "SCHED job_lost job=%d rank=%d" job.view.info_jid rank);
     List.iter
       (fun r -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster r))
       alloc.Partition.ranks
@@ -583,10 +583,9 @@ let pset_failed t ~ranks =
   (match ranks with
   | first :: _ ->
     let machine = Cnk.Cluster.machine t.cluster in
-    Machine.ras_emit machine ~rank:first ~severity:Machine.Ras_error
-      ~message:
-        (Printf.sprintf "SCHED pset_lost ranks=%s"
-           (String.concat "," (List.map string_of_int ranks)))
+    Machine.ras_note machine ~rank:first Bg_obs.Rasdb.Error
+      (Printf.sprintf "SCHED pset_lost ranks=%s"
+         (String.concat "," (List.map string_of_int ranks)))
   | [] -> ());
   (* no allocation can span an already-down rank, so only freshly-downed
      members can carry a job — killing just those makes a replayed pset

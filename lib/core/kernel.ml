@@ -118,12 +118,13 @@ let causal_mint ?chain t ~cat ~name ~core =
 let acct_switch t ~core state =
   Accounting.switch (acct t) ~rank:t.rank ~core ~now:(Sim.now t.machine.Machine.sim) state
 
-(* Both kernels report RAS events in the same wording, so the service
-   node's database reads uniformly; the counter gives the health service
-   a per-kernel emission series. *)
-let ras t severity message =
+(* Both kernels report RAS events through here; the counter gives the
+   health service a per-kernel emission series. *)
+let ras t ev =
   Obs.add (obs t) ~rank:t.rank ~core:Obs.node_scope Metrics.Kernel.ras_emitted 1;
-  Machine.ras_emit t.machine ~rank:t.rank ~severity ~message
+  Machine.ras_emit t.machine ~rank:t.rank ev
+
+let ras_note t severity text = ras t (Machine.Note { severity; text })
 
 (* The residual noise floor: a consume spanning k refresh windows pays k
    short stalls. Deterministic in absolute time. *)
@@ -317,8 +318,7 @@ let deliver_pending t th =
         true
       | None ->
         t.faults <- (th.tid, Printf.sprintf "unhandled signal %d" signo) :: t.faults;
-        ras t Machine.Ras_error
-          (Printf.sprintf "tid %d killed by unhandled signal %d" th.tid signo);
+        ras t (Machine.Thread_death { tid = th.tid; cause = Unhandled_signal signo });
         thread_exit t th signo;
         false)
     pending
@@ -382,9 +382,9 @@ let rec step t th (s : Coro.step) =
     match s with
     | Coro.Finished -> thread_exit t th 0
     | Coro.Crashed e ->
-      t.faults <- (th.tid, Printexc.to_string e) :: t.faults;
-      ras t Machine.Ras_error
-        (Printf.sprintf "tid %d crashed: %s" th.tid (Printexc.to_string e));
+      let reason = Printexc.to_string e in
+      t.faults <- (th.tid, reason) :: t.faults;
+      ras t (Machine.Thread_death { tid = th.tid; cause = Crashed reason });
       thread_exit t th 1
     | Coro.Yield k ->
       th.resume <- Some (fun () -> step t th (Effect.Deep.continue k ()));

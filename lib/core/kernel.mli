@@ -124,7 +124,11 @@ val causal_mint :
   ?chain:bool -> (_, _, _, _) t -> cat:string -> name:string -> core:int -> Bg_obs.Causal.ctx
 (** A causal node on this rank, or [Causal.none] when collection is off. *)
 
-val ras : (_, _, _, _) t -> Machine.ras_severity -> string -> unit
+val ras : (_, _, _, _) t -> Machine.ras_event -> unit
+(** Emit on the machine RAS stream from this rank. *)
+
+val ras_note : (_, _, _, _) t -> Bg_obs.Rasdb.severity -> string -> unit
+(** [ras] of a {!Machine.Note}. *)
 
 val refresh_stretch : (_, _, _, _) t -> int -> int -> int
 (** [refresh_stretch t start n]: [n] plus the DRAM refresh stalls in

@@ -270,7 +270,7 @@ let write t (th : thread) addr data =
     th.pending_sigs <- th.pending_sigs @ [ sigsegv ];
     emit t "cnk.guard_hit" th.tid;
     Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.dac_violation 1;
-    ras t Machine.Ras_warn (Printf.sprintf "DAC guard hit by tid %d at 0x%x" th.tid addr);
+    ras_note t Bg_obs.Rasdb.Warn (Printf.sprintf "DAC guard hit by tid %d at 0x%x" th.tid addr);
     false
   | None ->
     let pa = translate t th Tlb.Store addr len in
@@ -560,7 +560,7 @@ let function_ship_reliable t (th : thread) req ret =
         Hashtbl.remove t.nx.io_inflight th.tid;
         cio_count t Metrics.Cio.eio;
         emit t "cnk.fship_eio" th.tid;
-        ras t Machine.Ras_error
+        ras_note t Bg_obs.Rasdb.Error
           (Printf.sprintf "CIO rank=%d tid=%d seq=%d: retry budget exhausted, EIO"
              t.rank th.tid seq);
         ret (Sysreq.R_err Errno.EIO)
@@ -914,7 +914,7 @@ let inject_l1_parity_error t ~core =
   | Some th when th.state <> Zombie ->
     th.pending_sigs <- th.pending_sigs @ [ sigbus ];
     emit t "cnk.l1_parity" core;
-    ras t Machine.Ras_warn (Printf.sprintf "L1 parity error on core %d" core);
+    ras_note t Bg_obs.Rasdb.Warn (Printf.sprintf "L1 parity error on core %d" core);
     true
   | _ -> false
 
@@ -943,13 +943,16 @@ let designate_remote t ~core ~pid =
 let remote_designation t ~core =
   if core < 0 || core >= Array.length t.cores then None else t.cores.(core).cx.remote_pid
 
+let job_killed =
+  Machine.Note { severity = Bg_obs.Rasdb.Warn; text = "job killed by the control system" }
+
 (* Forcible job termination from the control system (walltime exceeded,
    operator action). Every live thread dies with code 137 (as a SIGKILL
    would report); completion fires normally so schedulers can proceed. *)
 let kill_job t =
   if t.job_active then begin
     List.iter (fun (_, th) -> thread_exit t th 137) (sorted t.threads);
-    ras t Machine.Ras_warn "job killed by the control system";
+    ras t job_killed;
     emit t "cnk.job_killed" 0
   end
 

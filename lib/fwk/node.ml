@@ -202,7 +202,7 @@ let fault t (th : thread) reason continue =
     continue ()
   | None ->
     t.faults <- (th.tid, reason) :: t.faults;
-    ras t Machine.Ras_error (Printf.sprintf "tid %d segv: %s" th.tid reason);
+    ras_note t Bg_obs.Rasdb.Error (Printf.sprintf "tid %d segv: %s" th.tid reason);
     thread_exit t th sigsegv
 
 (* --- time policy ---------------------------------------------------------- *)

@@ -1,4 +1,67 @@
-type ras_severity = Ras_info | Ras_warn | Ras_error
+(* --- RAS events ------------------------------------------------------- *)
+
+type fault =
+  | L1_parity of { rank : int; core : int }
+  | Node_death of { rank : int }
+  | Link_failure of { rank : int; dir : int }
+  | Link_repair of { rank : int; dir : int }
+  | Ciod_crash of { io_node : int; fatal : bool }
+  | Ciod_restart of { io_node : int }
+
+type death_cause = Crashed of string | Unhandled_signal of int
+
+type ras_event =
+  | Fault of fault
+  | Alert of Bg_obs.Health.alert
+  | Thread_death of { tid : int; cause : death_cause }
+  | Note of { severity : Bg_obs.Rasdb.severity; text : string }
+
+let fault_rank = function
+  | L1_parity { rank; _ } | Node_death { rank } | Link_failure { rank; _ }
+  | Link_repair { rank; _ } ->
+    rank
+  | Ciod_crash { io_node; _ } | Ciod_restart { io_node } -> io_node
+
+let fault_severity = function
+  | L1_parity _ -> Bg_obs.Rasdb.Warn
+  | Node_death _ | Link_failure _ | Ciod_crash _ -> Bg_obs.Rasdb.Error
+  | Link_repair _ | Ciod_restart _ -> Bg_obs.Rasdb.Info
+
+(* The one place a RAS event becomes text: the record's severity,
+   component and message. A fault's component is the word after
+   "FAULT "; every kernel, scheduler and healing line files under
+   "kernel". *)
+let ras_store db ~cycle ~rank ev =
+  let severity, component, message =
+    match ev with
+    | Fault f ->
+      let component, args =
+        match f with
+        | L1_parity { rank; core } -> ("parity", Printf.sprintf "rank=%d core=%d" rank core)
+        | Node_death { rank } -> ("node_death", Printf.sprintf "rank=%d" rank)
+        | Link_failure { rank; dir } -> ("link", Printf.sprintf "rank=%d dir=%d" rank dir)
+        | Link_repair { rank; dir } -> ("link_up", Printf.sprintf "rank=%d dir=%d" rank dir)
+        | Ciod_crash { io_node; fatal } ->
+          ("ciod_crash", Printf.sprintf "io=%d fatal=%d" io_node (if fatal then 1 else 0))
+        | Ciod_restart { io_node } -> ("ciod_up", Printf.sprintf "io=%d" io_node)
+      in
+      (fault_severity f, component, Printf.sprintf "FAULT %s %s" component args)
+    | Alert a ->
+      ( a.Bg_obs.Health.severity,
+        "health",
+        Printf.sprintf
+          "HEALTH alert rule=%s series=%s rank=%d core=%d window=%d value=%.17g \
+           threshold=%.17g"
+          a.rule a.series a.rank a.core a.window a.value a.threshold )
+    | Thread_death { tid; cause } ->
+      ( Bg_obs.Rasdb.Error,
+        "kernel",
+        match cause with
+        | Crashed reason -> Printf.sprintf "tid %d crashed: %s" tid reason
+        | Unhandled_signal signo -> Printf.sprintf "tid %d killed by unhandled signal %d" tid signo )
+    | Note { severity; text } -> (severity, "kernel", text)
+  in
+  Bg_obs.Rasdb.add db ~cycle ~rank ~severity ~component ~message
 
 type health_service = {
   h_ts : Bg_obs.Timeseries.t;
@@ -19,8 +82,7 @@ type t = {
   acct : Bg_obs.Accounting.t;
   causal : Bg_obs.Causal.t;
   mutable health : health_service option;
-  mutable ras_subscribers :
-    (rank:int -> severity:ras_severity -> message:string -> unit) list;
+  mutable ras_subscribers : (rank:int -> ras_event -> unit) list;
   mutable launch_text : (string * int * bytes) option;
 }
 
@@ -28,8 +90,16 @@ let instance_counter = ref 0
 
 let on_ras t f = t.ras_subscribers <- f :: t.ras_subscribers
 
-let ras_emit t ~rank ~severity ~message =
-  List.iter (fun f -> f ~rank ~severity ~message) t.ras_subscribers
+(* A named loop, not [List.iter] over a closure: an emit allocates
+   nothing beyond its event. *)
+let rec deliver ~rank ev = function
+  | [] -> ()
+  | f :: rest ->
+    f ~rank ev;
+    deliver ~rank ev rest
+
+let ras_emit t ~rank ev = deliver ~rank ev t.ras_subscribers
+let ras_note t ~rank severity text = ras_emit t ~rank (Note { severity; text })
 
 let create ?(params = Bg_hw.Params.bgp) ?(seed = 1L) ?nodes_per_io_node ?obs ?causal
     ?dma_fifo_depth ~dims () =
@@ -98,13 +168,10 @@ let create ?(params = Bg_hw.Params.bgp) ?(seed = 1L) ?nodes_per_io_node ?obs ?ca
           end))
     t.dma;
   (* A link severed while transfers are crossing it is a hardware fault
-     the RAS stream must carry; the message matches what
-     Bg_resilience.Fault_event.of_message parses into Link_failure, so
-     Recovery consumes it without knowing about the torus. *)
+     the RAS stream must carry, so Recovery hears of it without knowing
+     about the torus. *)
   Bg_hw.Torus.set_link_down_hook t.torus (fun ~rank ~dir ~in_flight ->
-      if in_flight > 0 then
-        ras_emit t ~rank ~severity:Ras_error
-          ~message:(Printf.sprintf "FAULT link rank=%d dir=%d" rank dir));
+      if in_flight > 0 then ras_emit t ~rank (Fault (Link_failure { rank; dir })));
   t
 
 let obs t = t.obs
@@ -153,16 +220,6 @@ let publish_net_gauges t ~rank =
     done
   end
 
-let ras_severity_to_string = function
-  | Ras_info -> "INFO"
-  | Ras_warn -> "WARN"
-  | Ras_error -> "ERROR"
-
-let rasdb_severity = function
-  | Ras_info -> Bg_obs.Rasdb.Info
-  | Ras_warn -> Bg_obs.Rasdb.Warn
-  | Ras_error -> Bg_obs.Rasdb.Error
-
 (* --- machine health service -------------------------------------------- *)
 
 let health t = t.health
@@ -171,7 +228,7 @@ let health t = t.health
    counters an operator would pull first for that component. *)
 let implicated_series ~component ~rank:_ =
   match component with
-  | "ciod_crash" | "ciod_restart" ->
+  | "ciod_crash" ->
       [ ("cio", "retransmits"); ("cio", "eio"); ("cio", "ship_requests");
         ("ras", "error") ]
   | "link" ->
@@ -182,34 +239,22 @@ let implicated_series ~component ~rank:_ =
 
 let attach_health ?window ?ring ?db_capacity ?recorder ?(rules = []) t =
   match t.health with
-  | Some h -> h
-  | None ->
+  | Some h -> Ok h
+  | None -> (
+    let ts = Bg_obs.Timeseries.create ?window ?capacity:ring t.obs in
+    let db = Bg_obs.Rasdb.create ?capacity:db_capacity () in
+    match Bg_obs.Health.create ?recorder ~causal:t.causal ~ts ~db ~rules () with
+    | Error _ as e -> e
+    | Ok svc ->
       (* Sampling a disabled registry would roll up nothing. *)
       Bg_obs.Obs.set_enabled t.obs true;
-      let ts = Bg_obs.Timeseries.create ?window ?capacity:ring t.obs in
-      let db = Bg_obs.Rasdb.create ?capacity:db_capacity () in
-      let svc =
-        Bg_obs.Health.create ?recorder ~causal:t.causal ~ts ~db ~rules ()
-      in
-      (* Every RAS event — typed faults, kernel messages, health alerts —
-         lands in the database; severity totals mirror into the metrics
-         registry so rasdb, obs_tool and alert rules read one source of
-         truth. *)
-      on_ras t (fun ~rank ~severity ~message ->
-          ignore
-            (Bg_obs.Rasdb.add db ~cycle:(Bg_engine.Sim.now t.sim) ~rank
-               ~severity:(rasdb_severity severity) ~message ());
+      (* Every RAS event lands in the database; severity totals mirror
+         into the metrics registry so rasdb, obs_tool and alert rules
+         read one source of truth. *)
+      on_ras t (fun ~rank ev ->
+          ignore (ras_store db ~cycle:(Bg_engine.Sim.now t.sim) ~rank ev);
           Bg_obs.Rasdb.publish_gauges db t.obs);
-      Bg_obs.Health.set_emit svc (fun a ->
-          let severity =
-            match a.Bg_obs.Health.severity with
-            | Bg_obs.Rasdb.Info -> Ras_info
-            | Bg_obs.Rasdb.Warn -> Ras_warn
-            | Bg_obs.Rasdb.Error -> Ras_error
-          in
-          ras_emit t ~rank:a.Bg_obs.Health.rank ~severity
-            ~message:
-              (Bg_obs.Health.Event.to_message (Bg_obs.Health.Event.of_alert a)));
+      Bg_obs.Health.set_emit svc (fun a -> ras_emit t ~rank:a.Bg_obs.Health.rank (Alert a));
       (* Restore in this repo is replay (see the snapshot section below):
          the snapshot reference a postmortem can carry is the replay
          cursor, not a file. *)
@@ -235,8 +280,7 @@ let attach_health ?window ?ring ?db_capacity ?recorder ?(rules = []) t =
       Bg_obs.Timeseries.arm ts t.sim;
       let h = { h_ts = ts; h_db = db; h_svc = svc } in
       t.health <- Some h;
-      h
-
+      Ok h)
 
 (* --- whole-machine snapshot ------------------------------------------- *)
 

@@ -3,7 +3,51 @@
     Both kernels, the messaging stack and the bringup tooling share this
     view. Chip [i] is the compute node with torus rank [i]. *)
 
-type ras_severity = Ras_info | Ras_warn | Ras_error
+(** {1 RAS events}
+
+    Blue Gene's Reliability/Availability/Serviceability stream: kernels,
+    the injector, the control system and the health service report
+    notable events and the service node collects them. Events travel as
+    values; {!ras_store} is the one place they become text. *)
+
+(** A hardware or I/O-daemon fault. *)
+type fault =
+  | L1_parity of { rank : int; core : int }
+      (** transient L1 data-cache parity error — CNK recovers in place *)
+  | Node_death of { rank : int }  (** the node is gone for good *)
+  | Link_failure of { rank : int; dir : int }  (** torus link [dir] (0-5) *)
+  | Link_repair of { rank : int; dir : int }
+  | Ciod_crash of { io_node : int; fatal : bool }
+      (** the I/O node's daemon died mid-flight; [fatal] means no restart
+          is coming and the whole pset is lost *)
+  | Ciod_restart of { io_node : int }  (** the daemon came back *)
+
+type death_cause = Crashed of string | Unhandled_signal of int
+
+type ras_event =
+  | Fault of fault
+  | Alert of Bg_obs.Health.alert  (** a firing health-service rule *)
+  | Thread_death of { tid : int; cause : death_cause }
+      (** a kernel killed an application thread; the control system
+          gang-kills its job *)
+  | Note of { severity : Bg_obs.Rasdb.severity; text : string }
+      (** text nobody acts on: guard hits, parity lines, EIO, scheduler
+          and healing notices *)
+
+val fault_rank : fault -> int
+(** For CIOD events this is the I/O-node index, not a compute rank. *)
+
+val fault_severity : fault -> Bg_obs.Rasdb.severity
+
+val ras_store :
+  Bg_obs.Rasdb.t -> cycle:Bg_engine.Cycles.t -> rank:int -> ras_event -> Bg_obs.Rasdb.record
+(** Render [ev] and insert it. A fault's message is
+    ["FAULT <component> <fields>"] with its class as the component
+    ([parity], [node_death], [link], [link_up], [ciod_crash],
+    [ciod_up]); an alert is ["HEALTH alert rule=... value=%.17g ..."]
+    under [health] at its rule's severity; thread deaths
+    (["tid N crashed: ..."], ["tid N killed by unhandled signal S"],
+    [Error]) and notes file under [kernel]. *)
 
 type health_service = {
   h_ts : Bg_obs.Timeseries.t;  (** windowed rollups over [obs] *)
@@ -35,8 +79,7 @@ type t = {
           identical node ids. *)
   mutable health : health_service option;
       (** the machine health service; [None] until {!attach_health} *)
-  mutable ras_subscribers :
-    (rank:int -> severity:ras_severity -> message:string -> unit) list;
+  mutable ras_subscribers : (rank:int -> ras_event -> unit) list;
       (** use {!on_ras} / {!ras_emit} rather than touching this directly *)
   mutable launch_text : (string * int * bytes) option;
       (** the program text the last settled CNK text write drew: (image
@@ -98,31 +141,26 @@ val attach_health :
   ?recorder:Bg_obs.Health.recorder_config ->
   ?rules:Bg_obs.Health.rule list ->
   t ->
-  health_service
+  (health_service, Bg_obs.Health.rule_error) result
 (** Build and wire the health service: subscribe the {!Bg_obs.Rasdb} to
-    the machine RAS stream (mirroring severity totals into [ras.*]
-    gauges), register the hardware-gauge sampling probe (DMA FIFOs,
-    torus link state, UPC readings), route firing alerts back onto the
-    RAS stream as typed [HEALTH] events, and arm the sampling tick
-    (every [window] cycles, default 100_000). Idempotent: a second call
-    returns the existing service. *)
+    the machine RAS stream through {!ras_store} (mirroring severity
+    totals into [ras.*] gauges), register the hardware-gauge sampling
+    probe (DMA FIFOs, torus link state, UPC readings), route firing
+    alerts back onto the RAS stream as {!Alert} events, and arm the
+    sampling tick (every [window] cycles, default 100_000). A rule
+    {!Bg_obs.Health.create} rejects is the error, and nothing is wired.
+    Idempotent: a second call returns the existing service. *)
 
 val health : t -> health_service option
 
-val rasdb_severity : ras_severity -> Bg_obs.Rasdb.severity
+val on_ras : t -> (rank:int -> ras_event -> unit) -> unit
+(** Subscribe; multiple subscribers all receive every event, newest
+    subscriber first. *)
 
-(** {1 RAS events}
+val ras_emit : t -> rank:int -> ras_event -> unit
 
-    Blue Gene's Reliability/Availability/Serviceability stream: kernels
-    report notable events (guard-page kills, parity errors, unit faults)
-    and the service node collects them. The machine carries a simple
-    pub-sub so producers (kernels) need not know about collectors. *)
-
-val on_ras : t -> (rank:int -> severity:ras_severity -> message:string -> unit) -> unit
-(** Subscribe; multiple subscribers all receive every event. *)
-
-val ras_emit : t -> rank:int -> severity:ras_severity -> message:string -> unit
-val ras_severity_to_string : ras_severity -> string
+val ras_note : t -> rank:int -> Bg_obs.Rasdb.severity -> string -> unit
+(** [ras_emit] of a {!Note}. *)
 
 (** {1 Snapshot / restore}
 

@@ -1,6 +1,6 @@
-(* Declarative alert rules over the timeseries rollups, typed HEALTH
-   RAS events, and the deterministic flight recorder. See the .mli for
-   the contract; the wiring onto a Machine lives in lib/kabi. *)
+(* Declarative alert rules over the timeseries rollups and the
+   deterministic flight recorder. See the .mli for the contract; the
+   wiring onto a Machine lives in lib/kabi. *)
 
 open Bg_engine
 
@@ -119,7 +119,7 @@ let parse_rule s =
   | _ -> err "rule %S does not match <name>: <sub>.<metric> <agg> <op> <thr>" s
 
 (* ---------------------------------------------------------------- *)
-(* Alerts and the typed HEALTH wire format *)
+(* Alerts *)
 
 type alert = {
   rule : string;
@@ -132,49 +132,6 @@ type alert = {
   value : float;
   threshold : float;
 }
-
-module Event = struct
-  type t =
-    | Alert of {
-        rule : string;
-        series : string;
-        rank : int;
-        core : int;
-        window : int;
-        value : float;
-        threshold : float;
-      }
-
-  let to_message = function
-    | Alert a ->
-        Printf.sprintf
-          "HEALTH alert rule=%s series=%s rank=%d core=%d window=%d \
-           value=%.17g threshold=%.17g"
-          a.rule a.series a.rank a.core a.window a.value a.threshold
-
-  let of_message msg =
-    if String.length msg < 7 || String.sub msg 0 7 <> "HEALTH " then None
-    else
-      try
-        Scanf.sscanf msg
-          "HEALTH alert rule=%s series=%s rank=%d core=%d window=%d \
-           value=%g threshold=%g"
-          (fun rule series rank core window value threshold ->
-            Some (Alert { rule; series; rank; core; window; value; threshold }))
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
-  let of_alert (a : alert) =
-    Alert
-      {
-        rule = a.rule;
-        series = a.series;
-        rank = a.rank;
-        core = a.core;
-        window = a.window;
-        value = a.value;
-        threshold = a.threshold;
-      }
-end
 
 (* ---------------------------------------------------------------- *)
 (* The service *)
@@ -503,50 +460,49 @@ let on_fault_record t (r : Rasdb.record) =
       ~implicated:(t.implicate ~component:r.Rasdb.component ~rank:r.Rasdb.rank)
   end
 
-type schema_error = Unknown_series of { rule : string; series : string }
+type rule_error =
+  | Unknown_series of { rule : string; series : string }
+  | Bad_rule_name of string
+  | Bad_window_count of { rule : string; for_windows : int }
 
-let check_schema rules =
-  match
-    List.find_opt
-      (fun r -> not (Obs.Metric.is_declared ~subsystem:r.subsystem ~name:r.metric))
-      rules
-  with
-  | None -> Ok ()
-  | Some r ->
-    Error (Unknown_series { rule = r.rule_name; series = r.subsystem ^ "." ^ r.metric })
+let rule_error_message = function
+  | Unknown_series { rule; series } ->
+    Printf.sprintf "rule %s: no metric named %s is declared" rule series
+  | Bad_rule_name name -> Printf.sprintf "bad rule name %S" name
+  | Bad_window_count { rule; for_windows } ->
+    Printf.sprintf "rule %s: for_windows %d < 1" rule for_windows
 
-let schema_error_message (Unknown_series { rule; series }) =
-  Printf.sprintf "rule %s: no metric named %s is declared" rule series
+let check_rule r =
+  if r.rule_name = "" || has_whitespace r.rule_name then Some (Bad_rule_name r.rule_name)
+  else if r.for_windows < 1 then
+    Some (Bad_window_count { rule = r.rule_name; for_windows = r.for_windows })
+  else if not (Obs.Metric.is_declared ~subsystem:r.subsystem ~name:r.metric) then
+    Some (Unknown_series { rule = r.rule_name; series = r.subsystem ^ "." ^ r.metric })
+  else None
 
 let create ?(recorder = default_recorder) ?causal ~ts ~db ~rules () =
-  List.iter
-    (fun r ->
-      if has_whitespace r.rule_name || r.rule_name = "" then
-        invalid_arg
-          (Printf.sprintf "Health.create: bad rule name %S" r.rule_name);
-      if r.for_windows < 1 then
-        invalid_arg
-          (Printf.sprintf "Health.create: rule %s: for_windows < 1" r.rule_name))
-    rules;
-  let t =
-    {
-      ts;
-      db;
-      rules = Array.of_list rules;
-      recorder;
-      causal;
-      streaks = Hashtbl.create 64;
-      firing_tbl = Hashtbl.create 64;
-      alerts = [];
-      alert_count = 0;
-      alert_digest = Fnv.empty;
-      emit = (fun _ -> ());
-      implicate = (fun ~component:_ ~rank:_ -> []);
-      snap_provider = (fun () -> "");
-      reports = [];
-      captures_suppressed = 0;
-    }
-  in
-  Timeseries.on_window ts (fun ~window ~now -> evaluate t ~window ~now);
-  Rasdb.on_insert db (on_fault_record t);
-  t
+  match List.find_map check_rule rules with
+  | Some e -> Error e
+  | None ->
+    let t =
+      {
+        ts;
+        db;
+        rules = Array.of_list rules;
+        recorder;
+        causal;
+        streaks = Hashtbl.create 64;
+        firing_tbl = Hashtbl.create 64;
+        alerts = [];
+        alert_count = 0;
+        alert_digest = Fnv.empty;
+        emit = (fun _ -> ());
+        implicate = (fun ~component:_ ~rank:_ -> []);
+        snap_provider = (fun () -> "");
+        reports = [];
+        captures_suppressed = 0;
+      }
+    in
+    Timeseries.on_window ts (fun ~window ~now -> evaluate t ~window ~now);
+    Rasdb.on_insert db (on_fault_record t);
+    Ok t

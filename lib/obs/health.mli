@@ -1,6 +1,6 @@
 (** The machine health service: declarative alert rules over the
-    {!Timeseries} rollups, typed HEALTH RAS events, and a deterministic
-    flight recorder producing self-contained postmortem JSON bundles.
+    {!Timeseries} rollups, typed alerts, and a deterministic flight
+    recorder producing self-contained postmortem JSON bundles.
 
     Rules are threshold/rate predicates over any series in the rollup
     store — DMA FIFO stall counts, ciod retransmit rates, dropped
@@ -20,9 +20,9 @@
     produce byte-identical reports.
 
     Like the rest of [Bg_obs] this module is machine-agnostic: it emits
-    alerts through an injected hook ({!set_emit}) and learns
+    {!alert} values through an injected hook ({!set_emit}) and learns
     fault-to-series implication the same way ({!set_implicate}); the
-    wiring lives in [Machine.attach_health]. *)
+    wiring, and the alert's RAS text, live in [Machine]. *)
 
 (** {1 Alert rules} *)
 
@@ -57,24 +57,17 @@ val parse_rule : string -> (rule, string) result
     and [<severity>] is [info|warn|error] (default [warn]).
     Example: ["retransmit_storm: cio.retransmits delta >= 8 for 2 error"]. *)
 
-type schema_error = Unknown_series of { rule : string; series : string }
-    (** [series] is [<subsystem>.<metric>], which no metric declaration names *)
+type rule_error =
+  | Unknown_series of { rule : string; series : string }
+      (** [series] is [<subsystem>.<metric>], which no metric declaration
+          names: a misspelt series would otherwise parse and then
+          silently match nothing *)
+  | Bad_rule_name of string  (** empty, or holds whitespace *)
+  | Bad_window_count of { rule : string; for_windows : int }  (** [for_windows < 1] *)
 
-val check_schema : rule list -> (unit, schema_error) result
-(** Every rule watches a declared metric ({!Obs.Metric.is_declared}); the
-    first rule that does not is the error. A misspelt series would
-    otherwise parse and then silently match nothing. {!parse_rule} and
-    {!create} accept any series, so a rule on an ad-hoc metric still
-    works where no check is asked for.
+val rule_error_message : rule_error -> string
 
-    The schema is filled in as declaring modules initialise, and nearly
-    every declaration lives in [Bg_kabi.Metrics]: the check is right only
-    in a program that links that module, as every program that builds a
-    [Bg_kabi.Machine] does. *)
-
-val schema_error_message : schema_error -> string
-
-(** {1 Alerts and typed HEALTH events} *)
+(** {1 Alerts} *)
 
 type alert = {
   rule : string;
@@ -87,30 +80,6 @@ type alert = {
   value : float;
   threshold : float;
 }
-
-(** Typed wire format for health events on the RAS stream, mirroring
-    [Bg_resilience.Fault_event]: ["HEALTH "]-prefixed messages that
-    {!Event.of_message} round-trips and [Fault_event.of_message]
-    ignores. *)
-module Event : sig
-  type t =
-    | Alert of {
-        rule : string;
-        series : string;
-        rank : int;
-        core : int;
-        window : int;
-        value : float;
-        threshold : float;
-      }
-
-  val to_message : t -> string
-  val of_message : string -> t option
-  (** [None] on anything that is not a well-formed HEALTH message;
-      never raises. *)
-
-  val of_alert : alert -> t
-end
 
 (** {1 The service} *)
 
@@ -133,10 +102,18 @@ val create :
   db:Rasdb.t ->
   rules:rule list ->
   unit ->
-  t
-(** Wires itself onto [ts] ({!Timeseries.on_window}: rule evaluation)
-    and [db] ({!Rasdb.on_insert}: the flight recorder's fault trigger —
-    any [Error] record whose component is not ["health"]). *)
+  (t, rule_error) result
+(** Check every rule, then wire the service onto [ts]
+    ({!Timeseries.on_window}: rule evaluation) and [db]
+    ({!Rasdb.on_insert}: the flight recorder's fault trigger — any
+    [Error] record whose component is not ["health"]). The first rule
+    with an error is the result, and nothing is wired.
+
+    Every rule must watch a declared metric ({!Obs.Metric.is_declared}).
+    The schema is filled in as declaring modules initialise, and nearly
+    every declaration lives in [Bg_kabi.Metrics]: the check is right only
+    in a program that links that module, as every program that builds a
+    [Bg_kabi.Machine] does. *)
 
 val rules : t -> rule list
 val ts : t -> Timeseries.t
@@ -144,8 +121,7 @@ val db : t -> Rasdb.t
 
 val set_emit : t -> (alert -> unit) -> unit
 (** Called once per firing alert, before the report is captured;
-    [Machine.attach_health] routes this onto the machine RAS stream as
-    a typed {!Event}. *)
+    [Machine.attach_health] routes this onto the machine RAS stream. *)
 
 val set_implicate : t -> (component:string -> rank:int -> (string * string) list) -> unit
 (** Map a fault record to the (subsystem, metric) pairs whose window

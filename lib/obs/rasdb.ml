@@ -44,29 +44,10 @@ let create ?(capacity = 4096) () =
 
 let capacity t = t.cap
 
-(* "FAULT parity rank=3 core=1" -> "parity"; "HEALTH alert ..." ->
-   "health"; anything else is an untyped kernel message. *)
-let component_of_message msg =
-  let word_after prefix =
-    let rest = String.sub msg (String.length prefix)
-        (String.length msg - String.length prefix) in
-    match String.index_opt rest ' ' with
-    | Some i -> String.sub rest 0 i
-    | None -> rest
-  in
-  if String.length msg > 6 && String.sub msg 0 6 = "FAULT " then
-    word_after "FAULT "
-  else if String.length msg >= 7 && String.sub msg 0 7 = "HEALTH " then
-    "health"
-  else "kernel"
-
 let bump tbl k =
   Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
-let add t ~cycle ~rank ~severity ?component ~message () =
-  let component =
-    match component with Some c -> c | None -> component_of_message message
-  in
+let add t ~cycle ~rank ~severity ~component ~message =
   let r = { seq = t.inserted; cycle; rank; severity; component; message } in
   t.ring.(t.inserted mod t.cap) <- Some r;
   t.inserted <- t.inserted + 1;

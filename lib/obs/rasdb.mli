@@ -9,9 +9,10 @@
     with O(1) severity counts and per-component / per-rank indexes,
     replacing ad-hoc scans of the raw message ring.
 
-    It deliberately knows nothing about {!Machine} (the dependency runs
-    the other way): producers feed it via {!add}, typically from a
-    [Machine.on_ras] subscription wired in [lib/kabi]. *)
+    It deliberately knows nothing about [Machine] (the dependency runs
+    the other way): records arrive through {!add} from
+    [Machine.ras_store], the one place the machine's typed RAS events
+    become text. *)
 
 type severity = Info | Warn | Error
 
@@ -25,10 +26,7 @@ type record = {
   cycle : Bg_engine.Cycles.t;
   rank : int;
   severity : severity;
-  component : string;
-      (** coarse event class, derived from the message when not given:
-          the word after ["FAULT "], ["health"] for ["HEALTH "]
-          messages, ["kernel"] otherwise *)
+  component : string;  (** coarse event class, given by the producer *)
   message : string;
 }
 
@@ -40,17 +38,13 @@ val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val component_of_message : string -> string
-(** The default component classifier described at {!record.component}. *)
-
 val add :
   t ->
   cycle:Bg_engine.Cycles.t ->
   rank:int ->
   severity:severity ->
-  ?component:string ->
+  component:string ->
   message:string ->
-  unit ->
   record
 (** Insert and return the stored record. *)
 

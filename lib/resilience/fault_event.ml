@@ -1,4 +1,4 @@
-type t =
+type t = Machine.fault =
   | L1_parity of { rank : int; core : int }
   | Node_death of { rank : int }
   | Link_failure of { rank : int; dir : int }
@@ -6,52 +6,5 @@ type t =
   | Ciod_crash of { io_node : int; fatal : bool }
   | Ciod_restart of { io_node : int }
 
-let rank = function
-  | L1_parity { rank; _ } | Node_death { rank } | Link_failure { rank; _ }
-  | Link_repair { rank; _ } ->
-    rank
-  | Ciod_crash { io_node; _ } | Ciod_restart { io_node } -> io_node
-
-let severity = function
-  | L1_parity _ -> Machine.Ras_warn
-  | Node_death _ -> Machine.Ras_error
-  | Link_failure _ -> Machine.Ras_error
-  | Link_repair _ -> Machine.Ras_info
-  | Ciod_crash _ -> Machine.Ras_error
-  | Ciod_restart _ -> Machine.Ras_info
-
-let to_message = function
-  | L1_parity { rank; core } -> Printf.sprintf "FAULT parity rank=%d core=%d" rank core
-  | Node_death { rank } -> Printf.sprintf "FAULT node_death rank=%d" rank
-  | Link_failure { rank; dir } -> Printf.sprintf "FAULT link rank=%d dir=%d" rank dir
-  | Link_repair { rank; dir } -> Printf.sprintf "FAULT link_up rank=%d dir=%d" rank dir
-  | Ciod_crash { io_node; fatal } ->
-    Printf.sprintf "FAULT ciod_crash io=%d fatal=%d" io_node (if fatal then 1 else 0)
-  | Ciod_restart { io_node } -> Printf.sprintf "FAULT ciod_up io=%d" io_node
-
-let of_message msg =
-  let scan fmt k = try Some (Scanf.sscanf msg fmt k) with _ -> None in
-  if String.length msg < 6 || String.sub msg 0 6 <> "FAULT " then None
-  else
-    match scan "FAULT parity rank=%d core=%d" (fun rank core -> L1_parity { rank; core }) with
-    | Some _ as e -> e
-    | None -> (
-      match scan "FAULT node_death rank=%d" (fun rank -> Node_death { rank }) with
-      | Some _ as e -> e
-      | None -> (
-        match scan "FAULT link rank=%d dir=%d" (fun rank dir -> Link_failure { rank; dir }) with
-        | Some _ as e -> e
-        | None -> (
-          match
-            scan "FAULT link_up rank=%d dir=%d" (fun rank dir -> Link_repair { rank; dir })
-          with
-          | Some _ as e -> e
-          | None -> (
-            match
-              scan "FAULT ciod_crash io=%d fatal=%d" (fun io_node f ->
-                  Ciod_crash { io_node; fatal = f <> 0 })
-            with
-            | Some _ as e -> e
-            | None -> scan "FAULT ciod_up io=%d" (fun io_node -> Ciod_restart { io_node })))))
-
-let pp ppf e = Format.pp_print_string ppf (to_message e)
+let rank = Machine.fault_rank
+let severity = Machine.fault_severity

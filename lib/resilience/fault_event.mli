@@ -1,29 +1,18 @@
-(** Typed fault events riding the RAS channel.
+(** The fault events the resilience layer injects and consumes: a
+    re-export of {!Machine.fault} (documented there), which lives in
+    [Machine] because the torus link-down hook emits one. Faults travel
+    on the RAS stream as [Machine.Fault] values; [Machine.ras_store]
+    writes their text. *)
 
-    RAS messages are strings (paper §VI: the control system's event
-    database); the resilience layer needs structure. Injector and kernel
-    publish events through {!to_message}; consumers recover them with
-    {!of_message}. Any RAS message that does not parse is simply not a
-    fault event — the channel stays shared with free-form kernel logs. *)
-
-type t =
+type t = Machine.fault =
   | L1_parity of { rank : int; core : int }
-      (** transient L1 data-cache parity error — CNK recovers in place *)
-  | Node_death of { rank : int }  (** the node is gone for good *)
-  | Link_failure of { rank : int; dir : int }  (** torus link [dir] (0-5) *)
+  | Node_death of { rank : int }
+  | Link_failure of { rank : int; dir : int }
   | Link_repair of { rank : int; dir : int }
   | Ciod_crash of { io_node : int; fatal : bool }
-      (** the I/O node's daemon died mid-flight; [fatal] means no restart
-          is coming and the whole pset is lost *)
-  | Ciod_restart of { io_node : int }  (** the daemon came back *)
+  | Ciod_restart of { io_node : int }
 
 val rank : t -> int
 (** For CIOD events this is the I/O-node index, not a compute rank. *)
 
-
-val severity : t -> Machine.ras_severity
-val to_message : t -> string
-val of_message : string -> t option
-(** Inverse of {!to_message}; [None] for anything else. *)
-
-val pp : Format.formatter -> t -> unit
+val severity : t -> Bg_obs.Rasdb.severity

@@ -44,9 +44,7 @@ let alive t =
 
 let publish t ev =
   t.log <- (Sim.now (sim t), ev) :: t.log;
-  Machine.ras_emit (machine t) ~rank:(Fault_event.rank ev)
-    ~severity:(Fault_event.severity ev)
-    ~message:(Fault_event.to_message ev);
+  Machine.ras_emit (machine t) ~rank:(Fault_event.rank ev) (Machine.Fault ev);
   let total = t.parity + t.deaths + t.links + t.ciod_crashes in
   if total > 0 then
     Obs.set (obs t) ~rank:Obs.node_scope ~core:Obs.node_scope Metrics.Resilience.mtbf_cycles

@@ -6,8 +6,8 @@
     fault campaign is a pure function of (seed, config) and the whole
     run (faults, detection, recovery schedule) replays bit-identically.
 
-    Each injected fault is published as a typed RAS event
-    ({!Fault_event.to_message}); detection/recovery is someone else's job
+    Each injected fault is published on the RAS stream as a
+    [Machine.Fault] event; detection/recovery is someone else's job
     (see {!Recovery}). A node death additionally kills whatever the victim
     node was running, so an unattended machine still observes the hang the
     paper's §VI complains about — attaching {!Recovery} is what turns the

@@ -298,27 +298,23 @@ let attach ?(config = default) sched =
     Bg_cio.Ciod.on_restart (Cnk.Cluster.ciod cluster ~io_node) (fun () ->
         Hashtbl.remove t.pending_restart io_node)
   done;
-  Machine.on_ras (machine t) (fun ~rank ~severity:_ ~message ->
-      match Fault_event.of_message message with
-      | Some (Fault_event.Node_death { rank }) -> on_node_death t ~rank
-      | Some (Fault_event.L1_parity _) ->
+  Machine.on_ras (machine t) (fun ~rank -> function
+      | Machine.Fault (Node_death { rank }) -> on_node_death t ~rank
+      | Fault (L1_parity _) ->
         (* CNK recovers parity in place: no pressure, no action *)
         Recovery.note_parity t.recovery
-      | Some (Fault_event.Link_failure _) ->
+      | Fault (Link_failure _) ->
         (* the torus reroutes, but a severed link is machine pressure *)
         Recovery.note_link t.recovery;
         note_pressure t
-      | Some (Fault_event.Link_repair _) -> Recovery.note_link t.recovery
-      | Some (Fault_event.Ciod_crash { io_node; fatal }) ->
+      | Fault (Link_repair _) -> Recovery.note_link t.recovery
+      | Fault (Ciod_crash { io_node; fatal }) ->
         Recovery.note_ciod t.recovery;
         if fatal then on_ciod_fatal t ~io_node
-      | Some (Fault_event.Ciod_restart _) -> Recovery.note_ciod t.recovery
-      | None -> (
-        match Bg_obs.Health.Event.of_message message with
-        | Some (Bg_obs.Health.Event.Alert { rule; _ }) -> on_alert t rule
-        | None ->
-          if Recovery.is_crash_message message then
-            Recovery.crash_kill t.recovery ~rank));
+      | Fault (Ciod_restart _) -> Recovery.note_ciod t.recovery
+      | Alert a -> on_alert t a.rule
+      | Thread_death _ -> Recovery.crash_kill t.recovery ~rank
+      | Note _ -> ());
   t
 
 (* -- counters --------------------------------------------------------- *)

@@ -2,7 +2,7 @@
 
     {!Recovery} is the actuator — idempotent actions against faults; this
     engine decides {e when} each action fires, closing the loop from the
-    RAS/HEALTH event stream back to the scheduler:
+    typed RAS stream (faults, alerts, thread deaths) back to the scheduler:
 
     - {b Retry with backoff}: failed job incarnations are requeued after a
       deterministic exponential delay ([base * mult^(attempt-1)], capped)

@@ -39,16 +39,6 @@ let machine t = Cnk.Cluster.machine (Bg_control.Scheduler.cluster t.scheduler)
 let obs t = (machine t).Machine.obs
 let scheduler t = t.scheduler
 
-let is_crash_message message =
-  (* the kernel's own RAS wording for a dying thread — gang-kill the job
-     so no surviving rank blocks on a dead peer *)
-  let has sub =
-    let n = String.length sub and m = String.length message in
-    let rec at i = i + n <= m && (String.sub message i n = sub || at (i + 1)) in
-    at 0
-  in
-  has "killed by unhandled signal" || has "crashed:"
-
 (* -- actuator actions ------------------------------------------------ *)
 
 let node_death t ~rank =
@@ -69,8 +59,8 @@ let substitute t ~dead =
   | Some spare ->
     t.substitutions <- t.substitutions + 1;
     Obs.count (obs t) Metrics.Resilience.substitutions;
-    Machine.ras_emit (machine t) ~rank:spare ~severity:Machine.Ras_info
-      ~message:(Printf.sprintf "HEAL substitute dead=%d spare=%d" dead spare);
+    Machine.ras_note (machine t) ~rank:spare Bg_obs.Rasdb.Info
+      (Printf.sprintf "HEAL substitute dead=%d spare=%d" dead spare);
     Some spare
 
 let crash_kill t ~rank = Bg_control.Scheduler.job_crashed t.scheduler ~rank
@@ -93,10 +83,10 @@ let restart_ciod t ~io_node =
   if Bg_cio.Ciod.alive ciod then false
   else begin
     Bg_cio.Ciod.restart ciod;
-    (* mirror the injector's wording so rasdb and Recovery consumers see
-       one typed event regardless of who brought the daemon back *)
-    Machine.ras_emit (machine t) ~rank:io_node ~severity:Machine.Ras_info
-      ~message:(Fault_event.to_message (Fault_event.Ciod_restart { io_node }));
+    (* the injector's event, so rasdb and Recovery consumers see one
+       fault regardless of who brought the daemon back *)
+    Machine.ras_emit (machine t) ~rank:io_node
+      (Machine.Fault (Fault_event.Ciod_restart { io_node }));
     true
   end
 
@@ -118,12 +108,11 @@ let rebuild_pset t ~io_node =
   Hashtbl.remove t.psets_seen io_node;
   if revived <> [] then begin
     Obs.count (obs t) Metrics.Resilience.psets_rebuilt;
-    Machine.ras_emit (machine t)
+    Machine.ras_note (machine t)
       ~rank:(List.hd revived)
-      ~severity:Machine.Ras_info
-      ~message:
-        (Printf.sprintf "HEAL pset_rebuilt io=%d ranks=%s" io_node
-           (String.concat "," (List.map string_of_int revived)))
+      Bg_obs.Rasdb.Info
+      (Printf.sprintf "HEAL pset_rebuilt io=%d ranks=%s" io_node
+         (String.concat "," (List.map string_of_int revived)))
   end;
   revived
 
@@ -140,24 +129,15 @@ let note_alert t =
 (* -- the classic immediate policy ------------------------------------ *)
 
 let subscribe t =
-  Machine.on_ras (machine t) (fun ~rank ~severity:_ ~message ->
-      match Fault_event.of_message message with
-      | None -> (
-          (* Not a typed fault: a health-service alert (typed HEALTH
-             event) is advisory — count it so operators and tests can
-             see the control system received it; the kernel's own
-             crash wording still gang-kills the job. *)
-          match Bg_obs.Health.Event.of_message message with
-          | Some (Bg_obs.Health.Event.Alert _) -> note_alert t
-          | None -> if is_crash_message message then crash_kill t ~rank)
-      | Some (Fault_event.Node_death { rank }) -> ignore (node_death t ~rank)
-      | Some (Fault_event.L1_parity _) ->
+  Machine.on_ras (machine t) (fun ~rank -> function
+      | Machine.Fault (Node_death { rank }) -> ignore (node_death t ~rank)
+      | Fault (L1_parity _) ->
         (* CNK's in-place recovery: nothing for the control system to do *)
         note_parity t
-      | Some (Fault_event.Link_failure _) | Some (Fault_event.Link_repair _) ->
+      | Fault (Link_failure _ | Link_repair _) ->
         (* the torus reroutes; note it and move on *)
         note_link t
-      | Some (Fault_event.Ciod_crash { io_node; fatal }) ->
+      | Fault (Ciod_crash { io_node; fatal }) ->
         note_ciod t;
         (* No restart is coming: the pset's compute nodes have lost
            their only path to the filesystem, so the control system
@@ -166,7 +146,15 @@ let subscribe t =
            retransmission layer re-drives in-flight requests — no
            control-system action needed. *)
         if fatal then ignore (fatal_ciod t ~io_node)
-      | Some (Fault_event.Ciod_restart _) -> note_ciod t)
+      | Fault (Ciod_restart _) -> note_ciod t
+      | Alert _ ->
+        (* advisory: count it so operators and tests can see the control
+           system received it *)
+        note_alert t
+      | Thread_death _ ->
+        (* gang-kill the job so no surviving rank blocks on a dead peer *)
+        crash_kill t ~rank
+      | Note _ -> ())
 
 let attach scheduler =
   let t = create scheduler in

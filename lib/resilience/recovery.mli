@@ -67,7 +67,6 @@ val note_parity : t -> unit
 val note_link : t -> unit
 val note_ciod : t -> unit
 val note_alert : t -> unit
-val is_crash_message : string -> bool
 
 (** {1 Counters} *)
 
@@ -76,7 +75,7 @@ val parity_seen : t -> int
 val link_events_seen : t -> int
 
 val ciod_events_seen : t -> int
-(** CIOD crash and restart events decoded (fatal or not). *)
+(** CIOD crash and restart events seen (fatal or not). *)
 
 val psets_lost : t -> int
 (** Fatal CIOD crashes escalated to {!Bg_control.Scheduler.pset_failed}. *)
@@ -85,9 +84,9 @@ val substitutions : t -> int
 (** Spares activated to cover dead nodes. *)
 
 val events_seen : t -> int
-(** Typed fault events decoded so far (all classes). *)
+(** Fault events seen so far (all classes). *)
 
 val alerts_seen : t -> int
-(** Typed [HEALTH] alert events received from the machine health
-    service ({!Bg_obs.Health.Event}); advisory — counted and mirrored
-    into the [resilience.alerts_seen] metric, no scheduling action. *)
+(** [Machine.Alert] events received from the machine health service;
+    advisory — counted and mirrored into the [resilience.alerts_seen]
+    metric, no scheduling action. *)

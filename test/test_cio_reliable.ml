@@ -411,14 +411,15 @@ let test_eio_after_retry_budget () =
   Bg_hw.Collective_net.set_fault_config machine.Machine.collective
     { Bg_hw.Collective_net.no_faults with Bg_hw.Collective_net.drop_rate = 1.0 };
   let ras_budget_exhausted = ref 0 in
-  Machine.on_ras machine (fun ~rank:_ ~severity ~message ->
-      let has sub =
-        let n = String.length sub and m = String.length message in
-        let rec at i = i + n <= m && (String.sub message i n = sub || at (i + 1)) in
-        at 0
-      in
-      if severity = Machine.Ras_error && has "retry budget exhausted" then
-        incr ras_budget_exhausted);
+  Machine.on_ras machine (fun ~rank:_ -> function
+      | Machine.Note { severity = Bg_obs.Rasdb.Error; text } ->
+        let has sub =
+          let n = String.length sub and m = String.length text in
+          let rec at i = i + n <= m && (String.sub text i n = sub || at (i + 1)) in
+          at 0
+        in
+        if has "retry budget exhausted" then incr ras_budget_exhausted
+      | _ -> ());
   let got_eio = ref 0 in
   let program () =
     (try ignore (Bg_rt.Libc.openf ~flags:Sysreq.o_create_trunc "f") with

@@ -201,10 +201,8 @@ let test_scheduler_deterministic () =
    [Machine.attach_health] does. *)
 let attach_rasdb ?capacity machine =
   let db = Rasdb.create ?capacity () in
-  Machine.on_ras machine (fun ~rank ~severity ~message ->
-      ignore
-        (Rasdb.add db ~cycle:(Bg_engine.Sim.now machine.Machine.sim) ~rank
-           ~severity:(Machine.rasdb_severity severity) ~message ()));
+  Machine.on_ras machine (fun ~rank ev ->
+      ignore (Machine.ras_store db ~cycle:(Bg_engine.Sim.now machine.Machine.sim) ~rank ev));
   db
 
 let test_ras_collects_kernel_events () =
@@ -256,9 +254,9 @@ let test_ras_log_is_bounded () =
   let machine = Machine.create ~dims:(1, 1, 1) () in
   let ras = attach_rasdb ~capacity:8 machine in
   for i = 1 to 20 do
-    let severity = if i mod 5 = 0 then Machine.Ras_error else Machine.Ras_info in
-    Machine.ras_emit machine ~rank:0 ~severity
-      ~message:(Printf.sprintf "storm %d" i)
+    let severity = if i mod 5 = 0 then Rasdb.Error else Rasdb.Info in
+    Machine.ras_emit machine ~rank:0
+      (Machine.Note { severity; text = Printf.sprintf "storm %d" i })
   done;
   check_int "ring holds capacity" 8 (List.length (Rasdb.records ras ()));
   check_int "overwritten accounted" 12 (Rasdb.dropped ras);

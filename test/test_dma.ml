@@ -124,8 +124,7 @@ let test_dma_path_determinism () =
 let test_link_down_under_dma_raises_ras () =
   let m = Machine.create ~dims:(4, 1, 1) () in
   let events = ref [] in
-  Machine.on_ras m (fun ~rank:_ ~severity ~message ->
-      events := (severity, message) :: !events);
+  Machine.on_ras m (fun ~rank ev -> events := (rank, ev) :: !events);
   inject_ok (Machine.dma m 0)
     (Dma.descriptor ~kind:Dma.Rdma_put ~dst:1 ~tag:1
        ~payload:(Bytes.make 65536 'x') ~bytes:65536 ~counter:0 ());
@@ -139,13 +138,9 @@ let test_link_down_under_dma_raises_ras () =
          Torus.set_link_broken m.Machine.torus ~rank:0 ~dir:0 true));
   ignore (Sim.run ~until:(t0 + 1_000_000) sim);
   match !events with
-  | [ (sev, message) ] ->
-    check_bool "error severity" true (sev = Machine.Ras_error);
-    (match Res.Fault_event.of_message message with
-    | Some (Res.Fault_event.Link_failure { rank; dir }) ->
-      check_int "failed link rank" 0 rank;
-      check_int "failed link dir" 0 dir
-    | _ -> Alcotest.fail ("RAS message did not parse as Link_failure: " ^ message))
+  | [ (0, Machine.Fault (Link_failure { rank = 0; dir = 0 } as f)) ] ->
+    check_bool "error severity" true (Machine.fault_severity f = Bg_obs.Rasdb.Error)
+  | [ _ ] -> Alcotest.fail "the RAS event is not Link_failure { rank = 0; dir = 0 } on rank 0"
   | [] -> Alcotest.fail "no RAS event for a link severed under traffic"
   | _ -> Alcotest.fail "expected exactly one RAS event"
 

@@ -109,15 +109,15 @@ let test_timeseries_digest_deterministic () =
 
 let test_rasdb_queries () =
   let db = Rasdb.create ~capacity:4 () in
-  let add cycle rank severity message =
-    ignore (Rasdb.add db ~cycle ~rank ~severity ~message ())
+  let add cycle rank severity component message =
+    ignore (Rasdb.add db ~cycle ~rank ~severity ~component ~message)
   in
-  add 10 0 Rasdb.Info "boot ok";
-  add 20 1 Rasdb.Warn "FAULT parity rank=1 core=0";
-  add 30 1 Rasdb.Error "FAULT ciod_crash io=0 fatal=1";
-  add 40 2 Rasdb.Info "boot ok";
-  add 50 2 Rasdb.Error "tid 3 crashed: oops";
-  add 60 0 Rasdb.Info "boot ok";
+  add 10 0 Rasdb.Info "kernel" "boot ok";
+  add 20 1 Rasdb.Warn "parity" "FAULT parity rank=1 core=0";
+  add 30 1 Rasdb.Error "ciod_crash" "FAULT ciod_crash io=0 fatal=1";
+  add 40 2 Rasdb.Info "kernel" "boot ok";
+  add 50 2 Rasdb.Error "kernel" "tid 3 crashed: oops";
+  add 60 0 Rasdb.Info "kernel" "boot ok";
   check_int "count keeps evicted records" 6 (Rasdb.count db);
   check_int "ring retains capacity" 4 (Rasdb.retained db);
   check_int "evictions counted" 2 (Rasdb.dropped db);
@@ -145,17 +145,11 @@ let test_rasdb_queries () =
   check_int "rate severity filter" 1
     (Rasdb.rate db ~severity:Rasdb.Error ~window:30 ~now:60 ())
 
-let test_component_classifier () =
-  check_str "fault word" "parity" (Rasdb.component_of_message "FAULT parity rank=1 core=0");
-  check_str "health prefix" "health"
-    (Rasdb.component_of_message "HEALTH alert rule=r series=s rank=0 core=-1 window=1 value=1 threshold=1");
-  check_str "free-form is kernel" "kernel" (Rasdb.component_of_message "tid 3 crashed: oops")
-
 let test_rasdb_gauges () =
   let o = Obs.create ~enabled:true () in
   let db = Rasdb.create () in
-  ignore (Rasdb.add db ~cycle:1 ~rank:0 ~severity:Rasdb.Error ~message:"x" ());
-  ignore (Rasdb.add db ~cycle:2 ~rank:0 ~severity:Rasdb.Info ~message:"y" ());
+  ignore (Rasdb.add db ~cycle:1 ~rank:0 ~severity:Rasdb.Error ~component:"kernel" ~message:"x");
+  ignore (Rasdb.add db ~cycle:2 ~rank:0 ~severity:Rasdb.Info ~component:"kernel" ~message:"y");
   Rasdb.publish_gauges db o;
   let g name = Obs.gauge_value o ~subsystem:"ras" ~name () in
   check_bool "ras.error gauge" true (g "error" = Some 1);
@@ -198,42 +192,93 @@ let test_rule_parse_roundtrip () =
   rejected "r: a.b delta > 1 fatal";
   rejected ""
 
-let test_event_roundtrip () =
-  let e =
-    Health.Event.Alert
-      { rule = "retransmit_storm"; series = "cio.retransmits:rate"; rank = 3;
-        core = -1; window = 21; value = 12.5; threshold = 10.0 }
-  in
-  (match Health.Event.of_message (Health.Event.to_message e) with
-  | Some got -> check_bool "roundtrip" true (got = e)
-  | None -> Alcotest.fail "HEALTH message failed to parse back");
-  check_bool "fault messages are not health events" true
-    (Health.Event.of_message "FAULT parity rank=1 core=0" = None);
-  check_bool "garbage is not a health event" true
-    (Health.Event.of_message "HEALTH alert rule=" = None);
-  check_bool "free text is not a health event" true
-    (Health.Event.of_message "all quiet" = None);
-  (* and Fault_event ignores the HEALTH namespace (shared RAS channel) *)
-  check_bool "fault parser skips health" true
-    (Res.Fault_event.of_message (Health.Event.to_message e) = None)
+(* ------------------------------------------------------------------ *)
+(* RAS text: the severity, component and message [Machine.ras_store]
+   files for each event, pinned byte for byte *)
+
+let ras_text_rows =
+  let fault f = Machine.Fault f in
+  let note severity text = Machine.Note { severity; text } in
+  [
+    ( "faults",
+      [
+        (3, fault (L1_parity { rank = 3; core = 2 }), Rasdb.Warn, "parity",
+         "FAULT parity rank=3 core=2");
+        (17, fault (Node_death { rank = 17 }), Rasdb.Error, "node_death",
+         "FAULT node_death rank=17");
+        (5, fault (Link_failure { rank = 5; dir = 4 }), Rasdb.Error, "link",
+         "FAULT link rank=5 dir=4");
+        (5, fault (Link_repair { rank = 5; dir = 4 }), Rasdb.Info, "link_up",
+         "FAULT link_up rank=5 dir=4");
+        (7, fault (Ciod_crash { io_node = 7; fatal = false }), Rasdb.Error, "ciod_crash",
+         "FAULT ciod_crash io=7 fatal=0");
+        (7, fault (Ciod_crash { io_node = 7; fatal = true }), Rasdb.Error, "ciod_crash",
+         "FAULT ciod_crash io=7 fatal=1");
+        (2, fault (Ciod_restart { io_node = 2 }), Rasdb.Info, "ciod_up", "FAULT ciod_up io=2");
+      ] );
+    ( "alert",
+      [
+        ( 3,
+          Machine.Alert
+            { Health.rule = "retransmit_storm"; severity = Rasdb.Error;
+              series = "cio.retransmits:rate"; rank = 3; core = -1; window = 21;
+              at = 2_100_000; value = 12.5; threshold = 0.1 },
+          Rasdb.Error,
+          "health",
+          "HEALTH alert rule=retransmit_storm series=cio.retransmits:rate rank=3 core=-1 \
+           window=21 value=12.5 threshold=0.10000000000000001" );
+      ] );
+    ( "thread deaths",
+      [
+        (0, Machine.Thread_death { tid = 3; cause = Crashed "Failure(\"oops\")" },
+         Rasdb.Error, "kernel", "tid 3 crashed: Failure(\"oops\")");
+        (1, Machine.Thread_death { tid = 4; cause = Unhandled_signal 11 }, Rasdb.Error,
+         "kernel", "tid 4 killed by unhandled signal 11");
+      ] );
+    ( "notes",
+      [
+        (0, note Rasdb.Warn "SCHED walltime job=1 rank=0 limit=500", Rasdb.Warn, "kernel",
+         "SCHED walltime job=1 rank=0 limit=500");
+        (7, note Rasdb.Info "HEAL substitute dead=3 spare=7", Rasdb.Info, "kernel",
+         "HEAL substitute dead=3 spare=7");
+      ] );
+  ]
+
+let test_ras_text cls () =
+  let db = Rasdb.create () in
+  List.iter
+    (fun (rank, ev, severity, component, message) ->
+      let r = Machine.ras_store db ~cycle:42 ~rank ev in
+      check_str "message" message r.Rasdb.message;
+      check_str ("component of " ^ message) component r.Rasdb.component;
+      check_str ("severity of " ^ message)
+        (Rasdb.severity_name severity) (Rasdb.severity_name r.Rasdb.severity);
+      check_int ("rank of " ^ message) rank r.Rasdb.rank;
+      check_int "cycle" 42 r.Rasdb.cycle)
+    (List.assoc cls ras_text_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Alert evaluation: edge-trigger, streaks, re-arm *)
+
+let create_ok ?recorder ~ts ~db ~rules () =
+  match Health.create ?recorder ~ts ~db ~rules () with
+  | Ok svc -> svc
+  | Error e -> Alcotest.fail (Health.rule_error_message e)
 
 let test_alert_edge_trigger () =
   let o = Obs.create ~enabled:true () in
   let ts = Ts.create ~window:100 o in
   let db = Rasdb.create () in
   let rule =
-    match Health.parse_rule "hot: s.c delta >= 3 for 2 warn" with
+    match Health.parse_rule "hot: cio.retransmits delta >= 3 for 2 warn" with
     | Ok r -> r
     | Error e -> failwith e
   in
-  let svc = Health.create ~ts ~db ~rules:[ rule ] () in
+  let svc = create_ok ~ts ~db ~rules:[ rule ] () in
   let emitted = ref [] in
   Health.set_emit svc (fun a -> emitted := a :: !emitted);
   let hot w =
-    Obs.incr o ~subsystem:"s" ~name:"c" ~by:3 ();
+    Obs.incr o ~subsystem:"cio" ~name:"retransmits" ~by:3 ();
     Ts.sample ts ~now:(w * 100)
   in
   let cold w = Ts.sample ts ~now:(w * 100) in
@@ -252,7 +297,7 @@ let test_alert_edge_trigger () =
   (match List.rev !emitted with
   | (a : Health.alert) :: _ ->
     check_str "rule name" "hot" a.Health.rule;
-    check_str "series label" "s.c:delta" a.Health.series;
+    check_str "series label" "cio.retransmits:delta" a.Health.series;
     check_int "fired on window 1" 1 a.Health.window;
     check_float "observed value" 3.0 a.Health.value;
     check_float "threshold" 3.0 a.Health.threshold
@@ -272,18 +317,17 @@ let test_recorder_fault_trigger_and_bound () =
   let ts = Ts.create ~window:100 o in
   let db = Rasdb.create () in
   let recorder = { Health.default_recorder with Health.max_reports = 2 } in
-  let svc = Health.create ~recorder ~ts ~db ~rules:[] () in
+  let svc = create_ok ~recorder ~ts ~db ~rules:[] () in
   Health.set_snap_provider svc (fun () -> "replay:seed=1,events=0,clock=0");
   (* Error-severity inserts trigger capture; Info/Warn do not *)
-  ignore (Rasdb.add db ~cycle:10 ~rank:0 ~severity:Rasdb.Info ~message:"boot ok" ());
+  let add cycle rank severity component message =
+    ignore (Rasdb.add db ~cycle ~rank ~severity ~component ~message)
+  in
+  add 10 0 Rasdb.Info "kernel" "boot ok";
   check_int "info does not capture" 0 (List.length (Health.reports svc));
-  ignore
-    (Rasdb.add db ~cycle:20 ~rank:1 ~severity:Rasdb.Error
-       ~message:"FAULT ciod_crash io=0 fatal=1" ());
-  ignore
-    (Rasdb.add db ~cycle:30 ~rank:2 ~severity:Rasdb.Error ~message:"tid 1 crashed: x" ());
-  ignore
-    (Rasdb.add db ~cycle:40 ~rank:3 ~severity:Rasdb.Error ~message:"tid 2 crashed: y" ());
+  add 20 1 Rasdb.Error "ciod_crash" "FAULT ciod_crash io=0 fatal=1";
+  add 30 2 Rasdb.Error "kernel" "tid 1 crashed: x";
+  add 40 3 Rasdb.Error "kernel" "tid 2 crashed: y";
   check_int "bounded at max_reports" 2 (List.length (Health.reports svc));
   check_int "overflow counted" 1 (Health.captures_suppressed svc);
   (match Health.reports svc with
@@ -320,7 +364,13 @@ let seeded_run ~health () =
   let machine = Cnk.Cluster.machine cluster in
   Obs.set_enabled (Machine.obs machine) true;
   Bg_obs.Causal.set_enabled (Machine.causal machine) true;
-  let svc = if health then Some (Machine.attach_health ~window:50_000 machine) else None in
+  let svc =
+    if not health then None
+    else
+      match Machine.attach_health ~window:50_000 machine with
+      | Ok h -> Some h
+      | Error e -> Alcotest.fail (Health.rule_error_message e)
+  in
   Cnk.Cluster.boot_all cluster;
   Cnk.Cluster.run_job cluster
     (Job.create ~name:"hio" (Image.executable ~name:"hio" io_workload));
@@ -347,8 +397,8 @@ let test_same_seed_reports_byte_identical () =
     let h = match svc with Some h -> h | None -> assert false in
     (* a seeded fault after the run: deterministic trigger for the
        flight recorder, identical across runs *)
-    Machine.ras_emit machine ~rank:0 ~severity:Machine.Ras_error
-      ~message:"tid 0 crashed: seeded";
+    Machine.ras_emit machine ~rank:0
+      (Machine.Thread_death { tid = 0; cause = Crashed "seeded" });
     ignore cluster;
     (Health.reports h.Machine.h_svc, Fnv.to_hex (Health.digest h.Machine.h_svc))
   in
@@ -369,12 +419,10 @@ let test_recovery_consumes_alerts () =
   Cnk.Cluster.boot_all cluster;
   let sched = Bg_control.Scheduler.create cluster in
   let recovery = Res.Recovery.attach sched in
-  Machine.ras_emit machine ~rank:0 ~severity:Machine.Ras_warn
-    ~message:
-      (Health.Event.to_message
-         (Health.Event.Alert
-            { rule = "hot"; series = "s.c:delta"; rank = 0; core = -1;
-              window = 1; value = 3.0; threshold = 3.0 }));
+  Machine.ras_emit machine ~rank:0
+    (Machine.Alert
+       { Health.rule = "hot"; severity = Rasdb.Warn; series = "s.c:delta"; rank = 0;
+         core = -1; window = 1; at = 0; value = 3.0; threshold = 3.0 });
   check_int "recovery saw the typed alert" 1 (Res.Recovery.alerts_seen recovery);
   check_int "advisory: no jobs were killed" 0 (Res.Recovery.events_seen recovery)
 
@@ -395,20 +443,26 @@ let test_scheduler_turnaround_timer () =
   | Some st -> check_bool "one completed job observed" true (Stats.Online.n st >= 1)
   | None -> Alcotest.fail "scheduler.turnaround_cycles timer missing"
 
-(* A rule on a misspelt series parses (the grammar is fine) but fails
-   the schema check, which names the series; the tools' own rules pass. *)
+(* A rule on a misspelt series parses (the grammar is fine) but
+   [Health.create] refuses it, naming the series; the tools' own rules
+   pass. *)
 let test_rule_schema_check () =
   let parse s =
     match Health.parse_rule s with Ok r -> r | Error e -> Alcotest.fail (s ^ " rejected: " ^ e)
   in
+  let create rules =
+    let o = Obs.create () in
+    Health.create ~ts:(Ts.create o) ~db:(Rasdb.create ()) ~rules ()
+  in
   let typo = parse "node_deaths: resilience.deaths_handeld delta >= 1 warn" in
-  (match Health.check_schema [ typo ] with
-  | Error (Health.Unknown_series { rule; series }) ->
+  (match create [ typo ] with
+  | Error (Health.Unknown_series { rule; series } as e) ->
     check_str "rule" "node_deaths" rule;
     check_str "series" "resilience.deaths_handeld" series;
     check_str "message" "rule node_deaths: no metric named resilience.deaths_handeld is declared"
-      (Health.schema_error_message (Health.Unknown_series { rule; series }))
-  | Ok () -> Alcotest.fail "misspelt series accepted");
+      (Health.rule_error_message e)
+  | Error e -> Alcotest.fail ("wrong error: " ^ Health.rule_error_message e)
+  | Ok _ -> Alcotest.fail "misspelt series accepted");
   let declared =
     List.map parse
       [
@@ -421,11 +475,53 @@ let test_rule_schema_check () =
         "links: torus.links_down value > 0 for 3 warn";
       ]
   in
-  check_bool "declared series pass" true (Health.check_schema declared = Ok ());
+  check_bool "declared series pass" true (Result.is_ok (create declared));
   check_bool "the first unknown series is reported" true
-    (match Health.check_schema (declared @ [ typo; parse "s: s.c delta > 0" ]) with
+    (match create (declared @ [ typo; parse "s: s.c delta > 0" ]) with
     | Error (Health.Unknown_series { series; _ }) -> series = "resilience.deaths_handeld"
-    | Ok () -> false)
+    | _ -> false)
+
+(* Rules built by hand skip the grammar's checks: a bad name or window
+   count is an error value, not an exception. *)
+let test_bad_rule_is_error () =
+  let rule =
+    match Health.parse_rule "ok: cio.retransmits delta >= 1" with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let create rules =
+    let o = Obs.create () in
+    Health.create ~ts:(Ts.create o) ~db:(Rasdb.create ()) ~rules ()
+  in
+  let check_error what expected rules =
+    match create rules with
+    | Error e -> check_str what expected (Health.rule_error_message e)
+    | Ok _ -> Alcotest.fail (what ^ ": accepted")
+  in
+  check_bool "well-formed rule" true (Result.is_ok (create [ rule ]));
+  check_error "empty name" "bad rule name \"\"" [ { rule with Health.rule_name = "" } ];
+  check_error "whitespace name" "bad rule name \"two words\""
+    [ rule; { rule with Health.rule_name = "two words" } ];
+  check_error "zero windows" "rule ok: for_windows 0 < 1" [ { rule with Health.for_windows = 0 } ]
+
+(* [Machine.attach_health] hands the rule error back and wires nothing:
+   the RAS stream gets no subscriber and the collector stays off. *)
+let test_attach_health_misspelt_series () =
+  let machine = Machine.create ~dims:(1, 1, 1) () in
+  let typo =
+    match Health.parse_rule "retransmit_rate: cio.retransmit rate >= 10 warn" with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  (match Machine.attach_health ~rules:[ typo ] machine with
+  | Error (Health.Unknown_series { series; _ }) -> check_str "series" "cio.retransmit" series
+  | Error e -> Alcotest.fail ("wrong error: " ^ Health.rule_error_message e)
+  | Ok _ -> Alcotest.fail "misspelt series accepted");
+  check_bool "no service attached" true (Machine.health machine = None);
+  check_int "no RAS subscriber" 0 (List.length machine.Machine.ras_subscribers);
+  check_bool "collector left off" false (Obs.enabled (Machine.obs machine));
+  check_bool "a good rule still attaches" true
+    (Result.is_ok (Machine.attach_health ~rules:[ { typo with Health.metric = "retransmits" } ] machine))
 
 let suite =
   [
@@ -435,12 +531,18 @@ let suite =
     Alcotest.test_case "rollups: digest deterministic" `Quick
       test_timeseries_digest_deterministic;
     Alcotest.test_case "rasdb: indexes, filters, rates" `Quick test_rasdb_queries;
-    Alcotest.test_case "rasdb: component classifier" `Quick test_component_classifier;
     Alcotest.test_case "rasdb: severity gauges" `Quick test_rasdb_gauges;
     Alcotest.test_case "rules: parse + print roundtrip" `Quick test_rule_parse_roundtrip;
     Alcotest.test_case "rules: undeclared series is a typed error" `Quick
       test_rule_schema_check;
-    Alcotest.test_case "HEALTH events: wire roundtrip" `Quick test_event_roundtrip;
+    Alcotest.test_case "rules: bad name or window count is an Error" `Quick
+      test_bad_rule_is_error;
+    Alcotest.test_case "attach: misspelt series is an Error" `Quick
+      test_attach_health_misspelt_series;
+    Alcotest.test_case "ras text: faults" `Quick (test_ras_text "faults");
+    Alcotest.test_case "ras text: alert" `Quick (test_ras_text "alert");
+    Alcotest.test_case "ras text: thread deaths" `Quick (test_ras_text "thread deaths");
+    Alcotest.test_case "ras text: notes" `Quick (test_ras_text "notes");
     Alcotest.test_case "alerts: edge-trigger, streak, re-arm" `Quick test_alert_edge_trigger;
     Alcotest.test_case "recorder: fault trigger + bound" `Quick
       test_recorder_fault_trigger_and_bound;

@@ -13,67 +13,35 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Typed fault events *)
+(* RAS dispatch: the control system acts on the event, not its text *)
 
-let test_fault_event_roundtrip () =
-  (* every constructor, both values of every bool *)
-  let events =
-    [
-      Res.Fault_event.L1_parity { rank = 3; core = 2 };
-      Res.Fault_event.Node_death { rank = 17 };
-      Res.Fault_event.Link_failure { rank = 5; dir = 4 };
-      Res.Fault_event.Link_repair { rank = 5; dir = 4 };
-      Res.Fault_event.Ciod_crash { io_node = 7; fatal = false };
-      Res.Fault_event.Ciod_crash { io_node = 7; fatal = true };
-      Res.Fault_event.Ciod_restart { io_node = 2 };
-    ]
+(* A note whose text reads like the kernel's crash wording kills no job;
+   a thread death on rank 1 gang-kills the job spanning it, rank 0's
+   threads included. *)
+let test_ras_dispatch attach () =
+  let run ev =
+    let cluster = Cnk.Cluster.create ~dims:(2, 1, 1) () in
+    Cnk.Cluster.boot_all cluster;
+    let sched = Ctl.Scheduler.create cluster in
+    attach sched;
+    ignore
+      (Ctl.Scheduler.submit sched ~shape:(2, 1, 1)
+         (Job.create ~name:"long" (Image.executable ~name:"long" (fun () -> Coro.consume 4_000_000))));
+    (* app threads run from ~2.2M cycles (image load) to ~6.2M *)
+    ignore
+      (Sim.schedule_at (Cnk.Cluster.sim cluster) 3_000_000 (fun () ->
+           Machine.ras_emit (Cnk.Cluster.machine cluster) ~rank:1 ev));
+    Ctl.Scheduler.drain sched;
+    List.concat_map
+      (fun rank -> List.map snd (Cnk.Node.exit_codes (Cnk.Cluster.node cluster rank)))
+      [ 0; 1 ]
   in
-  List.iter
-    (fun e ->
-      match Res.Fault_event.of_message (Res.Fault_event.to_message e) with
-      | Some got -> check_bool "roundtrip" true (got = e)
-      | None -> Alcotest.fail "event failed to parse back")
-    events;
-  check_bool "free-form RAS text is not an event" true
-    (Res.Fault_event.of_message "L1 parity error on core 2" = None);
-  check_bool "prefix alone is not an event" true
-    (Res.Fault_event.of_message "FAULT something else" = None);
-  check_bool "health alerts are not fault events" true
-    (Res.Fault_event.of_message
-       "HEALTH alert rule=r series=cio.retransmits:rate rank=0 core=-1 \
-        window=3 value=12 threshold=10"
-    = None)
-
-let test_fault_event_parse_never_raises () =
-  (* The RAS channel is shared with free-form kernel logs: of_message
-     must answer None for arbitrary garbage, never raise. Deterministic
-     fuzz — an LCG over printable bytes plus structured near-misses. *)
-  let state = ref 0x2545F4914F6CDD1DL in
-  let next_int bound =
-    state := Int64.add (Int64.mul !state 6364136223846793005L) 1442695040888963407L;
-    Int64.to_int (Int64.logand (Int64.shift_right_logical !state 33) 0x3FFFFFFFL)
-    mod bound
-  in
-  let random_string () =
-    String.init (next_int 40) (fun _ -> Char.chr (32 + next_int 95))
-  in
-  let near_misses =
-    [
-      ""; "FAULT"; "FAULT "; "FAULT parity"; "FAULT parity rank=";
-      "FAULT parity rank=x core=y"; "FAULT node_death rank=1 extra";
-      "FAULT link rank=1"; "FAULT ciod_crash io=1 fatal=maybe";
-      "FAULT ciod_crash io=99999999999999999999 fatal=1";
-      "FAULT parity rank=-1 core=-1"; "fault parity rank=1 core=1";
-      "FAULT  parity rank=1 core=1"; "FAULT parity rank=1 core=1 ";
-    ]
-  in
-  let probe s = ignore (Res.Fault_event.of_message s) in
-  List.iter probe near_misses;
-  for _ = 1 to 500 do
-    probe (random_string ());
-    probe ("FAULT " ^ random_string ())
-  done;
-  check_bool "no parse ever raised" true true
+  let codes = run (Machine.Note { severity = Bg_obs.Rasdb.Error; text = "tid 1 crashed: not really" }) in
+  check_bool "the job ran" true (codes <> []);
+  check_bool "a note that mentions a crash kills nothing" true (List.for_all (( = ) 0) codes);
+  let codes = run (Machine.Thread_death { tid = 1; cause = Crashed "Failure(\"boom\")" }) in
+  check_bool "the job ran" true (codes <> []);
+  check_bool "a thread death kills every thread of the job" true (List.for_all (( = ) 137) codes)
 
 (* ------------------------------------------------------------------ *)
 (* Down nodes in the allocator *)
@@ -404,9 +372,10 @@ let test_delta_checkpoints_smaller () =
 
 let suite =
   [
-    Alcotest.test_case "fault events: roundtrip" `Quick test_fault_event_roundtrip;
-    Alcotest.test_case "fault events: parse never raises" `Quick
-      test_fault_event_parse_never_raises;
+    Alcotest.test_case "ras dispatch: Recovery acts on thread deaths, not text" `Quick
+      (test_ras_dispatch (fun s -> ignore (Res.Recovery.attach s)));
+    Alcotest.test_case "ras dispatch: Policy acts on thread deaths, not text" `Quick
+      (test_ras_dispatch (fun s -> ignore (Res.Policy.attach s)));
     Alcotest.test_case "partition: down nodes excluded" `Quick test_partition_down_nodes;
     Alcotest.test_case "mmap tracker: dirty pages" `Quick test_dirty_tracking;
     Alcotest.test_case "scheduler: walltime kill hits RAS" `Quick
