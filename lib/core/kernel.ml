@@ -67,6 +67,10 @@ type ('t, 'p, 'c, 'n) t = {
   mutable live_procs : int;  (* processes in [procs] that have not exited *)
   mutable on_complete : (unit -> unit) option;
   mutable faults : (int * string) list;
+  refresh_interval : int;  (* the chip's DRAM refresh period and stall *)
+  refresh_stall : int;
+  mutable refresh_lo : int;  (* the refresh window [lo, hi) the last *)
+  mutable refresh_hi : int;  (* [refresh_stretch] ended in *)
   policy : ('t, 'p, 'c, 'n) policy;
   nx : 'n;
 }
@@ -127,15 +131,20 @@ let ras t ev =
 let ras_note t severity text = ras t (Machine.Note { severity; text })
 
 (* The residual noise floor: a consume spanning k refresh windows pays k
-   short stalls. Deterministic in absolute time. *)
+   short stalls. Deterministic in absolute time. Most consumes start and
+   end inside the window the previous one ended in, so that window is
+   kept on the kernel and such a consume costs two compares, no
+   division. *)
 let refresh_stretch t start n =
-  let p = Chip.params t.chip in
-  let interval = p.Params.dram_refresh_interval_cycles in
-  let stall = p.Params.dram_refresh_stall_cycles in
-  if interval <= 0 then n
+  let stop = start + n in
+  if start >= t.refresh_lo && stop < t.refresh_hi then n
+  else if t.refresh_interval <= 0 then n
   else begin
-    let k = ((start + n) / interval) - (start / interval) in
-    n + (k * stall)
+    let interval = t.refresh_interval in
+    let w = stop / interval in
+    t.refresh_lo <- w * interval;
+    t.refresh_hi <- t.refresh_lo + interval;
+    n + ((w - (start / interval)) * t.refresh_stall)
   end
 
 module Api = struct
@@ -170,6 +179,10 @@ let create machine ~rank ~core ~policy nx =
     live_procs = 0;
     on_complete = None;
     faults = [];
+    refresh_interval = (Chip.params chip).Params.dram_refresh_interval_cycles;
+    refresh_stall = (Chip.params chip).Params.dram_refresh_stall_cycles;
+    refresh_lo = 0;
+    refresh_hi = 0;
     policy;
     nx;
   }

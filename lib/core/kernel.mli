@@ -70,6 +70,12 @@ type ('t, 'p, 'c, 'n) t = {
   mutable live_procs : int;  (** processes in [procs] that have not exited *)
   mutable on_complete : (unit -> unit) option;
   mutable faults : (int * string) list;  (** newest first *)
+  refresh_interval : int;  (** the chip's DRAM refresh period *)
+  refresh_stall : int;  (** and the stall each refresh costs *)
+  mutable refresh_lo : int;
+  mutable refresh_hi : int;
+      (** the DRAM refresh window [\[lo, hi)] {!refresh_stretch} last
+          ended in *)
   policy : ('t, 'p, 'c, 'n) policy;
   nx : 'n;  (** the kernel's own node state *)
 }

@@ -1,19 +1,30 @@
-type state = Pending | Fired | Cancelled
-type handle = { mutable state : state }
+(* A handle packs the event's slot and its sequence number,
+   [seq lsl slot_bits lor slot], with [seq] cut to the bits that fit
+   above the slot, so it is an immediate int and [add] allocates
+   nothing for it. *)
+type handle = int
+
+let slot_bits = 24
+let max_slots = 1 lsl slot_bits
+let slot_mask = max_slots - 1
+let seq_mask = (1 lsl (62 - slot_bits)) - 1
 
 (* Binary min-heap on (time, seq) kept in parallel int arrays, so a sift
    compares and moves only unboxed ints and never runs the write
-   barrier. Each heap entry names a slot; payloads and handles live in
-   slot-indexed arrays, written once per [add]. Positions [size ..] of
-   [slots] hold the free slot ids, so the free list costs no extra
-   storage. Cancelling flips the handle and the live count; the stale
-   entry is dropped lazily when it reaches the top. Every entry in the
-   heap is pending or a stale cancelled one. *)
+   barrier. Each heap entry names a slot; payloads and pending handles
+   live in slot-indexed arrays, written once per [add]. Positions
+   [size ..] of [slots] hold the free slot ids, so the free list costs no
+   extra storage. A slot's [pending] entry is the handle of the event
+   waiting there, or [-1] once it fired or was cancelled: one load both
+   tells a live entry from a stale one and tells a handle from an older
+   one whose slot was reused. Cancelling clears it and drops the live
+   count; the stale entry is dropped lazily when it reaches the top.
+   Every entry in the heap is pending or a stale cancelled one. *)
 type 'a t = {
   mutable times : int array;  (* heap order *)
   mutable seqs : int array;  (* heap order *)
   mutable slots : int array;  (* heap order, then the free slot ids *)
-  mutable cells : handle array;  (* by slot *)
+  mutable pending : int array;  (* by slot *)
   mutable payloads : 'a array;  (* by slot *)
   mutable size : int;
   mutable live : int;
@@ -25,7 +36,7 @@ let create () =
     times = [||];
     seqs = [||];
     slots = [||];
-    cells = [||];
+    pending = [||];
     payloads = [||];
     size = 0;
     live = 0;
@@ -33,11 +44,14 @@ let create () =
   }
 
 (* Only called when full, so slots [0, size) are all in use and the new
-   ones are free. The pending cell and payload fill the fresh tails, so
-   no dummy value of type ['a] is needed. *)
-let grow q cell payload =
+   ones are free. The payload fills the fresh tail, so no dummy value of
+   type ['a] is needed. A handle has [slot_bits] bits for its slot, which
+   bounds the entries in the heap, pending or stale, at [max_slots]. *)
+let grow q payload =
   let n = q.size in
-  let capacity = max 16 (2 * n) in
+  if n >= max_slots then
+    invalid_arg (Printf.sprintf "Event_queue.add: more than %d events in the queue" max_slots);
+  let capacity = min max_slots (max 16 (2 * n)) in
   let extend a fill =
     let b = Array.make capacity fill in
     Array.blit a 0 b 0 n;
@@ -46,7 +60,7 @@ let grow q cell payload =
   q.times <- extend q.times 0;
   q.seqs <- extend q.seqs 0;
   q.slots <- Array.init capacity (fun i -> if i < n then q.slots.(i) else i);
-  q.cells <- extend q.cells cell;
+  q.pending <- extend q.pending (-1);
   q.payloads <- extend q.payloads payload
 
 (* The sift loops index only within [0, size), inside every array, so
@@ -83,10 +97,10 @@ let add q ~time payload =
   if time < 0 then invalid_arg "Event_queue.add: negative time";
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
-  let cell = { state = Pending } in
-  if q.size = Array.length q.times then grow q cell payload;
+  if q.size = Array.length q.times then grow q payload;
   let slot = q.slots.(q.size) in
-  q.cells.(slot) <- cell;
+  let h = ((seq land seq_mask) lsl slot_bits) lor slot in
+  q.pending.(slot) <- h;
   q.payloads.(slot) <- payload;
   (* Sift the hole up. [seq] is the largest ever issued, so an equal
      time never orders the new event before its parent. *)
@@ -99,14 +113,14 @@ let add q ~time payload =
   done;
   set q !i ~time ~seq ~slot;
   q.live <- q.live + 1;
-  cell
+  h
 
 let cancel q h =
-  match h.state with
-  | Pending ->
-    h.state <- Cancelled;
+  let slot = h land slot_mask in
+  if slot < Array.length q.pending && q.pending.(slot) = h then begin
+    q.pending.(slot) <- -1;
     q.live <- q.live - 1
-  | Fired | Cancelled -> ()
+  end
 
 (* Remove the root entry, bottom-up: walk the hole from the root to a
    leaf along the earlier child (one comparison a level), then sift the
@@ -137,22 +151,21 @@ let remove_top q =
 
 let rec drop_stale q =
   if q.size = 0 then -1
-  else
-    match q.cells.(q.slots.(0)).state with
-    | Pending -> q.times.(0)
-    | Fired | Cancelled ->
-      remove_top q;
-      drop_stale q
+  else if q.pending.(q.slots.(0)) >= 0 then q.times.(0)
+  else begin
+    remove_top q;
+    drop_stale q
+  end
 
 (* The common case, a live root, inlines into the callers. *)
 let[@inline] top_time q =
-  if q.size > 0 && q.cells.(q.slots.(0)).state == Pending then q.times.(0) else drop_stale q
+  if q.size > 0 && q.pending.(q.slots.(0)) >= 0 then q.times.(0) else drop_stale q
 
 (* Fire the root entry, which [top_time] found live. *)
 let[@inline] take_root q =
   let slot = q.slots.(0) in
   let payload = q.payloads.(slot) in
-  q.cells.(slot).state <- Fired;
+  q.pending.(slot) <- -1;
   q.live <- q.live - 1;
   remove_top q;
   payload
@@ -176,8 +189,6 @@ let next_seq q = q.next_seq
 let live q =
   let out = ref [] in
   for i = 0 to q.size - 1 do
-    match q.cells.(q.slots.(i)).state with
-    | Pending -> out := (q.times.(i), q.seqs.(i)) :: !out
-    | Fired | Cancelled -> ()
+    if q.pending.(q.slots.(i)) >= 0 then out := (q.times.(i), q.seqs.(i)) :: !out
   done;
   List.sort compare !out

@@ -7,22 +7,28 @@
 
 type 'a t
 
-type handle
-(** Identifies a scheduled event so it can be cancelled. A handle is the
-    event's own state cell (pending, fired or cancelled), so it is only
-    valid on the queue that issued it: cancelling it on another queue
-    corrupts that queue's live count. *)
+type handle = private int
+(** Identifies a scheduled event so it can be cancelled: its slot in the
+    queue and its sequence number, packed into one immediate int, so
+    {!add} allocates nothing for it. A queue holds at most 2{^24} events,
+    pending or cancelled but not yet dropped. The sequence number is cut
+    to its low 38 bits, so a handle kept across 2{^38} later events may
+    name a newer event in the same slot. A handle is only valid on the
+    queue that issued it: on another queue it may cancel an unrelated
+    event. *)
 
 val create : unit -> 'a t
 
 val add : 'a t -> time:Cycles.t -> 'a -> handle
 (** [add q ~time payload] schedules [payload] at [time], which must be
     [>= 0]: {!top_time} uses [-1] to signal an empty queue.
-    @raise Invalid_argument on a negative [time]. *)
+    @raise Invalid_argument on a negative [time], or when the queue
+    already holds 2{^24} events. *)
 
 val cancel : 'a t -> handle -> unit
-(** [cancel q h] removes the event, if it has not already fired. Cancelling
-    twice, or cancelling a fired event, is a no-op. *)
+(** [cancel q h] removes the event, if it has not already fired. O(1).
+    Cancelling twice, cancelling a fired event, or cancelling after the
+    event's slot went to a later event is a no-op. *)
 
 val pop : 'a t -> (Cycles.t * 'a) option
 (** Remove and return the earliest live event. *)

@@ -21,8 +21,10 @@ let split t label =
   let child_seed = mix (Int64.logxor t.seed (seed_of_string label)) in
   create child_seed
 
+let bad_bound bound = invalid_arg (Printf.sprintf "Rng.int: bound %d is not positive" bound)
+
 let int t bound =
-  assert (bound > 0);
+  if bound <= 0 then bad_bound bound;
   let x = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   x mod bound
 

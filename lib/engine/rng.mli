@@ -27,7 +27,8 @@ val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int t bound] draws uniformly from [0, bound). [bound] must be > 0. *)
+(** [int t bound] draws uniformly from [0, bound). [bound] must be > 0.
+    @raise Invalid_argument naming the bound otherwise. *)
 
 val fill_bytes : t -> Bytes.t -> unit
 (** Fill every byte of the buffer, in order, with what successive

@@ -26,13 +26,21 @@ let create ?(seed = 1L) ?(keep_trace_records = false) () =
 let now t = t.clock
 let seed t = t.seed
 
+(* The checks raise through a separate function, so the hot path keeps
+   no format or boxed argument. *)
+let past_time t time =
+  invalid_arg (Printf.sprintf "Sim.schedule_at: time %d is before now (%d)" time t.clock)
+
+let negative_delay delta =
+  invalid_arg (Printf.sprintf "Sim.schedule_in: negative delay %d" delta)
+
 let schedule_at t time thunk =
-  assert (time >= t.clock);
+  if time < t.clock then past_time t time;
   Event_queue.add t.queue ~time thunk
 
 let schedule_in t delta thunk =
-  assert (delta >= 0);
-  schedule_at t (t.clock + delta) thunk
+  if delta < 0 then negative_delay delta;
+  Event_queue.add t.queue ~time:(t.clock + delta) thunk
 
 let cancel t h = Event_queue.cancel t.queue h
 let pending t = Event_queue.length t.queue

@@ -23,10 +23,12 @@ val now : t -> Cycles.t
 val seed : t -> int64
 
 val schedule_at : t -> Cycles.t -> (unit -> unit) -> Event_queue.handle
-(** Schedule a thunk at an absolute cycle, which must be [>= now]. *)
+(** Schedule a thunk at an absolute cycle, which must be [>= now].
+    @raise Invalid_argument naming the time when it is before [now]. *)
 
 val schedule_in : t -> Cycles.t -> (unit -> unit) -> Event_queue.handle
-(** Schedule a thunk [delta] cycles from now ([delta >= 0]). *)
+(** Schedule a thunk [delta] cycles from now ([delta >= 0]).
+    @raise Invalid_argument naming the delay when it is negative. *)
 
 val cancel : t -> Event_queue.handle -> unit
 

@@ -202,7 +202,7 @@ let fault t (th : thread) reason continue =
     continue ()
   | None ->
     t.faults <- (th.tid, reason) :: t.faults;
-    ras_note t Bg_obs.Rasdb.Error (Printf.sprintf "tid %d segv: %s" th.tid reason);
+    ras t (Machine.Thread_death { tid = th.tid; cause = Segv reason });
     thread_exit t th sigsegv
 
 (* --- time policy ---------------------------------------------------------- *)

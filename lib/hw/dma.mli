@@ -87,7 +87,8 @@ val drain_recv : t -> packet list
 
 val set_counter : t -> id:int -> int -> unit
 (** Arm a completion counter to an absolute value (mainly for tests;
-    {!inject} arms automatically). *)
+    {!inject} arms automatically). Setting it to 0 completes it now.
+    @raise Invalid_argument on a negative id or value. *)
 
 val counter_value : t -> id:int -> int
 (** Bytes still outstanding; 0 if done or never armed. *)
@@ -125,5 +126,5 @@ val recv_retry_cycles : int
 val header_bytes : int
 
 val capture : t -> Buffer.t -> unit
-(** Serialize snapshot-relevant state, little-endian, into [b]. Hashtable
-    contents are sorted before writing, so the bytes are deterministic. *)
+(** Serialize snapshot-relevant state, little-endian, into [b]. Counters
+    go out sorted by id, so the bytes are deterministic. *)

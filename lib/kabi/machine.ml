@@ -8,7 +8,7 @@ type fault =
   | Ciod_crash of { io_node : int; fatal : bool }
   | Ciod_restart of { io_node : int }
 
-type death_cause = Crashed of string | Unhandled_signal of int
+type death_cause = Crashed of string | Unhandled_signal of int | Segv of string
 
 type ras_event =
   | Fault of fault
@@ -58,7 +58,8 @@ let ras_store db ~cycle ~rank ev =
         "kernel",
         match cause with
         | Crashed reason -> Printf.sprintf "tid %d crashed: %s" tid reason
-        | Unhandled_signal signo -> Printf.sprintf "tid %d killed by unhandled signal %d" tid signo )
+        | Unhandled_signal signo -> Printf.sprintf "tid %d killed by unhandled signal %d" tid signo
+        | Segv reason -> Printf.sprintf "tid %d segv: %s" tid reason )
     | Note { severity; text } -> (severity, "kernel", text)
   in
   Bg_obs.Rasdb.add db ~cycle ~rank ~severity ~component ~message

@@ -22,7 +22,12 @@ type fault =
           is coming and the whole pset is lost *)
   | Ciod_restart of { io_node : int }  (** the daemon came back *)
 
-type death_cause = Crashed of string | Unhandled_signal of int
+type death_cause =
+  | Crashed of string  (** the thread raised; the exception's text *)
+  | Unhandled_signal of int
+  | Segv of string
+      (** an access faulted and the process had no SIGSEGV handler (the
+          FWK); the fault's text *)
 
 type ras_event =
   | Fault of fault

@@ -16,12 +16,48 @@ type handle = {
   comp : completion;
 }
 
+(* The software inbox of arrived eager packets, oldest first, in a
+   growable array: a receive scans it in place and removes the first
+   match, shifting the later entries down, so a poll allocates nothing. *)
+module Inbox = struct
+  type t = { mutable entries : Dma.packet array; mutable len : int }
+
+  let none = { Dma.pkt_src = -1; pkt_tag = -1; pkt_payload = Bytes.empty; pkt_ctx = 0 }
+  let create () = { entries = [||]; len = 0 }
+  let length t = t.len
+
+  let push t p =
+    if t.len = Array.length t.entries then begin
+      let entries = Array.make (max 8 (2 * t.len)) none in
+      Array.blit t.entries 0 entries 0 t.len;
+      t.entries <- entries
+    end;
+    t.entries.(t.len) <- p;
+    t.len <- t.len + 1
+
+  let rec find entries len tag i =
+    if i >= len then -1
+    else if (Array.unsafe_get entries i).Dma.pkt_tag = tag then i
+    else find entries len tag (i + 1)
+
+  let take t ~tag =
+    let i = find t.entries t.len tag 0 in
+    if i < 0 then none
+    else begin
+      let p = t.entries.(i) in
+      Array.blit t.entries (i + 1) t.entries i (t.len - i - 1);
+      t.len <- t.len - 1;
+      t.entries.(t.len) <- none;
+      p
+    end
+end
+
 type ctx = {
   fabric : fabric;
   rank : int;
   engine : Dma.t option;                       (* this rank's DMA engine *)
   buffers : (int, bytes) Hashtbl.t;            (* tag -> registered buffer *)
-  eager_inbox : (int * int * bytes * int) Queue.t;  (* (tag, src, payload, causal ctx) *)
+  eager_inbox : Inbox.t;
   landings : (int, bytes -> unit) Hashtbl.t;   (* tag -> one-shot get landing *)
   mutable next_counter : int;
   mutable next_rdv : int;
@@ -99,7 +135,7 @@ let attach fabric ~rank =
     let c =
       { fabric; rank; engine;
         buffers = Hashtbl.create 8;
-        eager_inbox = Queue.create ();
+        eager_inbox = Inbox.create ();
         landings = Hashtbl.create 8;
         next_counter = 1;
         next_rdv = 1 }
@@ -351,7 +387,9 @@ let send_eager c ~dst ~tag ~data =
            is usable *)
         ignore
           (Sim.schedule_in (sim c) Msg_params.eager_recv_handler (fun () ->
-               Queue.push (tag, c.rank, data, send_ctx) p.eager_inbox;
+               Inbox.push p.eager_inbox
+                 { Dma.pkt_src = c.rank; pkt_tag = tag; pkt_payload = data;
+                   pkt_ctx = send_ctx };
                finish h ~at:(arrival_cycle + Msg_params.eager_recv_handler) ())))
       ();
     h
@@ -370,37 +408,40 @@ let send_eager c ~dst ~tag ~data =
 
 (* Pull everything out of the reception FIFO into the software inbox.
    User mode reads the mapped FIFO directly and pays only the per-packet
-   dispatch + copy-out; kernel mode pays a Dma_poll syscall per call —
-   even when the FIFO turns out to be empty. *)
+   dispatch + copy-out, and nothing when the FIFO is empty; kernel mode
+   pays a Dma_poll syscall per call — even when the FIFO turns out to be
+   empty. *)
+let deliver c (p : Dma.packet) =
+  Coro.consume
+    (Msg_params.dma_recv_dispatch_sw + Msg_params.dma_copy_cycles (Bytes.length p.Dma.pkt_payload));
+  Inbox.push c.eager_inbox p
+
+(* A named loop, not [List.iter] over a partial application: a drain
+   allocates nothing beyond the packets' list. *)
+let rec deliver_all c = function
+  | [] -> ()
+  | p :: rest ->
+    deliver c p;
+    deliver_all c rest
+
 let drain_reception c =
-  let deliver (p : Dma.packet) =
-    Coro.consume
-      (Msg_params.dma_recv_dispatch_sw
-      + Msg_params.dma_copy_cycles (Bytes.length p.Dma.pkt_payload));
-    Queue.push (p.Dma.pkt_tag, p.Dma.pkt_src, p.Dma.pkt_payload, p.Dma.pkt_ctx)
-      c.eager_inbox
-  in
   match c.fabric.path with
   | Abstract -> ()
-  | Dma_user -> List.iter deliver (Dma.drain_recv (engine_exn c))
+  | Dma_user ->
+    let e = engine_exn c in
+    if Dma.reception_occupancy e > 0 then deliver_all c (Dma.drain_recv e)
   | Dma_kernel ->
-    List.iter deliver
+    deliver_all c
       (Sysreq.expect_dma_packets (Coro.syscall (Sysreq.Dma_poll Sysreq.Dma_recv)))
 
 let try_recv_eager c ~tag =
   drain_reception c;
-  (* scan the inbox for the first matching tag, preserving order *)
-  let n = Queue.length c.eager_inbox in
-  let found = ref None in
-  for _ = 1 to n do
-    let (t, src, data, sctx) = Queue.pop c.eager_inbox in
-    if !found = None && t = tag then begin
-      causal_recv c ~name:"recv_eager" ~src_ctx:sctx;
-      found := Some (src, data)
-    end
-    else Queue.push (t, src, data, sctx) c.eager_inbox
-  done;
-  !found
+  let p = Inbox.take c.eager_inbox ~tag in
+  if p == Inbox.none then None
+  else begin
+    causal_recv c ~name:"recv_eager" ~src_ctx:p.Dma.pkt_ctx;
+    Some (p.Dma.pkt_src, p.Dma.pkt_payload)
+  end
 
 (* --- rendezvous ------------------------------------------------------ *)
 
@@ -442,7 +483,8 @@ let recv_rendezvous c ~src ~tag =
     | Some (_, p) ->
       (* an RTS for a different user tag: rotate it to the back (its
          receive edge was already recorded at the match above) *)
-      Queue.push (chan, src, p, Bg_obs.Causal.none) c.eager_inbox;
+      Inbox.push c.eager_inbox
+        { Dma.pkt_src = src; pkt_tag = chan; pkt_payload = p; pkt_ctx = Bg_obs.Causal.none };
       Coro.consume interval;
       await (min 2_000 (interval * 2))
     | None ->

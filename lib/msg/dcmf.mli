@@ -33,6 +33,25 @@
     (DMA paths); {!wait} spins (DCMF on CNK polls — there is nothing to
     yield to). *)
 
+(** The per-rank software inbox of arrived eager packets, oldest first.
+    Exposed for its model test. *)
+module Inbox : sig
+  type t
+
+  val none : Bg_hw.Dma.packet
+  (** What {!take} returns when nothing matches; compare with [==]. *)
+
+  val create : unit -> t
+  val length : t -> int
+
+  val push : t -> Bg_hw.Dma.packet -> unit
+  (** Append at the back. *)
+
+  val take : t -> tag:int -> Bg_hw.Dma.packet
+  (** Remove and return the oldest packet with [tag], keeping the others
+      in order; {!none} when no packet has it. Allocates nothing. *)
+end
+
 type path =
   | Abstract    (** lumped-cost torus transfers, no descriptors *)
   | Dma_user    (** CNK: memory-mapped injection/polling, user cycles only *)

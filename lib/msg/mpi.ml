@@ -21,12 +21,17 @@ let send t ~dst ~tag data =
     invalid_arg "Mpi.send: payload above the eager threshold; use send_rendezvous";
   ignore (Dcmf.send_eager t.dcmf ~dst ~tag:(enc_data ~tag ~src:(rank t)) ~data)
 
+(* A message matched by its encoded tag carries the source the tag
+   names; anything else is a corrupted envelope. *)
+let wrong_source ~src ~src' =
+  invalid_arg (Printf.sprintf "Mpi: message from rank %d matched a receive from rank %d" src' src)
+
 let recv t ~src ~tag =
   let dcmf_tag = enc_data ~tag ~src in
   let rec loop () =
     match Dcmf.try_recv_eager t.dcmf ~tag:dcmf_tag with
     | Some (src', data) ->
-      assert (src' = src);
+      if src' <> src then wrong_source ~src ~src';
       Coro.consume Msg_params.mpi_match_overhead;
       data
     | None ->
@@ -80,7 +85,7 @@ let irecv t ~src ~tag =
 let progress_recv t (src : int) dcmf_tag =
   match Dcmf.try_recv_eager t.dcmf ~tag:dcmf_tag with
   | Some (src', data) ->
-    assert (src' = src);
+    if src' <> src then wrong_source ~src ~src';
     Coro.consume Msg_params.mpi_match_overhead;
     Some data
   | None -> None

@@ -30,7 +30,9 @@ val send_rendezvous : t -> ?contiguous:bool -> dst:int -> tag:int -> int -> unit
     {!Dcmf.put_large}. Completion = remote delivery complete. *)
 
 val recv : t -> src:int -> tag:int -> bytes
-(** Blocking matched receive (eager payloads only). *)
+(** Blocking matched receive (eager payloads only).
+    @raise Invalid_argument naming both ranks when the message matched by
+    the envelope's encoded tag came from another rank. *)
 
 (** {1 Non-blocking point-to-point}
 
@@ -43,7 +45,8 @@ type request
 val isend : t -> dst:int -> tag:int -> bytes -> request
 val irecv : t -> src:int -> tag:int -> request
 val test : t -> request -> bool
-(** Non-blocking completion probe (progresses receives). *)
+(** Non-blocking completion probe (progresses receives). Raises as
+    {!recv} does on a message from the wrong rank. *)
 
 val wait : t -> request -> bytes
 (** Blocks until complete; returns the payload ([Bytes.empty] for sends). *)

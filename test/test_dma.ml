@@ -199,6 +199,177 @@ let test_counter_sparse_id () =
   Alcotest.(check (list int)) "capture lists every completion, sorted" [ 3; sparse ] done_at;
   check_int "capture fully read" (String.length s) !pos
 
+(* Counters count bytes: a negative value or id is refused, by name. *)
+let test_counter_rejects_negative () =
+  let sim = Sim.create () in
+  let e = (Dma.create_group sim (Torus.create sim ~dims:(2, 1, 1) ()) ()).(0) in
+  Alcotest.check_raises "value" (Invalid_argument "Dma.set_counter: negative value -5")
+    (fun () -> Dma.set_counter e ~id:3 (-5));
+  Alcotest.check_raises "id" (Invalid_argument "Dma.set_counter: negative id -1") (fun () ->
+      Dma.set_counter e ~id:(-1) 5);
+  check_int "nothing armed" 0 (Dma.counter_value e ~id:3);
+  check_bool "nothing done" true (Dma.counter_done_at e ~id:3 = None)
+
+(* Model test: the open-addressing counter table against the engine it
+   replaced ([Dma_reference], hash tables), on twin simulators of a
+   2x2x1 torus. Random set_counter, inject (every kind, with and without
+   a counter, armed or not), clock advances and reception drains, over
+   dense ids, ids that collide under a small mask and ids up to 2^40,
+   with FIFOs deep enough or two deep. After every operation both must
+   agree on its outcome, on every hook call so far, on every counter's
+   value and completion cycle, on the packets drained and on each
+   engine's capture bytes. *)
+
+type dma_op =
+  | D_set of { rank : int; id : int; v : int }
+  | D_inject of {
+      rank : int;
+      kind : int;
+      dst : int;
+      bytes : int;
+      counter : int;
+      arm : int option;
+    }
+  | D_advance of int
+  | D_drain of int
+
+let pp_dma_op = function
+  | D_set { rank; id; v } -> Printf.sprintf "set %d/%d=%d" rank id v
+  | D_inject { rank; kind; dst; bytes; counter; arm } ->
+    Printf.sprintf "inject %d->%d k%d %dB c%d%s" rank dst kind bytes counter
+      (match arm with Some a -> Printf.sprintf " arm%d" a | None -> "")
+  | D_advance d -> Printf.sprintf "advance %d" d
+  | D_drain r -> Printf.sprintf "drain %d" r
+
+let gen_dma_case =
+  let open QCheck.Gen in
+  let id =
+    frequency
+      [
+        (6, 0 -- 20);
+        (2, map (fun k -> k * 16) (1 -- 8));
+        (1, oneofl [ 1 lsl 40; (1 lsl 40) + 16; (1 lsl 40) - 1; 1 lsl 33 ]);
+        (1, 0 -- (1 lsl 40));
+      ]
+  in
+  let rank = 0 -- 3 in
+  let set = map3 (fun rank id v -> D_set { rank; id; v }) rank id (frequency [ (3, 0 -- 300); (1, return 0) ]) in
+  let inject =
+    let* rank = rank and* kind = 0 -- 2 and* dst = rank and* bytes = 0 -- 200 in
+    let* counter = frequency [ (5, id); (1, return (-1)) ] in
+    let+ arm = frequency [ (4, return None); (1, map Option.some (0 -- 300)); (1, return (Some 0)) ] in
+    D_inject { rank; kind; dst; bytes; counter; arm }
+  in
+  let advance = map (fun d -> D_advance d) (frequency [ (3, 0 -- 100); (2, 100 -- 3000) ]) in
+  let drain = map (fun r -> D_drain r) rank in
+  let* depth = oneofl [ 2; 256 ] in
+  let+ ops = list_size (20 -- 60) (frequency [ (3, set); (6, inject); (3, advance); (1, drain) ]) in
+  (depth, ops)
+
+let prop_dma_matches_hashtable_reference =
+  let module R = Dma_reference in
+  QCheck.Test.make ~name:"dma: counter table matches the hash-table reference" ~count:200
+    (QCheck.make
+       ~print:(fun (depth, ops) ->
+         Printf.sprintf "depth %d: %s" depth (String.concat "; " (List.map pp_dma_op ops)))
+       gen_dma_case)
+    (fun (depth, ops) ->
+      let sim = Sim.create () and ref_sim = Sim.create () in
+      let dims = (2, 2, 1) in
+      let es =
+        Dma.create_group sim (Torus.create sim ~dims ()) ~injection_depth:depth
+          ~reception_depth:depth ()
+      and rs =
+        R.create_group ref_sim (Torus.create ref_sim ~dims ()) ~injection_depth:depth
+          ~reception_depth:depth ()
+      in
+      let log = ref [] and ref_log = ref [] in
+      Array.iteri
+        (fun rank e ->
+          Dma.set_counter_done_hook e (fun ~id ~ctx ->
+              log := `Done (rank, id, ctx, Sim.now sim) :: !log);
+          Dma.set_inject_hook e (fun ~bytes -> log := `Inject (rank, bytes) :: !log);
+          Dma.set_deliver_hook e (fun ~bytes -> log := `Deliver (rank, bytes) :: !log))
+        es;
+      Array.iteri
+        (fun rank r ->
+          R.set_counter_done_hook r (fun ~id ~ctx ->
+              ref_log := `Done (rank, id, ctx, Sim.now ref_sim) :: !ref_log);
+          R.set_inject_hook r (fun ~bytes -> ref_log := `Inject (rank, bytes) :: !ref_log);
+          R.set_deliver_hook r (fun ~bytes -> ref_log := `Deliver (rank, bytes) :: !ref_log))
+        rs;
+      let ids = ref [ 0; 1; 5; 1 lsl 40 ] in
+      let capture f x =
+        let b = Buffer.create 256 in
+        f x b;
+        Buffer.contents b
+      in
+      let agree what a b = if a <> b then QCheck.Test.fail_reportf "%s differs" what in
+      let check () =
+        agree "hook log" !log !ref_log;
+        agree "clock" (Sim.now sim) (Sim.now ref_sim);
+        Array.iteri
+          (fun rank e ->
+            let r = rs.(rank) in
+            List.iter
+              (fun id ->
+                agree (Printf.sprintf "counter_value %d/%d" rank id) (Dma.counter_value e ~id)
+                  (R.counter_value r ~id);
+                agree (Printf.sprintf "counter_done_at %d/%d" rank id) (Dma.counter_done_at e ~id)
+                  (R.counter_done_at r ~id))
+              !ids;
+            agree (Printf.sprintf "occupancy %d" rank)
+              (Dma.injection_occupancy e, Dma.reception_occupancy e)
+              (R.injection_occupancy r, R.reception_occupancy r);
+            agree (Printf.sprintf "capture %d" rank) (capture Dma.capture e) (capture R.capture r))
+          es
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | D_set { rank; id; v } ->
+            ids := id :: !ids;
+            Dma.set_counter es.(rank) ~id v;
+            R.set_counter rs.(rank) ~id v
+          | D_inject { rank; kind; dst; bytes; counter; arm } ->
+            if counter >= 0 then ids := counter :: !ids;
+            let payload = if kind = 2 then Bytes.empty else Bytes.make bytes (Char.chr (i land 255)) in
+            let d =
+              Dma.descriptor ~payload ~counter ?arm_bytes:arm ~ctx:(i + 1)
+                ~kind:(match kind with 0 -> Dma.Eager | 1 -> Dma.Rdma_put | _ -> Dma.Rdma_get)
+                ~dst ~tag:i ~bytes ()
+            and rd =
+              R.descriptor ~payload ~counter ?arm_bytes:arm ~ctx:(i + 1)
+                ~kind:(match kind with 0 -> R.Eager | 1 -> R.Rdma_put | _ -> R.Rdma_get)
+                ~dst ~tag:i ~bytes ()
+            in
+            agree "inject outcome"
+              (Result.is_ok (Dma.inject es.(rank) d))
+              (Result.is_ok (R.inject rs.(rank) rd))
+          | D_advance d ->
+            ignore (Sim.run ~until:(Sim.now sim + d) sim);
+            ignore (Sim.run ~until:(Sim.now ref_sim + d) ref_sim)
+          | D_drain rank ->
+            agree "drained packets"
+              (List.map
+                 (fun (p : Dma.packet) -> (p.pkt_src, p.pkt_tag, p.pkt_payload, p.pkt_ctx))
+                 (Dma.drain_recv es.(rank)))
+              (List.map
+                 (fun (p : R.packet) -> (p.pkt_src, p.pkt_tag, p.pkt_payload, p.pkt_ctx))
+                 (R.drain_recv rs.(rank))));
+          check ())
+        ops;
+      (* A full reception FIFO retries its packet until drained, so the
+         run ends with bounded advances, each after a drain. *)
+      for _ = 1 to 4 do
+        Array.iter (fun e -> ignore (Dma.drain_recv e)) es;
+        Array.iter (fun r -> ignore (R.drain_recv r)) rs;
+        ignore (Sim.run ~until:(Sim.now sim + 20_000) sim);
+        ignore (Sim.run ~until:(Sim.now ref_sim + 20_000) ref_sim);
+        check ()
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "counter: sparse id beside dense ids" `Quick test_counter_sparse_id;
@@ -212,4 +383,7 @@ let suite =
       test_link_down_under_dma_raises_ras;
     Alcotest.test_case "link failure reaches Recovery" `Quick
       test_link_failure_reaches_recovery;
+    Alcotest.test_case "counter: negative value or id refused" `Quick
+      test_counter_rejects_negative;
+    QCheck_alcotest.to_alcotest prop_dma_matches_hashtable_reference;
   ]

@@ -126,6 +126,17 @@ let test_rng_int_bounds () =
     Alcotest.(check bool) "in range" true (x >= 0 && x < 17)
   done
 
+(* A bound that is not positive is a caller's error, named in the
+   message, and draws nothing from the stream. *)
+let test_rng_int_rejects_bad_bound () =
+  let t = Rng.create 3L in
+  let before = Rng.state t in
+  Alcotest.check_raises "zero" (Invalid_argument "Rng.int: bound 0 is not positive") (fun () ->
+      ignore (Rng.int t 0));
+  Alcotest.check_raises "negative" (Invalid_argument "Rng.int: bound -7 is not positive")
+    (fun () -> ignore (Rng.int t (-7)));
+  Alcotest.(check int64) "no draw" before (Rng.state t)
+
 let test_rng_float_bounds () =
   let t = Rng.create 4L in
   for _ = 1 to 1000 do
@@ -220,6 +231,29 @@ let test_queue_cancel_after_fire () =
   (* A later add must not be affected by the stale cancel. *)
   ignore (Event_queue.add q ~time:3 "y");
   check_int "length" 1 (Event_queue.length q)
+
+(* A handle names its slot and its sequence number: once the event fired
+   and a later event took over the slot, cancelling the old handle must
+   leave the new event alone. *)
+let test_queue_cancel_after_slot_reuse () =
+  let q = Event_queue.create () in
+  let old = Event_queue.add q ~time:1 "old" in
+  ignore (Event_queue.pop q);
+  let fresh = Event_queue.add q ~time:2 "fresh" in
+  Alcotest.(check bool) "distinct handles" true (old <> fresh);
+  Event_queue.cancel q old;
+  check_int "fresh still live" 1 (Event_queue.length q);
+  Alcotest.(check (option (pair int string))) "fresh pops" (Some (2, "fresh"))
+    (Event_queue.pop q);
+  (* the same after a cancel: the slot's next event survives the stale handle *)
+  let dead = Event_queue.add q ~time:3 "dead" in
+  Event_queue.cancel q dead;
+  ignore (Event_queue.pop q);
+  let next = Event_queue.add q ~time:4 "next" in
+  Event_queue.cancel q dead;
+  check_int "next still live" 1 (Event_queue.length q);
+  Event_queue.cancel q next;
+  check_int "next cancelled by its own handle" 0 (Event_queue.length q)
 
 let test_queue_peek_skips_cancelled () =
   let q = Event_queue.create () in
@@ -359,6 +393,28 @@ let test_sim_until () =
   check_int "clock advanced to limit" 500 (Sim.now sim);
   ignore (Sim.run sim);
   Alcotest.(check bool) "fires later" true !fired
+
+(* Scheduling into the past or with a negative delay is a caller's
+   error: a typed [Invalid_argument] naming the value, and nothing
+   scheduled. *)
+let test_sim_schedule_at_rejects_past () =
+  let sim = Sim.create () in
+  ignore (Sim.schedule_at sim 50 ignore);
+  ignore (Sim.run sim);
+  Alcotest.check_raises "before now"
+    (Invalid_argument "Sim.schedule_at: time 49 is before now (50)") (fun () ->
+      ignore (Sim.schedule_at sim 49 ignore));
+  check_int "nothing scheduled" 0 (Sim.pending sim);
+  ignore (Sim.schedule_at sim 50 ignore);
+  check_int "now itself is fine" 1 (Sim.pending sim)
+
+let test_sim_schedule_in_rejects_negative () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "negative delay" (Invalid_argument "Sim.schedule_in: negative delay -3")
+    (fun () -> ignore (Sim.schedule_in sim (-3) ignore));
+  check_int "nothing scheduled" 0 (Sim.pending sim);
+  ignore (Sim.schedule_in sim 0 ignore);
+  check_int "zero delay is fine" 1 (Sim.pending sim)
 
 let test_sim_halt () =
   let sim = Sim.create () in
@@ -614,6 +670,26 @@ let test_sim_run_alloc () =
   check_int "all fired" n !fired;
   if words > 0. then Alcotest.failf "Sim.run allocated %.0f words over %d events" words n
 
+(* An event handle is an immediate int, so scheduling a thunk built
+   beforehand allocates nothing once the queue has grown. *)
+let test_sim_schedule_alloc () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let thunk () = () in
+  for i = 1 to n do
+    ignore (Sim.schedule_at sim i thunk)
+  done;
+  ignore (Sim.run sim);
+  let base = Sim.now sim in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n do
+          ignore (Sys.opaque_identity (Sim.schedule_at sim (base + i) thunk))
+        done)
+  in
+  check_int "all scheduled" n (Sim.pending sim);
+  if words > 0. then Alcotest.failf "Sim.schedule_at allocated %.0f words over %d calls" words n
+
 (* A trace that keeps no records folds each emit into its digest in
    place, with nothing boxed. *)
 let test_trace_emit_alloc () =
@@ -663,6 +739,7 @@ let suite =
     Alcotest.test_case "rng: split stable" `Quick test_rng_split_independent;
     Alcotest.test_case "rng: split labels distinct" `Quick test_rng_split_distinct;
     Alcotest.test_case "rng: int bounds" `Quick test_rng_int_bounds;
+    Alcotest.test_case "rng: int rejects a bad bound" `Quick test_rng_int_rejects_bad_bound;
     Alcotest.test_case "rng: float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "rng: gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "rng: exponential mean" `Quick test_rng_exponential_mean;
@@ -674,10 +751,15 @@ let suite =
     Alcotest.test_case "queue: cancel" `Quick test_queue_cancel;
     Alcotest.test_case "queue: cancel after fire" `Quick test_queue_cancel_after_fire;
     Alcotest.test_case "queue: peek skips cancelled" `Quick test_queue_peek_skips_cancelled;
+    Alcotest.test_case "queue: cancel after slot reuse" `Quick test_queue_cancel_after_slot_reuse;
     Alcotest.test_case "sim: ordering and clock" `Quick test_sim_ordering_and_clock;
     Alcotest.test_case "sim: schedule from event" `Quick test_sim_schedule_from_event;
     Alcotest.test_case "sim: until limit" `Quick test_sim_until;
     Alcotest.test_case "sim: halt" `Quick test_sim_halt;
+    Alcotest.test_case "sim: schedule_at rejects the past" `Quick
+      test_sim_schedule_at_rejects_past;
+    Alcotest.test_case "sim: schedule_in rejects a negative delay" `Quick
+      test_sim_schedule_in_rejects_negative;
     Alcotest.test_case "sim: until with a cancelled head" `Quick test_sim_until_cancelled_head;
     Alcotest.test_case "sim: until is inclusive" `Quick test_sim_until_inclusive;
     Alcotest.test_case "sim: max events per call" `Quick test_sim_max_events_per_call;
@@ -685,6 +767,7 @@ let suite =
     Alcotest.test_case "sim: event at max_int fires" `Quick test_sim_max_int_event;
     Alcotest.test_case "fnv: allocates only its result" `Quick test_fnv_alloc;
     Alcotest.test_case "sim: run allocates nothing per event" `Quick test_sim_run_alloc;
+    Alcotest.test_case "sim: schedule allocates nothing" `Quick test_sim_schedule_alloc;
     Alcotest.test_case "sim: rng stream persistent" `Quick test_sim_rng_stream_persistent;
     Alcotest.test_case "trace: record retention" `Quick test_trace_record_retention;
     Alcotest.test_case "sim: trace digest reproducible" `Quick test_sim_trace_digest_reproducible;

@@ -246,8 +246,7 @@ let prop_walk_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* FWK node end-to-end *)
 
-let run_on_fwk ?noise_seed f =
-  let machine = Machine.create ~dims:(1, 1, 1) () in
+let run_on_fwk ?noise_seed ?(machine = Machine.create ~dims:(1, 1, 1) ()) f =
   let node = Fwk.Node.create ?noise_seed machine ~rank:0 ~stripped:true () in
   let done_ = ref false in
   Fwk.Node.boot node ~on_ready:(fun () ->
@@ -394,6 +393,34 @@ let test_fwk_mprotect_enforced () =
   match Fwk.Node.faults node with
   | [ (_, _) ] -> ()
   | l -> Alcotest.failf "expected 1 fault, got %d" (List.length l)
+
+(* A write to a read-only page kills the thread when the process has no
+   SIGSEGV handler. The death travels the RAS stream as a typed
+   [Thread_death], so the control system gang-kills the job, and its
+   record reads as the FWK's segv line always did. *)
+let test_fwk_segv_is_a_thread_death () =
+  let machine = Machine.create ~dims:(1, 1, 1) () in
+  let seen = ref [] in
+  Machine.on_ras machine (fun ~rank ev -> seen := (rank, ev) :: !seen);
+  let node =
+    run_on_fwk ~machine (fun () ->
+        let a = Rt.Libc.mmap_anon ~length:4096 in
+        Sysreq.expect_unit
+          (Coro.syscall
+             (Sysreq.Mprotect { addr = a; length = 4096; prot = Bg_hw.Tlb.perm_ro }));
+        Rt.Libc.poke a 2)
+  in
+  match (Fwk.Node.faults node, !seen) with
+  | [ (tid, reason) ], [ (0, (Machine.Thread_death { tid = tid'; cause = Segv reason' } as ev)) ]
+    ->
+    check_int "same thread" tid tid';
+    Alcotest.(check string) "same reason" reason reason';
+    let r = Machine.ras_store (Bg_obs.Rasdb.create ()) ~cycle:0 ~rank:0 ev in
+    Alcotest.(check string) "record text" (Printf.sprintf "tid %d segv: %s" tid reason)
+      r.Bg_obs.Rasdb.message
+  | faults, evs ->
+    Alcotest.failf "expected one fault and one segv death, got %d and %d" (List.length faults)
+      (List.length evs)
 
 (* Out-of-range mprotect is refused before the per-page loop (which would
    otherwise walk 2^24 pages for a [1 lsl 36] length): a range reaching
@@ -567,6 +594,7 @@ let test_fwk_not_reproducible_across_environments () =
 
 let suite =
   [
+    Alcotest.test_case "fwk: segv is a thread death" `Quick test_fwk_segv_is_a_thread_death;
     Alcotest.test_case "buddy: alloc/free" `Quick test_buddy_alloc_free;
     Alcotest.test_case "buddy: split/coalesce" `Quick test_buddy_split_and_coalesce;
     Alcotest.test_case "buddy: fragmentation" `Quick test_buddy_fragmentation_metric;

@@ -234,6 +234,8 @@ let ras_text_rows =
          Rasdb.Error, "kernel", "tid 3 crashed: Failure(\"oops\")");
         (1, Machine.Thread_death { tid = 4; cause = Unhandled_signal 11 }, Rasdb.Error,
          "kernel", "tid 4 killed by unhandled signal 11");
+        (2, Machine.Thread_death { tid = 5; cause = Segv "segfault at 0x1000" }, Rasdb.Error,
+         "kernel", "tid 5 segv: segfault at 0x1000");
       ] );
     ( "notes",
       [

@@ -483,6 +483,195 @@ let test_alltoall () =
   check_bool "took at least the modeled cost" true (!t_spent >= expect);
   check_bool "bandwidth term dominates" true (expect > 100_000)
 
+(* ------------------------------------------------------------------ *)
+(* The DCMF inbox against the rotate-and-repush scan it replaced *)
+
+(* The old inbox: a queue of (tag, src, payload, causal ctx) that every
+   receive popped whole and pushed back, minus the first match. *)
+let old_try_recv q ~tag =
+  let n = Queue.length q in
+  let found = ref None in
+  for _ = 1 to n do
+    let t, src, data, sctx = Queue.pop q in
+    if !found = None && t = tag then found := Some (src, data, sctx)
+    else Queue.push (t, src, data, sctx) q
+  done;
+  !found
+
+type inbox_op =
+  | I_arrive of { tag : int; src : int; ctx : int }
+  | I_recv of int
+  | I_rotate of { chan : int; src : int }  (** recv_rendezvous's mismatched RTS *)
+
+let pp_inbox_op = function
+  | I_arrive { tag; src; ctx } -> Printf.sprintf "arrive t%d s%d c%d" tag src ctx
+  | I_recv tag -> Printf.sprintf "recv t%d" tag
+  | I_rotate { chan; src } -> Printf.sprintf "rotate t%d s%d" chan src
+
+(* Random arrivals, tagged receives and rotate-to-back receives: both
+   inboxes return the same (src, payload) sequence and the same causal
+   context, which is what [try_recv_eager] links its recv_eager edge
+   from, and hold the same number of entries after every step. *)
+let prop_inbox_matches_rotating_queue =
+  let gen =
+    let open QCheck.Gen in
+    let tag = 0 -- 4 and src = 0 -- 7 in
+    list_size (0 -- 80)
+      (frequency
+         [
+           (4, map3 (fun tag src ctx -> I_arrive { tag; src; ctx }) tag src (0 -- 3));
+           (3, map (fun t -> I_recv t) tag);
+           (1, map2 (fun chan src -> I_rotate { chan; src }) tag src);
+         ])
+  in
+  QCheck.Test.make ~name:"dcmf: inbox matches the rotate-and-repush scan" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_inbox_op ops)) gen)
+    (fun ops ->
+      let inbox = Dcmf.Inbox.create () and q = Queue.create () in
+      let take tag =
+        let p = Dcmf.Inbox.take inbox ~tag in
+        if p == Dcmf.Inbox.none then None
+        else Some (p.Bg_hw.Dma.pkt_src, p.Bg_hw.Dma.pkt_payload, p.Bg_hw.Dma.pkt_ctx)
+      in
+      let push ~tag ~src ~payload ~ctx =
+        Dcmf.Inbox.push inbox
+          { Bg_hw.Dma.pkt_src = src; pkt_tag = tag; pkt_payload = payload; pkt_ctx = ctx };
+        Queue.push (tag, src, payload, ctx) q
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | I_arrive { tag; src; ctx } ->
+            push ~tag ~src ~payload:(Bytes.of_string (string_of_int i)) ~ctx
+          | I_recv tag ->
+            if take tag <> old_try_recv q ~tag then QCheck.Test.fail_reportf "recv %d differs" i
+          | I_rotate { chan; src } -> (
+            let got = take chan in
+            if got <> old_try_recv q ~tag:chan then
+              QCheck.Test.fail_reportf "rotate %d differs" i;
+            match got with
+            | Some (_, payload, _) -> push ~tag:chan ~src ~payload ~ctx:Bg_obs.Causal.none
+            | None -> ()));
+          if Dcmf.Inbox.length inbox <> Queue.length q then
+            QCheck.Test.fail_reportf "length differs after %d" i)
+        ops;
+      (* what is left comes out in the same order *)
+      for tag = 0 to 4 do
+        let rec drain () =
+          let got = take tag in
+          if got <> old_try_recv q ~tag then QCheck.Test.fail_reportf "final drain differs";
+          if got <> None then drain ()
+        in
+        drain ()
+      done;
+      Queue.is_empty q)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards on the user-space DMA path *)
+
+let dma_user_cluster ~dims =
+  let cluster = Cluster.create ~dims () in
+  Cluster.boot_all cluster;
+  let fabric = Dcmf.make_fabric ~path:Dcmf.Dma_user (Cluster.machine cluster) in
+  for r = 0 to Array.length (Cluster.nodes cluster) - 1 do
+    ignore (Dcmf.attach fabric ~rank:r)
+  done;
+  (cluster, fabric)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A poll of an empty reception FIFO with an empty inbox is a few loads:
+   no drain, no list, no option. *)
+let test_try_recv_empty_alloc () =
+  let _, fabric = dma_user_cluster ~dims:(2, 1, 1) in
+  let ctx = Dcmf.attach fabric ~rank:0 in
+  ignore (Dcmf.try_recv_eager ctx ~tag:5);
+  let n = 10_000 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Dcmf.try_recv_eager ctx ~tag:5))
+        done)
+  in
+  if words > 0. then Alcotest.failf "try_recv_eager on empty allocated %.0f words over %d" words n
+
+(* A warm eager message on the user-space DMA path: rank 0 sends and
+   waits on its counter, rank 1 polls until it lands. Counted between
+   rank 1's receipt of message [m] and of message [2m], so every word of
+   the round (descriptor, handle, injection, torus transfer, delivery,
+   the receive and every consume on both ranks) is in the count: 432.1
+   words measured, 538.3 before the counter table, the array inbox and
+   immediate event handles. *)
+let eager_round_words_bound = 440
+
+let test_eager_round_alloc () =
+  let m = 200 in
+  let w0 = ref 0. and w1 = ref 0. in
+  let payload = Bytes.make 8 'h' in
+  let cluster, fabric = dma_user_cluster ~dims:(2, 1, 1) in
+  let image =
+    Image.executable ~name:"eager" (fun () ->
+        let r = Bg_rt.Libc.rank () in
+        let ctx = Dcmf.attach fabric ~rank:r in
+        if r = 0 then
+          for _ = 1 to 2 * m do
+            Dcmf.wait (Dcmf.send_eager ctx ~dst:1 ~tag:5 ~data:payload)
+          done
+        else
+          for i = 1 to 2 * m do
+            let rec poll () =
+              match Dcmf.try_recv_eager ctx ~tag:5 with
+              | Some _ -> ()
+              | None ->
+                Coro.consume 120;
+                poll ()
+            in
+            poll ();
+            if i = m then w0 := Gc.minor_words ();
+            if i = 2 * m then w1 := Gc.minor_words ()
+          done)
+  in
+  Cluster.run_job cluster (Job.create ~name:"eager" image);
+  let per_round = (!w1 -. !w0) /. float_of_int m in
+  if per_round > float_of_int eager_round_words_bound then
+    Alcotest.failf "a warm eager round allocated %.1f words, bound %d" per_round
+      eager_round_words_bound
+
+(* ------------------------------------------------------------------ *)
+(* MPI envelope checks: a typed error, not an assert *)
+
+(* Rank 1 forges rank 0's envelope: a raw DCMF eager message under the
+   tag that MPI encodes for (tag 5, source 0). The receive that matches
+   it names both ranks. *)
+let forged_envelope_error receive =
+  let got = ref "" in
+  let cluster, fabric = dma_user_cluster ~dims:(2, 1, 1) in
+  let image =
+    Image.executable ~name:"forge" (fun () ->
+        let r = Bg_rt.Libc.rank () in
+        let ctx = Dcmf.attach fabric ~rank:r in
+        if r = 1 then Dcmf.wait (Dcmf.send_eager ctx ~dst:0 ~tag:(5 * 4096) ~data:(Bytes.create 8))
+        else
+          match receive (Mpi.create ctx) with
+          | () -> ()
+          | exception Invalid_argument msg -> got := msg)
+  in
+  Cluster.run_job cluster (Job.create ~name:"forge" image);
+  !got
+
+let test_mpi_recv_wrong_source () =
+  Alcotest.(check string) "recv names both ranks"
+    "Mpi: message from rank 1 matched a receive from rank 0"
+    (forged_envelope_error (fun mpi -> ignore (Mpi.recv mpi ~src:0 ~tag:5)))
+
+let test_mpi_wait_wrong_source () =
+  Alcotest.(check string) "wait names both ranks"
+    "Mpi: message from rank 1 matched a receive from rank 0"
+    (forged_envelope_error (fun mpi -> ignore (Mpi.wait mpi (Mpi.irecv mpi ~src:0 ~tag:5))))
+
 let suite =
   [
     Alcotest.test_case "coll: alltoall" `Quick test_alltoall;
@@ -503,4 +692,11 @@ let suite =
     Alcotest.test_case "fig8: bandwidth saturates" `Quick test_bandwidth_saturates;
     Alcotest.test_case "fig8: paged below contiguous" `Quick test_paged_below_contiguous;
     Alcotest.test_case "barrier: synchronizes" `Quick test_barrier_synchronizes;
+    QCheck_alcotest.to_alcotest prop_inbox_matches_rotating_queue;
+    Alcotest.test_case "dcmf: empty poll allocates nothing" `Quick test_try_recv_empty_alloc;
+    Alcotest.test_case "dcmf: warm eager round allocation" `Quick test_eager_round_alloc;
+    Alcotest.test_case "mpi: recv from the wrong rank is an error" `Quick
+      test_mpi_recv_wrong_source;
+    Alcotest.test_case "mpi: wait from the wrong rank is an error" `Quick
+      test_mpi_wait_wrong_source;
   ]

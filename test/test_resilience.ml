@@ -15,33 +15,44 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* RAS dispatch: the control system acts on the event, not its text *)
 
+(* Run a two-rank job under [attach]ed control, emit [ev] on rank 1
+   mid-job, and return every thread's exit code. *)
+let exit_codes_after_ras attach ev =
+  let cluster = Cnk.Cluster.create ~dims:(2, 1, 1) () in
+  Cnk.Cluster.boot_all cluster;
+  let sched = Ctl.Scheduler.create cluster in
+  attach sched;
+  ignore
+    (Ctl.Scheduler.submit sched ~shape:(2, 1, 1)
+       (Job.create ~name:"long" (Image.executable ~name:"long" (fun () -> Coro.consume 4_000_000))));
+  (* app threads run from ~2.2M cycles (image load) to ~6.2M *)
+  ignore
+    (Sim.schedule_at (Cnk.Cluster.sim cluster) 3_000_000 (fun () ->
+         Machine.ras_emit (Cnk.Cluster.machine cluster) ~rank:1 ev));
+  Ctl.Scheduler.drain sched;
+  List.concat_map
+    (fun rank -> List.map snd (Cnk.Node.exit_codes (Cnk.Cluster.node cluster rank)))
+    [ 0; 1 ]
+
 (* A note whose text reads like the kernel's crash wording kills no job;
    a thread death on rank 1 gang-kills the job spanning it, rank 0's
    threads included. *)
 let test_ras_dispatch attach () =
-  let run ev =
-    let cluster = Cnk.Cluster.create ~dims:(2, 1, 1) () in
-    Cnk.Cluster.boot_all cluster;
-    let sched = Ctl.Scheduler.create cluster in
-    attach sched;
-    ignore
-      (Ctl.Scheduler.submit sched ~shape:(2, 1, 1)
-         (Job.create ~name:"long" (Image.executable ~name:"long" (fun () -> Coro.consume 4_000_000))));
-    (* app threads run from ~2.2M cycles (image load) to ~6.2M *)
-    ignore
-      (Sim.schedule_at (Cnk.Cluster.sim cluster) 3_000_000 (fun () ->
-           Machine.ras_emit (Cnk.Cluster.machine cluster) ~rank:1 ev));
-    Ctl.Scheduler.drain sched;
-    List.concat_map
-      (fun rank -> List.map snd (Cnk.Node.exit_codes (Cnk.Cluster.node cluster rank)))
-      [ 0; 1 ]
-  in
+  let run = exit_codes_after_ras attach in
   let codes = run (Machine.Note { severity = Bg_obs.Rasdb.Error; text = "tid 1 crashed: not really" }) in
   check_bool "the job ran" true (codes <> []);
   check_bool "a note that mentions a crash kills nothing" true (List.for_all (( = ) 0) codes);
   let codes = run (Machine.Thread_death { tid = 1; cause = Crashed "Failure(\"boom\")" }) in
   check_bool "the job ran" true (codes <> []);
   check_bool "a thread death kills every thread of the job" true (List.for_all (( = ) 137) codes)
+
+(* The FWK's SIGSEGV death is a thread death like any other. *)
+let test_segv_death_kills attach () =
+  let codes =
+    exit_codes_after_ras attach (Machine.Thread_death { tid = 1; cause = Segv "segfault at 0x0" })
+  in
+  check_bool "the job ran" true (codes <> []);
+  check_bool "a segv death kills every thread of the job" true (List.for_all (( = ) 137) codes)
 
 (* ------------------------------------------------------------------ *)
 (* Down nodes in the allocator *)
@@ -376,6 +387,10 @@ let suite =
       (test_ras_dispatch (fun s -> ignore (Res.Recovery.attach s)));
     Alcotest.test_case "ras dispatch: Policy acts on thread deaths, not text" `Quick
       (test_ras_dispatch (fun s -> ignore (Res.Policy.attach s)));
+    Alcotest.test_case "ras dispatch: Recovery kills on a segv death" `Quick
+      (test_segv_death_kills (fun s -> ignore (Res.Recovery.attach s)));
+    Alcotest.test_case "ras dispatch: Policy kills on a segv death" `Quick
+      (test_segv_death_kills (fun s -> ignore (Res.Policy.attach s)));
     Alcotest.test_case "partition: down nodes excluded" `Quick test_partition_down_nodes;
     Alcotest.test_case "mmap tracker: dirty pages" `Quick test_dirty_tracking;
     Alcotest.test_case "scheduler: walltime kill hits RAS" `Quick
