@@ -915,19 +915,27 @@ let run_micro () =
          (let label = "cio.pwrite.reply" in
           fun () -> ignore (Sys.opaque_identity (Fnv.add_string Fnv.empty label))))
   in
+  let test_label_fold =
+    (* the same 16 bytes as a declared label: one table lookup *)
+    Test.make ~name:"Fnv.add_label 16 B declared label"
+      (Staged.stage
+         (let label = Fnv.Label.declare ~cat:"cio." ~name:"pwrite.reply" in
+          fun () -> ignore (Sys.opaque_identity (Fnv.add_label Fnv.empty label))))
+  in
   let test_causal =
     (* one run builds a 50k-node graph from empty: 50k mints, each also
        chained to its scope's previous node, plus 50k links *)
     Test.make ~name:"Causal.mint+link at 50k nodes"
       (Staged.stage
          (let g = Bg_obs.Causal.create ~enabled:true () in
+          let entry = Bg_obs.Obs.label ~cat:"syscall" ~name:"pwrite.entry" in
           fun () ->
             Bg_obs.Causal.reset g;
             let prev = ref Bg_obs.Causal.none in
             for i = 0 to 49_999 do
               let id =
-                Bg_obs.Causal.mint g ~cat:"syscall" ~name:"pwrite.entry" ~rank:(i land 31)
-                  ~core:(i land 3) ~now:i ()
+                Bg_obs.Causal.mint_l g ~chain:true entry ~rank:(i land 31) ~core:(i land 3)
+                  ~now:i
               in
               Bg_obs.Causal.link g Bg_obs.Causal.Request_reply ~src:!prev ~dst:id;
               prev := id
@@ -939,11 +947,12 @@ let run_micro () =
     Test.make ~name:"Obs.span_record over 256 scopes"
       (Staged.stage
          (let o = Bg_obs.Obs.create ~ring_capacity:8 ~enabled:true () in
+          let service = Bg_obs.Obs.label ~cat:"cio" ~name:"service.pwrite" in
           let t = ref 0 in
           fun () ->
             for s = 0 to 255 do
-              Bg_obs.Obs.span_record o ~cat:"cio" ~name:"service.pwrite" ~rank:(s lsr 2)
-                ~core:(s land 3) ~start:!t ~finish:(!t + 5)
+              Bg_obs.Obs.span_record_l o service ~rank:(s lsr 2) ~core:(s land 3) ~start:!t
+                ~finish:(!t + 5)
             done;
             t := !t + 10))
   in
@@ -977,8 +986,8 @@ let run_micro () =
   let tests =
     Test.make_grouped ~name:"sim"
       [
-        test_queue; test_sim_run; test_fnv; test_causal; test_obs_spans; test_memory; test_proto;
-        test_fwq_sim;
+        test_queue; test_sim_run; test_fnv; test_label_fold; test_causal; test_obs_spans;
+        test_memory; test_proto; test_fwq_sim;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
@@ -1051,6 +1060,12 @@ let run_obs () =
   let spans = cell ~name:"spans" ~spans:true ~causal:false in
   let both = cell ~name:"spans+causal" ~spans:true ~causal:true in
   let cells = [ off; spans; both ] in
+  (* the collection cost as a multiple of the collectors-off wall time *)
+  let ratio (_, _, wall, _, _, _) =
+    let _, _, off_wall, _, _, _ = off in
+    wall /. off_wall
+  in
+  Printf.printf "  cost over off: spans %.2fx, spans+causal %.2fx\n%!" (ratio spans) (ratio both);
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\"experiment\":\"obs\",\"workload\":\"cnk pwrite x2000\",\"cells\":[";
   List.iteri
@@ -1061,7 +1076,8 @@ let run_obs () =
            "{\"name\":\"%s\",\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"spans\":%d,\"causal_nodes\":%d}"
            name events wall eps spans_n causal_n))
     cells;
-  Buffer.add_string buf "]}";
+  Buffer.add_string buf
+    (Printf.sprintf "],\"spans_over_off\":%.3f,\"both_over_off\":%.3f}" (ratio spans) (ratio both));
   let oc = open_out "BENCH_obs.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -1,5 +1,8 @@
 open Bg_engine
 
+let glitch_label = Trace.label "torus.arbiter.glitch"
+
+
 type bug = { skew_threshold : float; flake_probability : float; glitch_cycle : int }
 
 let default_bug = { skew_threshold = 0.6; flake_probability = 0.7; glitch_cycle = 120_000 }
@@ -17,7 +20,7 @@ let arm bug cluster ~rank ~temperature_seed =
       ignore
         (Sim.schedule_at sim (bug.glitch_cycle + offset) (fun () ->
              (* the arbiter glitch: an observable spurious event *)
-             Sim.emit sim ~label:"torus.arbiter.glitch" ~value:rank))
+             Sim.emit sim ~label:glitch_label ~value:rank))
     end
   end
 

@@ -1,6 +1,17 @@
 open Bg_engine
 module Obs = Bg_obs.Obs
 
+(* Trace and span labels, declared once (see [Fnv.Label]). *)
+module L = struct
+  let crash = Trace.label "ciod.crash"
+  let restart = Trace.label "ciod.restart"
+  let served = Trace.label "ciod.served"
+  let job_start = Obs.label ~cat:"cio" ~name:"job_start"
+  let job_end = Obs.label ~cat:"cio" ~name:"job_end"
+  let queue_wait = Obs.label ~cat:"cio" ~name:"queue_wait"
+  let transit_reply = Obs.label ~cat:"cio" ~name:"transit_reply"
+end
+
 (* I/O-node worker activity appears in the trace under the requesting
    rank's pid, on tid lanes [worker_tid_base + worker] so CIOD service
    never collides with the rank's own core lanes. *)
@@ -95,9 +106,9 @@ let depth_gauge t =
   Obs.set (obs t) ~rank:t.io_node ~core:Obs.node_scope Metrics.Ciod.queue_depth
     (Hashtbl.length t.inflight)
 
-let mark t ~rank name =
+let mark t ~rank label =
   let now = Sim.now t.machine.Machine.sim in
-  Obs.span_record (obs t) ~cat:"cio" ~name ~rank ~core:worker_tid_base ~start:now ~finish:now
+  Obs.span_record_l (obs t) label ~rank ~core:worker_tid_base ~start:now ~finish:now
 
 let rec start_procs t rank = function
   | [] -> ()
@@ -108,11 +119,11 @@ let rec start_procs t rank = function
     start_procs t rank rest
 
 let job_start t ~rank ~pids =
-  mark t ~rank "job_start";
+  mark t ~rank L.job_start;
   start_procs t rank pids
 
 let job_end t ~rank =
-  mark t ~rank "job_end";
+  mark t ~rank L.job_end;
   (match Itbl.find t.proxies rank with
   | by_pid ->
     Itbl.iter (fun _ p -> Ioproxy.close_all p) by_pid;
@@ -161,11 +172,9 @@ let submit_raw t data =
   if Obs.enabled o then begin
     let lane = worker_tid_base + worker in
     if start > now then
-      Obs.span_record o ~cat:"cio" ~name:"queue_wait" ~rank:hdr.Proto.rank ~core:lane
+      Obs.span_record_l o L.queue_wait ~rank:hdr.Proto.rank ~core:lane
         ~start:now ~finish:start;
-    Obs.span_record o ~cat:"cio"
-      ~name:(Sysreq.request_service_name req)
-      ~rank:hdr.Proto.rank ~core:lane ~start ~finish;
+    Obs.span_record_l o (Sysreq.service_label req) ~rank:hdr.Proto.rank ~core:lane ~start ~finish;
     Obs.observe o ~rank:hdr.Proto.rank ~core:Obs.node_scope Metrics.Cio.service_cycles
       (finish - start);
     Obs.observe o ~rank:hdr.Proto.rank ~core:Obs.node_scope Metrics.Cio.queue_wait_cycles
@@ -175,14 +184,14 @@ let submit_raw t data =
     (Sim.schedule_at sim finish (fun () ->
          t.served <- t.served + 1;
          count t Metrics.Ciod.served;
-         Sim.emit sim ~label:"ciod.served" ~value:hdr.Proto.rank;
+         Sim.emit sim ~label:L.served ~value:hdr.Proto.rank;
          let reply = Ioproxy.handle p req in
          Manifest.record_proxy t.manifest ~rank:hdr.Proto.rank ~pid:hdr.Proto.pid
            (Ioproxy.snapshot p);
          let reply_bytes = Proto.encode_reply hdr reply in
          (* part 4: the reply's trip back down the collective network *)
          let hr =
-           Obs.span_begin o ~cat:"cio" ~name:"transit_reply" ~rank:hdr.Proto.rank
+           Obs.span_begin_l o L.transit_reply ~rank:hdr.Proto.rank
              ~core:(worker_tid_base + worker) ~now:(Sim.now sim)
          in
          Bg_hw.Collective_net.to_compute_node t.machine.Machine.collective
@@ -204,7 +213,7 @@ let send_down t ~rank framed =
     ~on_arrival:(fun ~payload ~arrival_cycle ->
       (* Recorded one-shot at arrival: a dropped reply must not leak an
          open span. *)
-      Obs.span_record o ~cat:"cio" ~name:"transit_reply" ~rank ~core:worker_tid_base
+      Obs.span_record_l o L.transit_reply ~rank ~core:worker_tid_base
         ~start:sent ~finish:arrival_cycle;
       match Hashtbl.find_opt t.deliver rank with
       | Some deliver -> deliver payload
@@ -228,15 +237,14 @@ let service t (f : Frame.t) req =
         depth_gauge t;
         t.served <- t.served + 1;
         count t Metrics.Ciod.served;
-        Sim.emit sim ~label:"ciod.served" ~value:f.Frame.rank;
+        Sim.emit sim ~label:L.served ~value:f.Frame.rank;
         if Obs.enabled o then begin
           let lane = worker_tid_base + worker in
           if start > now then
-            Obs.span_record o ~cat:"cio" ~name:"queue_wait" ~rank:f.Frame.rank
+            Obs.span_record_l o L.queue_wait ~rank:f.Frame.rank
               ~core:lane ~start:now ~finish:start;
-          Obs.span_record o ~cat:"cio"
-            ~name:(Sysreq.request_service_name req)
-            ~rank:f.Frame.rank ~core:lane ~start ~finish;
+          Obs.span_record_l o (Sysreq.service_label req) ~rank:f.Frame.rank ~core:lane ~start
+            ~finish;
           Obs.observe o ~rank:f.Frame.rank ~core:Obs.node_scope Metrics.Cio.service_cycles
             (finish - start);
           Obs.observe o ~rank:f.Frame.rank ~core:Obs.node_scope Metrics.Cio.queue_wait_cycles
@@ -259,9 +267,8 @@ let service t (f : Frame.t) req =
           let module C = Bg_obs.Causal in
           if C.enabled causal then begin
             let s =
-              C.mint causal ~chain:false ~cat:"cio"
-                ~name:(Sysreq.request_service_name req)
-                ~rank:f.Frame.rank ~core:(worker_tid_base + worker) ~now:finish ()
+              C.mint_l causal ~chain:false (Sysreq.service_label req) ~rank:f.Frame.rank
+                ~core:(worker_tid_base + worker) ~now:finish
             in
             C.link causal C.Request_reply ~src:f.Frame.ctx ~dst:s;
             s
@@ -362,7 +369,7 @@ let crash t =
     t.alive <- false;
     t.crashes <- t.crashes + 1;
     count t Metrics.Ciod.crashes;
-    Sim.emit t.machine.Machine.sim ~label:"ciod.crash" ~value:t.io_node;
+    Sim.emit t.machine.Machine.sim ~label:L.crash ~value:t.io_node;
     (* Queued work and all daemon-resident state die with the process.
        The manifest survives: it models control-system storage. *)
     Hashtbl.iter (fun _ h -> Sim.cancel t.machine.Machine.sim h) t.inflight;
@@ -377,7 +384,7 @@ let restart t =
   if not t.alive then begin
     t.alive <- true;
     count t Metrics.Ciod.restarts;
-    Sim.emit t.machine.Machine.sim ~label:"ciod.restart" ~value:t.io_node;
+    Sim.emit t.machine.Machine.sim ~label:L.restart ~value:t.io_node;
     (* Rebuild every proxy from its manifest snapshot; descriptors, offsets
        and cwd come back exactly as of the last executed request. *)
     List.iter

@@ -113,10 +113,9 @@ let causal t = t.machine.Machine.causal
 (* Mint a causal node on this rank, program-order chained unless said
    otherwise. Returns [Causal.none] (and records nothing) when causal
    collection is off — carriers then ship context 0. *)
-let causal_mint ?chain t ~cat ~name ~core =
+let causal_mint ?(chain = true) t label ~core =
   let c = causal t in
-  if Causal.enabled c then
-    Causal.mint c ?chain ~cat ~name ~rank:t.rank ~core ~now:(Sim.now (sim t)) ()
+  if Causal.enabled c then Causal.mint_l c ~chain label ~rank:t.rank ~core ~now:(Sim.now (sim t))
   else Causal.none
 
 let acct_switch t ~core state =
@@ -355,17 +354,18 @@ let instrument_syscall t th req k =
     match req with
     | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
     | _ ->
-      let name = Sysreq.request_name req in
       let start = Sim.now (sim t) in
       let h =
         if Obs.enabled o then
-          Some (Obs.span_begin o ~cat:"syscall" ~name ~rank:t.rank ~core:th.core_id ~now:start)
+          Some
+            (Obs.span_begin_l o (Sysreq.syscall_label req) ~rank:t.rank ~core:th.core_id
+               ~now:start)
         else None
       in
       (* Causal: entry and exit are program-order chained on this core's
          lane, so whatever the syscall caused in between (a function
          ship, a DMA injection) hangs between two anchors. *)
-      ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_entry_name req) ~core:th.core_id);
+      ignore (causal_mint t (Sysreq.entry_label req) ~core:th.core_id);
       fun reply ->
         let now = Sim.now (sim t) in
         (match h with
@@ -376,7 +376,7 @@ let instrument_syscall t th req k =
             (now - start);
           Obs.add o ~rank:t.rank ~core:th.core_id Metrics.Kernel.syscalls.(kind) 1
         | None -> ());
-        ignore (causal_mint t ~cat:"syscall" ~name:(Sysreq.request_exit_name req) ~core:th.core_id);
+        ignore (causal_mint t (Sysreq.exit_label req) ~core:th.core_id);
         k reply
 
 (* Charge trap-to-reply to [Syscall] in the cycle ledger. Exit syscalls

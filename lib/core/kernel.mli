@@ -119,15 +119,15 @@ exception Fault of string
 val sim : (_, _, _, _) t -> Bg_engine.Sim.t
 val memory : (_, _, _, _) t -> Bg_hw.Memory.t
 
-val emit : (_, _, _, _) t -> string -> int -> unit
-(** Trace event with value [rank * 1_000_000 + value]. *)
+val emit : (_, _, _, _) t -> Bg_engine.Fnv.Label.t -> int -> unit
+(** Trace event with value [rank * 1_000_000 + value]; the label comes
+    from {!Bg_engine.Trace.label}. *)
 
 val obs : (_, _, _, _) t -> Bg_obs.Obs.t
 val acct : (_, _, _, _) t -> Bg_obs.Accounting.t
 val causal : (_, _, _, _) t -> Bg_obs.Causal.t
 
-val causal_mint :
-  ?chain:bool -> (_, _, _, _) t -> cat:string -> name:string -> core:int -> Bg_obs.Causal.ctx
+val causal_mint : ?chain:bool -> (_, _, _, _) t -> Bg_obs.Obs.label -> core:int -> Bg_obs.Causal.ctx
 (** A causal node on this rank, or [Causal.none] when collection is off. *)
 
 val ras : (_, _, _, _) t -> Machine.ras_event -> unit

@@ -7,6 +7,36 @@ module Causal = Bg_obs.Causal
 module Frame = Bg_cio.Frame
 module Reliable = Bg_cio.Reliable
 
+(* Trace, span and causal labels, declared once (see [Bg_engine.Fnv.Label]). *)
+module L = struct
+  let boot = Trace.label "cnk.boot"
+  let clone = Trace.label "cnk.clone"
+  let fship = Trace.label "cnk.fship"
+  let fship_eio = Trace.label "cnk.fship_eio"
+  let fship_retry = Trace.label "cnk.fship_retry"
+  let guard = Trace.label "cnk.guard"
+  let guard_hit = Trace.label "cnk.guard_hit"
+  let ipi = Trace.label "cnk.ipi"
+  let ipi_handle = Obs.label ~cat:"ipi" ~name:"ipi.handle"
+  let ipi_send = Obs.label ~cat:"ipi" ~name:"ipi.send"
+  let job_done = Trace.label "cnk.job_done"
+  let job_killed = Trace.label "cnk.job_killed"
+  let l1_parity = Trace.label "cnk.l1_parity"
+  let launch = Trace.label "cnk.launch"
+  let map_swap = Obs.label ~cat:"tlb" ~name:"map_swap"
+  let proc_exit = Trace.label "cnk.proc_exit"
+  let remote_affinity = Trace.label "cnk.remote_affinity"
+  let reply_deliver = Obs.label ~cat:"cio" ~name:"reply.deliver"
+  let reset = Trace.label "cnk.reset"
+  let ship_request = Obs.label ~cat:"cio" ~name:"ship.request"
+  let signal = Trace.label "cnk.signal"
+  let static_install = Obs.label ~cat:"tlb" ~name:"static_install"
+  let syscall = Trace.label "cnk.syscall"
+  let thread_exit = Trace.label "cnk.thread_exit"
+  let tlb_swap = Trace.label "cnk.tlb_swap"
+  let transit_request = Obs.label ~cat:"cio" ~name:"transit_request"
+end
+
 (* --- tunable kernel constants (cycles) ------------------------------ *)
 
 let boot_cycles = 70_000
@@ -125,7 +155,7 @@ let send_frame_up t ~core frame =
   let sent = Sim.now (sim t) in
   Bg_hw.Collective_net.to_io_node t.machine.Machine.collective ~cn:t.rank ~payload:frame
     ~on_arrival:(fun ~payload ~arrival_cycle ->
-      Obs.span_record o ~cat:"cio" ~name:"transit_request" ~rank:t.rank ~core ~start:sent
+      Obs.span_record_l o L.transit_request ~rank:t.rank ~core ~start:sent
         ~finish:arrival_cycle;
       Bg_cio.Ciod.submit t.nx.ciod payload)
 
@@ -163,7 +193,7 @@ let deliver_reliable t reply_bytes =
            delivery off it. A replayed cached reply carries the same
            node, so duplicates collapse onto one service execution. *)
         let r =
-          causal_mint t ~cat:"cio" ~name:"reply.deliver" ~core:inf.io_core
+          causal_mint t L.reply_deliver ~core:inf.io_core
         in
         Causal.link (causal t) Causal.Send_recv ~src:f.Frame.ctx ~dst:r;
         send_ack t ~pid:inf.io_pid ~tid:f.Frame.tid ~seq:f.Frame.seq;
@@ -239,7 +269,7 @@ let program_guard t (th : thread) lo hi =
   in
   th.tx.guard <- Some (lo, hi);
   Dac.set (dac_of t th) ~slot (Some { Dac.lo; hi; on_store = true; on_load = false });
-  emit t "cnk.guard" th.tid
+  emit t L.guard th.tid
 
 let clear_guard t (th : thread) =
   match th.tx.guard_slot with
@@ -268,7 +298,7 @@ let write t (th : thread) addr data =
     (* Guard hit: SIGSEGV. With a handler the store is dropped and the
        thread continues; without one the thread dies. *)
     th.pending_sigs <- th.pending_sigs @ [ sigsegv ];
-    emit t "cnk.guard_hit" th.tid;
+    emit t L.guard_hit th.tid;
     Obs.add (obs t) ~rank:t.rank ~core:th.core_id Metrics.Kernel.dac_violation 1;
     ras_note t Bg_obs.Rasdb.Warn (Printf.sprintf "DAC guard hit by tid %d at 0x%x" th.tid addr);
     false
@@ -307,10 +337,10 @@ let remap_core_for t (core : core) (p : proc) =
     | Ok () -> ()
     | Error msg -> failwith ("CNK remote-map install failed: " ^ msg));
     core.cx.mapped_pid <- Some p.pid;
-    emit t "cnk.tlb_swap" ((core.id * 100) + p.pid);
+    emit t L.tlb_swap ((core.id * 100) + p.pid);
     let cost = tlb_swap_cycles_per_entry * List.length p.px.map.Mapping.regions in
     let now = Sim.now (sim t) in
-    Obs.span_record (obs t) ~cat:"tlb" ~name:"map_swap" ~rank:t.rank ~core:core.id
+    Obs.span_record_l (obs t) L.map_swap ~rank:t.rank ~core:core.id
       ~start:now ~finish:(now + cost);
     Obs.add (obs t) ~rank:t.rank ~core:core.id Metrics.Kernel.tlb_map_swap 1;
     cost
@@ -364,28 +394,28 @@ let hook t = function
       Buffer.add_string buf
         (Format.asprintf "[%d] tid %d: %a@." (Sim.now (sim t)) th.tid Sysreq.pp_request req)
     | None -> ());
-    emit t "cnk.syscall" ((th.tid * 1000) + (Sysreq.request_name_hash req mod 1000))
-  | Signal (th, signo) -> emit t "cnk.signal" ((th.tid * 100) + signo)
+    emit t L.syscall ((th.tid * 1000) + (Sysreq.request_name_hash req mod 1000))
+  | Signal (th, signo) -> emit t L.signal ((th.tid * 100) + signo)
   | Cloned child ->
     (* The last mprotect before clone defines the child's stack guard. *)
     (match Mmap_tracker.last_mprotect child.proc.tracker with
     | Some (lo, len) -> program_guard t child lo (lo + len)
     | None -> ());
-    emit t "cnk.clone" child.tid
+    emit t L.clone child.tid
   | Thread_exit th ->
     clear_guard t th;
     Hashtbl.remove t.nx.io_pending th.tid;
     drop_io_inflight t th.tid;
     Hashtbl.remove t.nx.io_seq th.tid;
-    emit t "cnk.thread_exit" th.tid
+    emit t L.thread_exit th.tid
   | Proc_exit (p, code) ->
     p.px.exit_code <- code;
     t.nx.exit_codes <- (p.pid, code) :: t.nx.exit_codes;
-    emit t "cnk.proc_exit" p.pid
+    emit t L.proc_exit p.pid
   | Job_done ->
     publish_hw_gauges t;
     Bg_cio.Ciod.job_end t.nx.ciod ~rank:t.rank;
-    emit t "cnk.job_done" 0
+    emit t L.job_done 0
 
 (* --- CNK's own syscalls ------------------------------------------------- *)
 
@@ -430,8 +460,8 @@ let reposition_main_guard t (th : thread) =
     if main.core_id = th.core_id then program_guard t main lo hi
     else begin
       t.nx.ipis <- t.nx.ipis + 1;
-      emit t "cnk.ipi" main.core_id;
-      let send_ctx = causal_mint t ~cat:"ipi" ~name:"ipi.send" ~core:th.core_id in
+      emit t L.ipi main.core_id;
+      let send_ctx = causal_mint t L.ipi_send ~core:th.core_id in
       let core = t.cores.(main.core_id) in
       ignore
         (Sim.schedule_in (sim t) ipi_latency (fun () ->
@@ -439,7 +469,7 @@ let reposition_main_guard t (th : thread) =
              (* Causal: cross-core interrupt — the sender caused the
                 handler to run on the main thread's core. *)
              let recv_ctx =
-               causal_mint t ~cat:"ipi" ~name:"ipi.handle" ~core:main.core_id
+               causal_mint t L.ipi_handle ~core:main.core_id
              in
              Causal.link (causal t) Causal.Parent_child ~src:send_ctx ~dst:recv_ctx;
              if main.state <> Zombie then program_guard t main lo hi))
@@ -481,17 +511,17 @@ let function_ship_legacy t (th : thread) req ret =
   let data = Bg_cio.Proto.encode_request hdr req in
   (* Causal, legacy transport: bare Proto bytes have no context field,
      so the context rides the reply closure instead of the wire. *)
-  let q = causal_mint t ~cat:"cio" ~name:"ship.request" ~core:th.core_id in
+  let q = causal_mint t L.ship_request ~core:th.core_id in
   let ret =
     if q = Causal.none then ret
     else
       fun reply ->
-        let r = causal_mint t ~cat:"cio" ~name:"reply.deliver" ~core:th.core_id in
+        let r = causal_mint t L.reply_deliver ~core:th.core_id in
         Causal.link (causal t) Causal.Request_reply ~src:q ~dst:r;
         ret reply
   in
   Hashtbl.replace t.nx.io_pending th.tid ret;
-  emit t "cnk.fship" th.tid;
+  emit t L.fship th.tid;
   let o = obs t in
   Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_requests 1;
   Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_bytes (Bytes.length data);
@@ -499,7 +529,7 @@ let function_ship_legacy t (th : thread) req ret =
      sim time, so the first shipped leg is the collective-network transit
      up to the I/O node; CIOD itself records service and reply legs. *)
   let h =
-    Obs.span_begin o ~cat:"cio" ~name:"transit_request" ~rank:t.rank ~core:th.core_id
+    Obs.span_begin_l o L.transit_request ~rank:t.rank ~core:th.core_id
       ~now:(Sim.now (sim t))
   in
   (* The thread keeps its core and spins until the reply (§VI.C): no
@@ -524,7 +554,7 @@ let function_ship_reliable t (th : thread) req ret =
      retransmission resends [io_frame] byte-for-byte — so every copy of
      this request carries the SAME context, and CIOD records one
      request->reply edge no matter how many copies arrive. *)
-  let q = causal_mint t ~cat:"cio" ~name:"ship.request" ~core:th.core_id in
+  let q = causal_mint t L.ship_request ~core:th.core_id in
   let frame =
     Frame.encode
       { Frame.kind = Frame.Request; rank = t.rank; pid = th.proc.pid; tid = th.tid; seq;
@@ -542,7 +572,7 @@ let function_ship_reliable t (th : thread) req ret =
     }
   in
   Hashtbl.replace t.nx.io_inflight th.tid inf;
-  emit t "cnk.fship" th.tid;
+  emit t L.fship th.tid;
   let o = obs t in
   Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_requests 1;
   Obs.add o ~rank:t.rank ~core:Obs.node_scope Metrics.Cio.ship_bytes (Bytes.length frame);
@@ -559,7 +589,7 @@ let function_ship_reliable t (th : thread) req ret =
       if inf.io_attempts >= cfg.Reliable.retry_budget then begin
         Hashtbl.remove t.nx.io_inflight th.tid;
         cio_count t Metrics.Cio.eio;
-        emit t "cnk.fship_eio" th.tid;
+        emit t L.fship_eio th.tid;
         ras_note t Bg_obs.Rasdb.Error
           (Printf.sprintf "CIO rank=%d tid=%d seq=%d: retry budget exhausted, EIO"
              t.rank th.tid seq);
@@ -568,7 +598,7 @@ let function_ship_reliable t (th : thread) req ret =
       else begin
         inf.io_attempts <- inf.io_attempts + 1;
         cio_count t Metrics.Cio.retransmits;
-        emit t "cnk.fship_retry" th.tid;
+        emit t L.fship_retry th.tid;
         send ()
       end
     | _ -> ()
@@ -728,7 +758,7 @@ let boot t ~on_ready =
   ignore
     (Sim.schedule_in (sim t) boot_cycles (fun () ->
          t.booted <- true;
-         emit t "cnk.boot" (Chip.reset_count t.chip);
+         emit t L.boot (Chip.reset_count t.chip);
          on_ready ()))
 
 let destroy_job t =
@@ -760,13 +790,13 @@ let prepare_and_reset t ~reproducible ~on_ready =
          (* All cores rendezvoused in boot SRAM; caches flushed to DDR. *)
          if reproducible then Dram.enter_self_refresh (Chip.dram t.chip);
          Chip.reset t.chip;
-         emit t "cnk.reset" (Chip.reset_count t.chip);
+         emit t L.reset (Chip.reset_count t.chip);
          let restart = if reproducible then reproducible_restart_cycles else boot_cycles in
          ignore
            (Sim.schedule_in (sim t) restart (fun () ->
                 if reproducible then Dram.exit_self_refresh (Chip.dram t.chip);
                 t.booted <- true;
-                emit t "cnk.boot" (Chip.reset_count t.chip);
+                emit t L.boot (Chip.reset_count t.chip);
                 on_ready ()))))
 
 (* --- job launch -------------------------------------------------------- *)
@@ -879,7 +909,7 @@ let launch t (job : Job.t) =
               let tlb = (Chip.core t.chip core_id).Chip.tlb in
               ignore (Tlb.load tlb p.px.static_tlb : (unit, string) result);
               let now = Sim.now (sim t) in
-              Obs.span_record (obs t) ~cat:"tlb" ~name:"static_install" ~rank:t.rank
+              Obs.span_record_l (obs t) L.static_install ~rank:t.rank
                 ~core:core_id ~start:now ~finish:now;
               t.cores.(core_id).cx.mapped_pid <- Some p.pid)
             cores;
@@ -898,7 +928,7 @@ let launch t (job : Job.t) =
           in
           ignore (Sim.schedule_in (sim t) load_cycles (fun () -> make_ready t main)))
         sets;
-      emit t "cnk.launch" nprocs;
+      emit t L.launch nprocs;
       Ok ()
   end
 
@@ -913,7 +943,7 @@ let inject_l1_parity_error t ~core =
   match t.cores.(core).current with
   | Some th when th.state <> Zombie ->
     th.pending_sigs <- th.pending_sigs @ [ sigbus ];
-    emit t "cnk.l1_parity" core;
+    emit t L.l1_parity core;
     ras_note t Bg_obs.Rasdb.Warn (Printf.sprintf "L1 parity error on core %d" core);
     true
   | _ -> false
@@ -935,7 +965,7 @@ let designate_remote t ~core ~pid =
         if needed > capacity then Error "remote process map exceeds the TLB"
         else begin
           t.cores.(core).cx.remote_pid <- Some pid;
-          emit t "cnk.remote_affinity" ((core * 100) + pid);
+          emit t L.remote_affinity ((core * 100) + pid);
           Ok ()
         end
       end
@@ -953,7 +983,7 @@ let kill_job t =
   if t.job_active then begin
     List.iter (fun (_, th) -> thread_exit t th 137) (sorted t.threads);
     ras t job_killed;
-    emit t "cnk.job_killed" 0
+    emit t L.job_killed 0
   end
 
 (* strace-style tracing: capture every syscall with cycle and tid. *)

@@ -55,8 +55,9 @@ val halt : t -> string -> unit
 
 val trace : t -> Trace.t
 
-val emit : t -> label:string -> value:int -> unit
-(** Append an observable event at the current cycle. *)
+val emit : t -> label:Fnv.Label.t -> value:int -> unit
+(** Append an observable event at the current cycle; [label] comes from
+    {!Trace.label}. *)
 
 val rng : t -> string -> Rng.t
 (** [rng t name] returns the named RNG stream, creating it (deterministically

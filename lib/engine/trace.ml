@@ -11,16 +11,16 @@ type t = {
 let create ?(keep_records = false) () =
   { keep_records; digest = Fnv.Acc.create (); count = 0; records = []; last_cycle = 0 }
 
-(* [Fnv.Acc.int] folds the bytes [Fnv.add_int64 (Int64.of_int value)]
-   would, so the digest is the one an [int64] value gave. *)
+let label name = Fnv.Label.declare ~cat:"" ~name
+
+(* An int folds the bytes [Fnv.add_int64 (Int64.of_int value)] would, so
+   the digest is the one an [int64] value gave. *)
 let emit t ~cycle ~label ~value =
-  Fnv.Acc.int t.digest cycle;
-  Fnv.Acc.string t.digest label;
-  Fnv.Acc.int t.digest value;
+  Fnv.Acc.int_label_int t.digest cycle label value;
   t.count <- t.count + 1;
   t.last_cycle <- cycle;
   if t.keep_records then
-    t.records <- { cycle; label; value = Int64.of_int value } :: t.records
+    t.records <- { cycle; label = Fnv.Label.text label; value = Int64.of_int value } :: t.records
 
 let digest t = Fnv.Acc.value t.digest
 let count t = t.count

@@ -4,6 +4,14 @@ open Cnk.Kernel
 module Obs = Bg_obs.Obs
 module Accounting = Bg_obs.Accounting
 
+(* Trace labels, declared once (see [Fnv.Label]). *)
+module L = struct
+  let boot = Trace.label "fwk.boot"
+  let job_done = Trace.label "fwk.job_done"
+  let launch = Trace.label "fwk.launch"
+end
+
+
 let boot_cycles_full = 18_000_000
 let boot_cycles_stripped = 2_600_000
 let syscall_overhead = 700
@@ -370,7 +378,7 @@ let policy =
       (fun t -> function
         | Job_done ->
           Machine.publish_net_gauges t.machine ~rank:t.rank;
-          emit t "fwk.job_done" 0
+          emit t L.job_done 0
         | _ -> ());
   }
 
@@ -407,7 +415,7 @@ let boot t ~on_ready =
   ignore
     (Sim.schedule_in (sim t) cycles (fun () ->
          t.booted <- true;
-         emit t "fwk.boot" 0;
+         emit t L.boot 0;
          on_ready ()))
 
 let launch t (job : Job.t) =
@@ -435,7 +443,7 @@ let launch t (job : Job.t) =
     let main = spawn t p ~core_id:0 { slice_left = timeslice } in
     start t main image.Image.entry;
     make_ready t main;
-    emit t "fwk.launch" p.pid;
+    emit t L.launch p.pid;
     Ok ()
   end
 

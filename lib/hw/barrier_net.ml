@@ -1,5 +1,8 @@
 open Bg_engine
 
+let release_label = Trace.label "barrier.release"
+
+
 type waiter = { rank : int; on_release : release_cycle:Cycles.t -> unit }
 
 type t = {
@@ -54,7 +57,7 @@ let arrive t ~rank ~on_release =
     let all = List.sort (fun a b -> compare a.rank b.rank) t.waiters in
     t.waiters <- [];
     t.generation <- t.generation + 1;
-    Sim.emit t.sim ~label:"barrier.release" ~value:t.generation;
+    Sim.emit t.sim ~label:release_label ~value:t.generation;
     List.iter
       (fun w ->
         ignore

@@ -1,5 +1,14 @@
 open Bg_engine
 
+(* Trace labels, declared once (see [Fnv.Label]). *)
+module L = struct
+  let corrupt = Trace.label "collective.corrupt"
+  let down = Trace.label "collective.down"
+  let drop = Trace.label "collective.drop"
+  let dup = Trace.label "collective.dup"
+  let up = Trace.label "collective.up"
+end
+
 type fault_config = {
   drop_rate : float;
   corrupt_rate : float;
@@ -101,13 +110,13 @@ let deliver_copy t rng ~payload ~arrival ~on_arrival =
   let f = t.faults in
   if f.drop_rate > 0. && Rng.float rng 1.0 < f.drop_rate then begin
     t.drops <- t.drops + 1;
-    Sim.emit t.sim ~label:"collective.drop" ~value:t.drops
+    Sim.emit t.sim ~label:L.drop ~value:t.drops
   end
   else begin
     let payload =
       if f.corrupt_rate > 0. && Rng.float rng 1.0 < f.corrupt_rate then begin
         t.corruptions <- t.corruptions + 1;
-        Sim.emit t.sim ~label:"collective.corrupt" ~value:t.corruptions;
+        Sim.emit t.sim ~label:L.corrupt ~value:t.corruptions;
         corrupt_copy rng payload
       end
       else payload
@@ -135,7 +144,7 @@ let ship t busy idx ~payload ~on_arrival =
     deliver_copy t rng ~payload ~arrival ~on_arrival;
     if t.faults.dup_rate > 0. && Rng.float rng 1.0 < t.faults.dup_rate then begin
       t.duplicates <- t.duplicates + 1;
-      Sim.emit t.sim ~label:"collective.dup" ~value:t.duplicates;
+      Sim.emit t.sim ~label:L.dup ~value:t.duplicates;
       deliver_copy t rng ~payload ~arrival ~on_arrival
     end
   end
@@ -159,10 +168,10 @@ let capture t b =
 
 let to_io_node t ~cn ~payload ~on_arrival =
   let io = io_node_of t ~cn in
-  Sim.emit t.sim ~label:"collective.up" ~value:cn;
+  Sim.emit t.sim ~label:L.up ~value:cn;
   ship t t.up_busy io ~payload ~on_arrival
 
 let to_compute_node t ~cn ~payload ~on_arrival =
   let io = io_node_of t ~cn in
-  Sim.emit t.sim ~label:"collective.down" ~value:cn;
+  Sim.emit t.sim ~label:L.down ~value:cn;
   ship t t.down_busy io ~payload ~on_arrival

@@ -1,5 +1,8 @@
 open Bg_engine
 
+let arrival_label = Trace.label "torus.arrival"
+
+
 (* Per-link state lives in flat arrays indexed by [rank * 6 + dir], so
    index order is (rank, dir) order and no lookup hashes a key. *)
 type t = {
@@ -241,7 +244,7 @@ let transfer t ~src ~dst ~bytes ?(on_arrival = fun ~arrival_cycle:_ -> ()) () =
            let link = links.(i) in
            t.in_flight.(link) <- t.in_flight.(link) - 1
          done;
-         Sim.emit t.sim ~label:"torus.arrival" ~value:((src * 65536) + dst);
+         Sim.emit t.sim ~label:arrival_label ~value:((src * 65536) + dst);
          on_arrival ~arrival_cycle:arrival))
 
 let estimate_cycles t ~src ~dst ~bytes =

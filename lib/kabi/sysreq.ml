@@ -216,13 +216,16 @@ let kind_names =
 
 let request_name r = kind_names.(request_kind r)
 let per_kind f = Array.map f kind_names
-let entry_names = per_kind (fun n -> n ^ ".entry")
-let exit_names = per_kind (fun n -> n ^ ".exit")
-let service_names = per_kind (fun n -> "service." ^ n)
+let labels ~cat f = per_kind (fun n -> Bg_engine.Fnv.Label.declare ~cat ~name:(f n))
+let syscall_labels = labels ~cat:"syscall" Fun.id
+let entry_labels = labels ~cat:"syscall" (fun n -> n ^ ".entry")
+let exit_labels = labels ~cat:"syscall" (fun n -> n ^ ".exit")
+let service_labels = labels ~cat:"cio" (fun n -> "service." ^ n)
 let name_hashes = per_kind Hashtbl.hash
-let request_entry_name r = entry_names.(request_kind r)
-let request_exit_name r = exit_names.(request_kind r)
-let request_service_name r = service_names.(request_kind r)
+let syscall_label r = syscall_labels.(request_kind r)
+let entry_label r = entry_labels.(request_kind r)
+let exit_label r = exit_labels.(request_kind r)
+let service_label r = service_labels.(request_kind r)
 let request_name_hash r = name_hashes.(request_kind r)
 
 let pp_flags ppf (f : open_flags) =

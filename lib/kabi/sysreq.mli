@@ -201,17 +201,21 @@ val request_kind : request -> int
 val kind_names : string array
 (** [request_name] of every kind, indexed by {!request_kind}. Read only. *)
 
-(** Per-kind strings for the instrumented syscall path, built once per
-    request kind rather than once per request. *)
+(** Per-kind labels for the instrumented syscall path, declared once per
+    request kind ({!Bg_engine.Fnv.Label.declare}), so a span or causal
+    node folds its label in constant time. *)
 
-val request_entry_name : request -> string
-(** [request_name r ^ ".entry"] *)
+val syscall_label : request -> Bg_engine.Fnv.Label.t
+(** [("syscall", request_name r)]: the kernels' syscall span. *)
 
-val request_exit_name : request -> string
-(** [request_name r ^ ".exit"] *)
+val entry_label : request -> Bg_engine.Fnv.Label.t
+(** [("syscall", request_name r ^ ".entry")]: the causal node at dispatch. *)
 
-val request_service_name : request -> string
-(** ["service." ^ request_name r] *)
+val exit_label : request -> Bg_engine.Fnv.Label.t
+(** [("syscall", request_name r ^ ".exit")]: the causal node at reply. *)
+
+val service_label : request -> Bg_engine.Fnv.Label.t
+(** [("cio", "service." ^ request_name r)]: the CIOD's service span and node. *)
 
 val request_name_hash : request -> int
 (** [Hashtbl.hash (request_name r)] *)

@@ -1,6 +1,16 @@
 open Bg_engine
 open Bg_hw
 
+(* Causal labels, declared once (see [Bg_engine.Fnv.Label]). *)
+module L = struct
+  let inject_fence = Bg_obs.Obs.label ~cat:"dma" ~name:"inject.fence"
+  let inject_get = Bg_obs.Obs.label ~cat:"dma" ~name:"inject.get"
+  let inject_put = Bg_obs.Obs.label ~cat:"dma" ~name:"inject.put"
+  let inject_put_large = Bg_obs.Obs.label ~cat:"dma" ~name:"inject.put_large"
+  let recv_eager = Bg_obs.Obs.label ~cat:"msg" ~name:"recv_eager"
+  let send_eager = Bg_obs.Obs.label ~cat:"msg" ~name:"send_eager"
+end
+
 type path = Abstract | Dma_user | Dma_kernel
 
 (* Handle completion is either stamped directly by a simulation callback
@@ -86,19 +96,19 @@ let fabric_path f = f.path
    while the machine's causal collector is disabled. *)
 let causal_of c = Machine.causal c.fabric.machine
 
-let causal_mint c ~cat ~name =
+let causal_mint c label =
   let g = causal_of c in
   if Bg_obs.Causal.enabled g then
-    Bg_obs.Causal.mint g ~cat ~name ~rank:c.rank ~core:0
-      ~now:(Sim.now c.fabric.machine.Machine.sim) ()
+    Bg_obs.Causal.mint_l g ~chain:true label ~rank:c.rank ~core:0
+      ~now:(Sim.now c.fabric.machine.Machine.sim)
   else Bg_obs.Causal.none
 
-let causal_recv c ~name ~src_ctx =
+let causal_recv c label ~src_ctx =
   let g = causal_of c in
   if Bg_obs.Causal.enabled g && src_ctx <> Bg_obs.Causal.none then begin
     let r =
-      Bg_obs.Causal.mint g ~cat:"msg" ~name ~rank:c.rank ~core:0
-        ~now:(Sim.now c.fabric.machine.Machine.sim) ()
+      Bg_obs.Causal.mint_l g ~chain:true label ~rank:c.rank ~core:0
+        ~now:(Sim.now c.fabric.machine.Machine.sim)
     in
     Bg_obs.Causal.link g Bg_obs.Causal.Send_recv ~src:src_ctx ~dst:r
   end
@@ -285,7 +295,7 @@ let put c ~dst ~tag ~data =
     let d =
       Dma.descriptor ~kind:Dma.Rdma_put ~dst ~tag ~payload:data
         ~bytes:(Bytes.length data) ~counter:id
-        ~ctx:(causal_mint c ~cat:"dma" ~name:"inject.put") ()
+        ~ctx:(causal_mint c L.inject_put) ()
     in
     inject_paced c d;
     counter_handle c id
@@ -311,7 +321,7 @@ let put_with_ack c ~dst ~tag ~data =
     let d =
       Dma.descriptor ~kind:Dma.Rdma_put ~dst ~tag ~payload:data
         ~bytes:(Bytes.length data) ~counter:idp
-        ~ctx:(causal_mint c ~cat:"dma" ~name:"inject.put") ()
+        ~ctx:(causal_mint c L.inject_put) ()
     in
     inject_paced c d;
     (* The ack round: a small get chases the put through the same
@@ -323,7 +333,7 @@ let put_with_ack c ~dst ~tag ~data =
     let g =
       Dma.descriptor ~kind:Dma.Rdma_get ~dst ~tag:probe_tag
         ~bytes:Msg_params.remote_ack_bytes ~counter:ida
-        ~ctx:(causal_mint c ~cat:"dma" ~name:"inject.fence") ()
+        ~ctx:(causal_mint c L.inject_fence) ()
     in
     inject_paced c g;
     counter_handle c ida
@@ -366,7 +376,7 @@ let get c ~src ~tag =
     let d =
       Dma.descriptor ~kind:Dma.Rdma_get ~dst:src ~tag
         ~bytes:(max 1 remote_bytes) ~counter:id
-        ~ctx:(causal_mint c ~cat:"dma" ~name:"inject.get") ()
+        ~ctx:(causal_mint c L.inject_get) ()
     in
     inject_paced c d;
     h
@@ -374,7 +384,7 @@ let get c ~src ~tag =
 (* --- two-sided eager ------------------------------------------------- *)
 
 let send_eager c ~dst ~tag ~data =
-  let send_ctx = causal_mint c ~cat:"msg" ~name:"send_eager" in
+  let send_ctx = causal_mint c L.send_eager in
   match c.fabric.path with
   | Abstract ->
     let h = fresh_handle () in
@@ -439,7 +449,7 @@ let try_recv_eager c ~tag =
   let p = Inbox.take c.eager_inbox ~tag in
   if p == Inbox.none then None
   else begin
-    causal_recv c ~name:"recv_eager" ~src_ctx:p.Dma.pkt_ctx;
+    causal_recv c L.recv_eager ~src_ctx:p.Dma.pkt_ctx;
     Some (p.Dma.pkt_src, p.Dma.pkt_payload)
   end
 
@@ -543,7 +553,7 @@ let put_large c ~dst ~tag ~bytes ~contiguous =
     h
   | Dma_user | Dma_kernel ->
     let id = fresh_counter c in
-    let lctx = causal_mint c ~cat:"dma" ~name:"inject.put_large" in
+    let lctx = causal_mint c L.inject_put_large in
     if contiguous then begin
       Coro.consume Msg_params.put_sw;
       inject_paced c

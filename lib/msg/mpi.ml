@@ -156,12 +156,16 @@ module Coll = struct
      not on any core), which fans out to a "deliver" node per waiter. A
      backward latest-predecessor walk from any deliver therefore passes
      through the LAST contributor — the straggler — by construction. *)
+  let contribute_label = Bg_obs.Obs.label ~cat:"coll" ~name:"contribute"
+  let complete_label = Bg_obs.Obs.label ~cat:"coll" ~name:"complete"
+  let deliver_label = Bg_obs.Obs.label ~cat:"coll" ~name:"deliver"
+
   let causal_contribute c ~rank =
     let g = Machine.causal c.machine in
     if Bg_obs.Causal.enabled g then begin
       let n =
-        Bg_obs.Causal.mint g ~cat:"coll" ~name:"contribute" ~rank ~core:0
-          ~now:(Sim.now c.machine.Machine.sim) ()
+        Bg_obs.Causal.mint_l g ~chain:true contribute_label ~rank ~core:0
+          ~now:(Sim.now c.machine.Machine.sim)
       in
       if n <> Bg_obs.Causal.none then c.contrib_ctxs <- n :: c.contrib_ctxs
     end
@@ -172,8 +176,7 @@ module Coll = struct
       (* rank -1 is the control/network scope: attribution charges the
          contribute->complete and complete->deliver legs to the network *)
       let x =
-        Bg_obs.Causal.mint g ~chain:false ~cat:"coll" ~name:"complete" ~rank:(-1)
-          ~core:0 ~now:completion ()
+        Bg_obs.Causal.mint_l g ~chain:false complete_label ~rank:(-1) ~core:0 ~now:completion
       in
       List.iter
         (fun src -> Bg_obs.Causal.link g Bg_obs.Causal.Send_recv ~src ~dst:x)
@@ -181,8 +184,8 @@ module Coll = struct
       List.iter
         (fun w ->
           let d =
-            Bg_obs.Causal.mint g ~cat:"coll" ~name:"deliver" ~rank:w.w_rank ~core:0
-              ~now:completion ()
+            Bg_obs.Causal.mint_l g ~chain:true deliver_label ~rank:w.w_rank ~core:0
+              ~now:completion
           in
           Bg_obs.Causal.link g Bg_obs.Causal.Send_recv ~src:x ~dst:d)
         (List.rev waiters)

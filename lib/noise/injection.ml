@@ -9,6 +9,8 @@ let pp_profile ppf p =
 
 let injected_fraction p = float_of_int p.duration_cycles /. float_of_int p.period_cycles
 
+let daemon_label = Bg_obs.Obs.label ~cat:"noise" ~name:"daemon"
+
 let attach node ~profile ~seed ~until =
   let machine = Cnk.Node.machine node in
   let sim = machine.Machine.sim in
@@ -28,7 +30,7 @@ let attach node ~profile ~seed ~until =
                Obs.add obs ~rank ~core Metrics.Noise.activations 1;
                Obs.add obs ~rank ~core Metrics.Noise.injected_cycles
                  profile.duration_cycles;
-               Obs.span_record obs ~cat:"noise" ~name:"daemon" ~rank ~core ~start:at
+               Obs.span_record_l obs daemon_label ~rank ~core ~start:at
                  ~finish:(at + profile.duration_cycles);
                let spread = float_of_int profile.period_cycles *. profile.jitter in
                let next =

@@ -63,17 +63,20 @@ let enable_observability (m : Machine.t) =
    If only one side scheduled it, the two runs' event sequence numbers
    would differ from construction and bisection would pin the
    divergence to the very first capture instead of the glitch. *)
+let glitch_trace_label = Trace.label "snap.glitch"
+let glitch_label = Bg_obs.Obs.label ~cat:"snap" ~name:"glitch"
+
 let schedule_glitch (m : Machine.t) ~glitch ~glitch_cycle =
   let sim = m.Machine.sim in
   ignore
     (Sim.schedule_at sim glitch_cycle (fun () ->
          if glitch then begin
-           Sim.emit sim ~label:"snap.glitch" ~value:1;
-           Bg_obs.Obs.span_record m.Machine.obs ~cat:"snap" ~name:"glitch" ~rank:0
-             ~core:0 ~start:(Sim.now sim) ~finish:(Sim.now sim);
+           Sim.emit sim ~label:glitch_trace_label ~value:1;
+           Bg_obs.Obs.span_record_l m.Machine.obs glitch_label ~rank:0 ~core:0
+             ~start:(Sim.now sim) ~finish:(Sim.now sim);
            ignore
-             (Bg_obs.Causal.mint m.Machine.causal ~cat:"snap" ~name:"glitch" ~rank:0
-                ~core:0 ~now:(Sim.now sim) ())
+             (Bg_obs.Causal.mint_l m.Machine.causal ~chain:true glitch_label ~rank:0 ~core:0
+                ~now:(Sim.now sim))
          end))
 
 (* --- scenarios -------------------------------------------------------- *)

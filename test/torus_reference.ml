@@ -3,11 +3,13 @@
    [(rank, dir)] and routing walked coordinate tuples. Kept verbatim apart
    from this header, the [open] below, which names the library the
    module used to live in, and its one trace emit, whose value is now a
-   plain int. *)
+   plain int and whose label is declared once, as trace labels now are. *)
 
 open Bg_hw
 
 open Bg_engine
+
+let arrival_label = Trace.label "torus.arrival"
 
 type t = {
   sim : Sim.t;
@@ -227,7 +229,7 @@ let transfer t ~src ~dst ~bytes ?(on_arrival = fun ~arrival_cycle:_ -> ()) () =
   ignore
     (Sim.schedule_at t.sim arrival (fun () ->
          List.iter (fun link -> bump t.in_flight link (-1)) links;
-         Sim.emit t.sim ~label:"torus.arrival" ~value:((src * 65536) + dst);
+         Sim.emit t.sim ~label:arrival_label ~value:((src * 65536) + dst);
          on_arrival ~arrival_cycle:arrival))
 
 let estimate_cycles t ~src ~dst ~bytes =
