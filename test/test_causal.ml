@@ -230,6 +230,49 @@ let test_ring_overflow_drop_counter () =
   check_int "other scopes unaffected" 0
     (Obs.counter_value o ~rank:0 ~core:0 ~subsystem:"obs" ~name:"dropped_spans" ())
 
+(* ------------------------------------------------------------------ *)
+(* A traced user-space DMA run names each completion counter's node at
+   run time ("counter<id>.zero", and DCMF never reuses an id). Those
+   names stay in the machine's own graph, one per id, and leave the
+   process-wide label registry as it was however long the run; a reset
+   frees them. *)
+
+let test_dma_counter_names_bounded () =
+  let cluster = Cnk.Cluster.create ~dims:(4, 1, 1) () in
+  let machine = Cnk.Cluster.machine cluster in
+  let g = Machine.causal machine in
+  Causal.set_enabled g true;
+  Cnk.Cluster.boot_all cluster;
+  let fabric = Bg_msg.Dcmf.make_fabric ~path:Bg_msg.Dcmf.Dma_user machine in
+  for r = 0 to nodes - 1 do
+    ignore (Bg_msg.Dcmf.attach fabric ~rank:r)
+  done;
+  let before = Fnv.Label.count () in
+  let halo iterations =
+    let entry, _ =
+      Bg_apps.Halo.program ~fabric ~cells_per_rank:12 ~iterations ~compute_cycles_per_cell:50 ()
+    in
+    Cnk.Cluster.run_job cluster (Job.create ~name:"halo" (Image.executable ~name:"halo" entry))
+  in
+  halo 10;
+  let counter_names () =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (n : Causal.node) ->
+           if n.Causal.cat = "dma" && String.starts_with ~prefix:"counter" n.name then Some n.name
+           else None)
+         (Causal.nodes g))
+  in
+  let first = List.length (counter_names ()) in
+  check_bool "counter nodes recorded" true (first > 0);
+  check_int "one run-time name per counter id" first (Causal.local_names g);
+  halo 40;
+  check_bool "a longer run names more counters" true (List.length (counter_names ()) > first);
+  check_int "still one per counter id" (List.length (counter_names ())) (Causal.local_names g);
+  check_int "label registry unchanged" before (Fnv.Label.count ());
+  Causal.reset g;
+  check_int "reset frees them" 0 (Causal.local_names g)
+
 let suite =
   [
     Alcotest.test_case "same seed, same causal digest" `Quick test_same_seed_same_digest;
@@ -248,4 +291,6 @@ let suite =
       test_flow_fields_escaped;
     Alcotest.test_case "span-ring overflow drop counter" `Quick
       test_ring_overflow_drop_counter;
+    Alcotest.test_case "DMA counter names stay in the graph" `Quick
+      test_dma_counter_names_bounded;
   ]
