@@ -33,5 +33,5 @@ let capture_at ~run ~rank ~cycle =
       trace_digest = Trace.digest (Sim.trace sim);
     }
   | Sim.Halted other -> failwith ("Scan.capture_at: unexpected halt: " ^ other)
-  | Sim.Completed | Sim.Reached_limit ->
+  | Sim.Completed | Sim.Reached_limit | Sim.Stopped ->
     failwith "Scan.capture_at: workload ended before the stop cycle"

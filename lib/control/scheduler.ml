@@ -626,15 +626,10 @@ let kick t = try_start t
 let drain t =
   try_start t;
   let sim = Cnk.Cluster.sim t.cluster in
-  let rec pump () =
-    if t.outstanding > 0 then
-      if Sim.step sim then pump ()
-      else
-        failwith
-          (Printf.sprintf "Scheduler.drain: %d job(s) stuck with an empty event queue"
-             t.outstanding)
-  in
-  pump ()
+  match Sim.run ~stop:(fun () -> t.outstanding = 0) sim with
+  | Sim.Stopped -> ()
+  | outcome ->
+    raise (Sim.Stalled { outcome; fired = Sim.events_fired sim; waiting = t.outstanding })
 
 let outstanding t = t.outstanding
 

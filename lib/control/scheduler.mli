@@ -144,9 +144,10 @@ val kick : t -> unit
 
 val drain : t -> unit
 (** Start whatever fits, then run the simulation, starting queued jobs as
-    partitions free up, until every submitted job completes. Raises
-    [Failure] if a job can never fit the machine (including when down
-    nodes leave no partition of the requested shape). *)
+    partitions free up, until every submitted job completes.
+    @raise Bg_engine.Sim.Stalled if the run ends first, e.g. when down
+    nodes leave no partition of a queued job's shape ([waiting] is the
+    outstanding jobs). *)
 
 val outstanding : t -> int
 (** Jobs submitted but not yet in a terminal state. *)

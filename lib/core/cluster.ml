@@ -41,15 +41,22 @@ let pset_ranks t ~io_node =
   let hi = min n (lo + t.nodes_per_io_node) in
   List.init (hi - lo) (fun i -> lo + i)
 
+let run_down t remaining =
+  let sim = sim t in
+  match Sim.run ~stop:(fun () -> !remaining = 0) sim with
+  | Sim.Stopped -> ()
+  | outcome ->
+    raise (Sim.Stalled { outcome; fired = Sim.events_fired sim; waiting = !remaining })
+
+(* One shared callback and no closure per node: boot time follows the
+   GC phase, so booting allocates little beyond what the nodes do. *)
 let boot_all t =
   let remaining = ref (Array.length t.nodes) in
-  Array.iter (fun n -> Node.boot n ~on_ready:(fun () -> decr remaining)) t.nodes;
-  let rec pump () =
-    if !remaining > 0 then
-      if Sim.step (sim t) then pump ()
-      else failwith "Cluster.boot_all: simulation drained before boot finished"
-  in
-  pump ()
+  let on_ready () = decr remaining in
+  for i = 0 to Array.length t.nodes - 1 do
+    Node.boot t.nodes.(i) ~on_ready
+  done;
+  run_down t remaining
 
 let launch_all t ?ranks job =
   let ranks =
@@ -69,14 +76,7 @@ let run_job t ?ranks job =
     match ranks with Some r -> r | None -> List.init (Array.length t.nodes) Fun.id
   in
   let remaining = ref (List.length ranks) in
-  List.iter (fun rank -> Node.on_job_complete t.nodes.(rank) (fun () -> decr remaining)) ranks;
+  let on_done () = decr remaining in
+  List.iter (fun rank -> Node.on_job_complete t.nodes.(rank) on_done) ranks;
   launch_all t ~ranks job;
-  let rec pump () =
-    if !remaining > 0 then
-      if Sim.step (sim t) then pump ()
-      else
-        failwith
-          (Printf.sprintf "Cluster.run_job: sim drained with %d node(s) unfinished"
-             !remaining)
-  in
-  pump ()
+  run_down t remaining

@@ -37,12 +37,16 @@ val pset_ranks : t -> io_node:int -> int list
     unrecoverable CIOD failure. *)
 
 val boot_all : t -> unit
-(** Run the simulation until every node reports booted. *)
+(** Run the simulation until every node reports booted.
+    @raise Bg_engine.Sim.Stalled if the run ends first ([waiting] is the
+    nodes not yet booted). *)
 
 val run_job : t -> ?ranks:int list -> Job.t -> unit
 (** Launch the job on the given ranks (default: all), then run the
     simulation until every launched node's job completes. Raises
-    [Failure] on launch errors or if the sim drains before completion. *)
+    [Failure] on launch errors.
+    @raise Bg_engine.Sim.Stalled if the run ends before completion
+    ([waiting] is the nodes whose job has not completed). *)
 
 val launch_all : t -> ?ranks:int list -> Job.t -> unit
 (** Launch without running — for harnesses that co-schedule other events.

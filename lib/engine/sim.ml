@@ -1,4 +1,6 @@
-type outcome = Completed | Reached_limit | Halted of string
+type outcome = Completed | Reached_limit | Stopped | Halted of string
+
+exception Stalled of { outcome : outcome; fired : int; waiting : int }
 
 type t = {
   mutable clock : Cycles.t;
@@ -50,33 +52,23 @@ let pending t = Event_queue.length t.queue
    running thread's own [now]: its timebase, read without a trap. *)
 let firing = ref 0
 
-let fire t time thunk =
-  t.clock <- time;
-  firing := time;
-  t.fired <- t.fired + 1;
-  thunk ()
-
-let step t =
-  let time = Event_queue.top_time t.queue in
-  if time < 0 then false
-  else begin
-    fire t time (Event_queue.take_top t.queue);
-    true
-  end
-
 let firing_time () = !firing
 
 let halt t reason = t.halt_reason <- Some reason
 
+let never () = false
+
 (* Top level, with every input an argument, so a run allocates no
-   closure; [top_time]/[take_top] allocate nothing per event. *)
-let rec run_loop t ~until ~max_events fired =
+   closure; [top_time]/[take_top] allocate nothing per event. [stop] is
+   asked before each event, after a pending halt. *)
+let rec run_loop t ~until ~max_events ~stop fired =
   match t.halt_reason with
   | Some reason ->
     t.halt_reason <- None;
     Halted reason
   | None ->
-    if fired >= max_events then Reached_limit
+    if stop () then Stopped
+    else if fired >= max_events then Reached_limit
     else begin
       let time = Event_queue.top_time t.queue in
       if time < 0 then Completed
@@ -85,14 +77,19 @@ let rec run_loop t ~until ~max_events fired =
         Reached_limit
       end
       else begin
-        fire t time (Event_queue.take_top t.queue);
-        run_loop t ~until ~max_events (fired + 1)
+        let thunk = Event_queue.take_top t.queue in
+        t.clock <- time;
+        firing := time;
+        t.fired <- t.fired + 1;
+        thunk ();
+        run_loop t ~until ~max_events ~stop (fired + 1)
       end
     end
 
 (* [max_int] stands for "no limit" in both: no time exceeds it, and no
    run fires that many events. *)
-let run ?(until = max_int) ?(max_events = max_int) t = run_loop t ~until ~max_events 0
+let run ?(until = max_int) ?(max_events = max_int) ?(stop = never) t =
+  run_loop t ~until ~max_events ~stop 0
 
 let trace t = t.trace
 let emit t ~label ~value = Trace.emit t.trace ~cycle:t.clock ~label ~value

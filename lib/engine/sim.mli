@@ -12,8 +12,15 @@ type t
 type outcome =
   | Completed      (** event queue drained *)
   | Reached_limit  (** stopped at the [until] time or [max_events] budget *)
+  | Stopped        (** the [stop] predicate became true *)
   | Halted of string
       (** {!halt} was called, e.g. by a destructive logic scan *)
+
+exception Stalled of { outcome : outcome; fired : int; waiting : int }
+(** Raised by a driver that runs until its condition holds (every node
+    booted, every job done) when the run ends any other way: [outcome]
+    is how it ended, [fired] is {!events_fired} then, and [waiting]
+    counts what the driver still waited for. *)
 
 val create : ?seed:int64 -> ?keep_trace_records:bool -> unit -> t
 (** [create ()] makes a simulator at cycle 0. [seed] defaults to 1. *)
@@ -35,13 +42,12 @@ val cancel : t -> Event_queue.handle -> unit
 val pending : t -> int
 (** Number of scheduled, unfired events. *)
 
-val run : ?until:Cycles.t -> ?max_events:int -> t -> outcome
-(** Fire events in order until the queue drains, the clock passes [until],
-    the event budget is exhausted, or {!halt} is called. The clock is left
-    at the last fired event (or at [until] when that limit hit first). *)
-
-val step : t -> bool
-(** Fire exactly one event. Returns [false] when the queue is empty. *)
+val run : ?until:Cycles.t -> ?max_events:int -> ?stop:(unit -> bool) -> t -> outcome
+(** The one loop that fires events: in order, until {!halt} is called,
+    [stop ()] returns true, the event budget is exhausted, the queue
+    drains or the clock would pass [until] — checked in that order
+    before each event. The clock is left at the last fired event (or at
+    [until] when that limit hit first). *)
 
 val firing_time : unit -> Cycles.t
 (** The time of the event being fired, by whichever simulator fires it
@@ -65,9 +71,9 @@ val rng : t -> string -> Rng.t
     stream, preserving its position. *)
 
 val events_fired : t -> int
-(** Total events fired since creation, across every {!run} and {!step}
-    call. The snapshot cursor: deterministic replay of the same scenario
-    reaches identical machine state at the same count. *)
+(** Total events fired since creation, across every {!run} call. The
+    snapshot cursor: deterministic replay of the same scenario reaches
+    identical machine state at the same count. *)
 
 val capture : t -> Buffer.t -> unit
 (** Serialize the simulator's own state — clock, seed, event cursor,

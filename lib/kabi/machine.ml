@@ -351,7 +351,7 @@ let restore_error_to_string = function
       m.Bg_snap.Snap.m_layer m.Bg_snap.Snap.m_offset
 
 (* Restore is replay: the caller rebuilds the scenario (same seed, same
-   knobs, same construction order) on this machine, then [restore] pumps
+   knobs, same construction order) on this machine, then [restore] runs
    the simulator to the snapshot's event cursor and byte-verifies every
    captured region. Event payloads are closures, so there is no way to
    install state directly; determinism makes replay exact, and the
@@ -361,15 +361,15 @@ let restore t ?(extra = fun () -> []) (file : Bg_snap.Snap.file) =
   let fired () = Bg_engine.Sim.events_fired t.sim in
   if fired () > wanted then Error (Cursor_passed { fired = fired (); wanted })
   else begin
-    let rec pump () =
-      if fired () >= wanted then Ok ()
-      else if Bg_engine.Sim.step t.sim then pump ()
-      else Error (Queue_drained { fired = fired (); wanted })
+    (* a halt stops a run, not a replay: resume until the cursor *)
+    let rec replay () =
+      match Bg_engine.Sim.run ~max_events:(wanted - fired ()) t.sim with
+      | Bg_engine.Sim.Halted _ -> replay ()
+      | Completed -> Error (Queue_drained { fired = fired (); wanted })
+      | Reached_limit | Stopped -> (
+        match verify t ~extra:(extra ()) file with
+        | Ok () -> Ok ()
+        | Error m -> Error (Restore_mismatch m))
     in
-    match pump () with
-    | Error e -> Error e
-    | Ok () -> (
-      match verify t ~extra:(extra ()) file with
-      | Ok () -> Ok ()
-      | Error m -> Error (Restore_mismatch m))
+    replay ()
   end

@@ -205,8 +205,8 @@ val restore :
   t -> ?extra:(unit -> Bg_snap.Snap.region list) -> Bg_snap.Snap.file -> (unit, restore_error) result
 (** Replay-based restore: with the scenario already rebuilt on this
     machine (same seed, same knobs, same construction order — the
-    machine must not have fired past the cursor), pump the simulator
-    one event at a time to the snapshot's event count, then verify
+    machine must not have fired past the cursor), run the simulator
+    with an event budget up to the snapshot's event count, then verify
     every region byte-for-byte. [extra] is consulted after the replay
     for kernel-layer regions. Event payloads are closures, so direct
     state installation is impossible; determinism makes replay exact

@@ -166,15 +166,9 @@ let run t =
              t.bursts_left <- t.bursts_left - 1;
              Sch.kick t.sched)))
     t.bursts;
-  let rec pump () =
-    if t.bursts_left > 0 || Sch.outstanding t.sched > 0 then
-      if Sim.step sim then pump ()
-      else
-        failwith
-          (Printf.sprintf
-             "Service.run: %d job(s) stuck with an empty event queue (%d burst(s) \
-              undelivered)"
-             (Sch.outstanding t.sched) t.bursts_left)
-  in
-  pump ();
+  (match Sim.run ~stop:(fun () -> t.bursts_left = 0 && Sch.outstanding t.sched = 0) sim with
+  | Sim.Stopped -> ()
+  | outcome ->
+    let waiting = t.bursts_left + Sch.outstanding t.sched in
+    raise (Sim.Stalled { outcome; fired = Sim.events_fired sim; waiting }));
   t.finished_at <- Sim.now sim

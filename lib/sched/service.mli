@@ -40,8 +40,9 @@ val strategy : t -> Strategy.t
 
 val run : t -> unit
 (** Schedule every arrival (offset past the current cycle), kick, and
-    pump the simulation until all admitted jobs reach a terminal state.
-    Raises [Failure] if jobs are stuck with an empty event queue. *)
+    run the simulation until all admitted jobs reach a terminal state.
+    @raise Bg_engine.Sim.Stalled if the run ends first ([waiting] is the
+    outstanding jobs plus the undelivered bursts). *)
 
 val offered : t -> int
 (** Arrivals presented to the front door so far. *)

@@ -188,18 +188,18 @@ let find name = List.find_opt (fun s -> s.scn_name = name) scenarios
 
 let run_to inst ~events =
   let sim = inst.machine.Machine.sim in
+  (* a halt stops a run, not a replay: resume until the cursor *)
   let rec go () =
-    if Sim.events_fired sim >= events then `Reached
-    else if Sim.step sim then go ()
-    else `Drained (Sim.events_fired sim)
+    match Sim.run ~max_events:(events - Sim.events_fired sim) sim with
+    | Sim.Halted _ -> go ()
+    | Completed -> `Drained (Sim.events_fired sim)
+    | Reached_limit | Stopped -> `Reached
   in
   go ()
 
 let run_until_quiet inst =
   let sim = inst.machine.Machine.sim in
-  while Sim.step sim do
-    ()
-  done;
+  ignore (Sim.run sim);
   Sim.events_fired sim
 
 let snapshot_of scn inst ~knobs =

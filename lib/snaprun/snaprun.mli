@@ -32,7 +32,7 @@ val parse_knob : string -> string * string
 (** ["k=v"] to [("k", "v")]; bare ["k"] to [("k", "1")]. *)
 
 val run_to : instance -> events:int -> [ `Reached | `Drained of int ]
-(** Pump the simulator one event at a time up to the cursor. *)
+(** Run the simulator with an event budget up to the cursor. *)
 
 val run_until_quiet : instance -> int
 (** Drain the queue; returns the final event count. *)

@@ -1006,14 +1006,42 @@ let test_rdtsc_reads_own_machine () =
   launch a 1_000;
   launch b 7_919;
   let rec drive () =
-    let fa = Sim.step (Cluster.sim a) in
-    let fb = Sim.step (Cluster.sim b) in
+    let fa = Sim.run ~max_events:1 (Cluster.sim a) <> Sim.Completed in
+    let fb = Sim.run ~max_events:1 (Cluster.sim b) <> Sim.Completed in
     if fa || fb then drive ()
   in
   drive ();
   check_int "80 reads" 80 (List.length !reads);
   check_int "each read its own machine's now" 0 !mismatches;
   check_bool "the two clocks differed" true (Sim.now (Cluster.sim a) <> Sim.now (Cluster.sim b))
+
+(* A halt that fires while a driver runs ends the run: [run_job] raises
+   the typed stall naming it, and the reason is consumed, so the next
+   run fires the rest instead of halting at once. *)
+let test_halt_inside_run_job () =
+  let c = Cluster.create ~dims:(1, 1, 1) () in
+  Cluster.boot_all c;
+  let sim = Cluster.sim c in
+  ignore (Sim.schedule_in sim 3_000_000 (fun () -> Sim.halt sim "probe"));
+  let finished = ref false in
+  let job =
+    Job.create ~name:"h"
+      (Image.executable ~name:"h" (fun () ->
+           Coro.consume 5_000_000;
+           finished := true))
+  in
+  (match Cluster.run_job c job with
+  | () -> Alcotest.fail "run_job ran through the halt"
+  | exception Sim.Stalled { outcome = Sim.Halted reason; fired; waiting } ->
+    Alcotest.(check string) "reason" "probe" reason;
+    check_int "the node still running" 1 waiting;
+    check_int "fired is the cursor" (Sim.events_fired sim) fired);
+  check_bool "halted mid-job" false !finished;
+  (match Sim.run sim with
+  | Sim.Completed -> ()
+  | _ -> Alcotest.fail "the halt reason outlived the run it stopped");
+  check_bool "the next run finished the job" true !finished;
+  no_faults c
 
 (* On CNK a consume costs exactly its cycles plus the DRAM refresh stalls
    it spans; reading the timebase around it costs nothing. *)
@@ -1167,5 +1195,7 @@ let suite =
     Alcotest.test_case "timebase: rdtsc allocates 0 words" `Quick test_rdtsc_allocates_nothing;
     Alcotest.test_case "timebase: CNK FWQ sample <= 26 words" `Quick test_fwq_sample_words_cnk;
     Alcotest.test_case "timebase: FWK FWQ sample <= 75 words" `Quick test_fwq_sample_words_fwk;
+    Alcotest.test_case "cluster: a halt inside run_job raises Stalled" `Quick
+      test_halt_inside_run_job;
   ]
   @ qcheck

@@ -4,6 +4,7 @@
 open Bg_engine
 
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------------------------------------------------------ *)
@@ -518,7 +519,55 @@ let test_sim_max_int_event () =
   (match Sim.run sim with Sim.Completed -> () | _ -> Alcotest.fail "expected completion");
   Alcotest.(check bool) "fired" true !fired;
   check_int "clock" max_int (Sim.now sim);
-  Alcotest.(check bool) "step on an empty queue" false (Sim.step sim)
+  (match Sim.run ~max_events:1 sim with
+  | Sim.Completed -> ()
+  | _ -> Alcotest.fail "a one-event run on an empty queue completes");
+  check_int "nothing fired on an empty queue" 1 (Sim.events_fired sim)
+
+(* [Sim.run ~stop] against the loop drivers used to write around a
+   one-event step: test the condition, fire one event, repeat. Events
+   re-arm themselves up to four more times, so a run schedules as it
+   fires; [stop] watches a counter the events bump. *)
+let stop_label = Trace.label "stop.prop"
+
+let prop_run_stop_matches_single_events =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (0 -- 40) (triple (int_bound 200) (int_bound 4) (int_bound 50)))
+        (int_bound 120))
+  in
+  QCheck.Test.make ~name:"Sim.run ~stop = one-event runs until the condition" ~count:300
+    (QCheck.make ~print:QCheck.Print.(pair (list (triple int int int)) int) gen)
+    (fun (events, threshold) ->
+      let build () =
+        let sim = Sim.create () and count = ref 0 in
+        let rec arm time k delay =
+          ignore
+            (Sim.schedule_at sim time (fun () ->
+                 incr count;
+                 Sim.emit sim ~label:stop_label ~value:((!count * 31) + k);
+                 if k > 0 then arm (Sim.now sim + delay) (k - 1) delay))
+        in
+        List.iter (fun (time, k, delay) -> arm time k delay) events;
+        (sim, count)
+      in
+      let sim, count = build () in
+      let outcome = Sim.run ~stop:(fun () -> !count >= threshold) sim in
+      let ref_sim, ref_count = build () in
+      let rec reference () =
+        if !ref_count >= threshold then Sim.Stopped
+        else
+          match Sim.run ~max_events:1 ref_sim with
+          | Sim.Completed -> Sim.Completed
+          | _ -> reference ()
+      in
+      let ref_outcome = reference () in
+      outcome = ref_outcome
+      && !count = !ref_count
+      && Sim.events_fired sim = Sim.events_fired ref_sim
+      && Sim.now sim = Sim.now ref_sim
+      && Fnv.equal (Trace.digest (Sim.trace sim)) (Trace.digest (Sim.trace ref_sim)))
 
 let test_sim_rng_stream_persistent () =
   let sim = Sim.create ~seed:9L () in
@@ -660,17 +709,31 @@ let test_fnv_alloc () =
          done));
   ignore (Sys.opaque_identity !h)
 
+(* Both forms of [Sim.run] fire 10,000 events with nothing boxed per
+   event; a [stop] predicate costs only its [Some] box, once per call. *)
 let test_sim_run_alloc () =
   let n = 10_000 in
-  let sim = Sim.create () in
   let fired = ref 0 in
   let thunk () = incr fired in
-  for i = 1 to n do
-    ignore (Sim.schedule_at sim (i mod 97) thunk)
-  done;
+  let loaded () =
+    let sim = Sim.create () in
+    for i = 1 to n do
+      ignore (Sim.schedule_at sim (i mod 97) thunk)
+    done;
+    sim
+  in
+  let sim = loaded () in
   let words = minor_words (fun () -> ignore (Sys.opaque_identity (Sim.run sim))) in
   check_int "all fired" n !fired;
-  if words > 0. then Alcotest.failf "Sim.run allocated %.0f words over %d events" words n
+  if words > 0. then Alcotest.failf "Sim.run allocated %.0f words over %d events" words n;
+  fired := 0;
+  let sim = loaded () in
+  let stop () = !fired = n in
+  let outcome = ref Sim.Completed in
+  let words = minor_words (fun () -> outcome := Sys.opaque_identity (Sim.run ~stop sim)) in
+  check_int "all fired under stop" n !fired;
+  check_bool "stopped, not drained" true (!outcome = Sim.Stopped);
+  check_alloc "Sim.run ~stop" ~calls:1 ~per_call:2 words
 
 (* An event handle is an immediate int, so scheduling a thunk built
    beforehand allocates nothing once the queue has grown. *)
@@ -897,7 +960,7 @@ let test_names_table () =
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_queue_sorted; prop_queue_model; prop_fnv_matches_reference; prop_percentile_bounds;
-      prop_label_fold; prop_record_folds ]
+      prop_label_fold; prop_record_folds; prop_run_stop_matches_single_events ]
 
 let suite =
   [

@@ -741,6 +741,68 @@ let test_requeue_rebuilds_job_view () =
     check_int "started at the requeue" requeued_at run.Sch.run_started
   | passes -> Alcotest.failf "unexpected dispatch passes: %d" (List.length passes)
 
+(* A job whose only thread waits on a futex nobody wakes. CNK has no
+   tick, so the event queue drains with the job still running. *)
+let hang ~ranks:_ =
+  Job.create ~name:"hang"
+    (Image.executable ~name:"hang" ~text_bytes:(8 * 1024) ~data_bytes:(8 * 1024) (fun () ->
+         let w = Bg_rt.Malloc.malloc 8 in
+         Bg_rt.Libc.poke w 1;
+         ignore (Coro.syscall (Sysreq.Futex_wait { addr = w; expected = 1 }))))
+
+(* Each driver that runs until its jobs finish raises the one typed
+   stall when the queue drains first, counting what it still waited
+   for: two hung nodes; two hung jobs and one that never gets a
+   partition; one hung job beside a stream that completes. *)
+let test_drivers_raise_stalled () =
+  let drivers =
+    [
+      ("Cluster.run_job", 2, fun cluster -> Cnk.Cluster.run_job cluster (hang ~ranks:[]));
+      ( "Scheduler.drain",
+        3,
+        fun cluster ->
+          let sched = Sch.create cluster in
+          for _ = 1 to 3 do
+            ignore (Sch.submit_factory sched ~shape:(1, 1, 1) hang)
+          done;
+          Sch.drain sched );
+      ( "Service.run",
+        1,
+        fun cluster ->
+          let tenant =
+            {
+              Workload.name = "one";
+              weight = 1;
+              jobs = 4;
+              mean_interarrival = 50_000.;
+              nodes_lo = 1;
+              nodes_hi = 1;
+              runtime_lo = 10_000;
+              runtime_hi = 20_000;
+              comm_fraction = 0.;
+              runaway_fraction = 0.;
+              cls = Workload.Batch_cls;
+              gang_size = 1;
+            }
+          in
+          let specs = Workload.generate ~seed:3L [ tenant ] in
+          let svc = Service.create ~kind:Strategy.Fcfs cluster specs in
+          ignore (Sch.submit_factory (Service.scheduler svc) ~shape:(1, 1, 1) hang);
+          Service.run svc );
+    ]
+  in
+  List.iter
+    (fun (name, expected, drive) ->
+      let cluster = mk_cluster (2, 1, 1) in
+      match drive cluster with
+      | () -> Alcotest.failf "%s returned with a job hung" name
+      | exception Sim.Stalled { outcome = Sim.Completed; fired; waiting } ->
+        check_int (name ^ ": waiting") expected waiting;
+        check_int (name ^ ": fired is the cursor") (Sim.events_fired (Cnk.Cluster.sim cluster))
+          fired;
+        check_int (name ^ ": queue drained") 0 (Sim.pending (Cnk.Cluster.sim cluster)))
+    drivers
+
 let suite =
   [
     ("workload: same seed, same stream", `Quick, test_workload_deterministic);
@@ -760,6 +822,7 @@ let suite =
     ("scheduler: scan visits stay linear", `Quick, test_scan_visits_stay_linear);
     ("scheduler: a requeue rebuilds the job view", `Quick, test_requeue_rebuilds_job_view);
     ("service: same-seed SLO bill reproduces", `Quick, test_service_deterministic_slo);
+    ("drivers: a drained queue raises Sim.Stalled", `Quick, test_drivers_raise_stalled);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
