@@ -361,7 +361,7 @@ and start t pending alloc =
                 §VI diagnosability sin *)
              let machine = Cnk.Cluster.machine t.cluster in
              let rank = List.hd ranks in
-             Machine.ras_note machine ~rank Bg_obs.Rasdb.Warn
+             Machine.ras_note machine ~from:Sched ~rank Bg_obs.Rasdb.Warn
                (Printf.sprintf "SCHED walltime job=%d rank=%d limit=%d" jid rank limit);
              Obs.count o Metrics.Scheduler.walltime_kills;
              List.iter (fun rank -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster rank)) ranks
@@ -433,7 +433,7 @@ and finish t { job = pending; alloc; span; info } =
         (* requeue at the head: recovery preempts the waiting line *)
         enqueue_front t pending;
         Obs.count o Metrics.Scheduler.jobs_restarted;
-        Machine.ras_note machine
+        Machine.ras_note machine ~from:Sched
           ~rank:(List.hd alloc.Partition.ranks)
           Bg_obs.Rasdb.Info
           (Printf.sprintf "SCHED restart job=%d attempt=%d" jid attempt);
@@ -554,7 +554,7 @@ let kill_spanning t ~rank =
   | Some { job; alloc; _ } ->
     job.failed_at <- Some (now t);
     let machine = Cnk.Cluster.machine t.cluster in
-    Machine.ras_note machine ~rank Bg_obs.Rasdb.Error
+    Machine.ras_note machine ~from:Sched ~rank Bg_obs.Rasdb.Error
       (Printf.sprintf "SCHED job_lost job=%d rank=%d" job.view.info_jid rank);
     List.iter
       (fun r -> Cnk.Node.kill_job (Cnk.Cluster.node t.cluster r))
@@ -583,7 +583,7 @@ let pset_failed t ~ranks =
   (match ranks with
   | first :: _ ->
     let machine = Cnk.Cluster.machine t.cluster in
-    Machine.ras_note machine ~rank:first Bg_obs.Rasdb.Error
+    Machine.ras_note machine ~from:Sched ~rank:first Bg_obs.Rasdb.Error
       (Printf.sprintf "SCHED pset_lost ranks=%s"
          (String.concat "," (List.map string_of_int ranks)))
   | [] -> ());

@@ -127,7 +127,7 @@ let ras t ev =
   Obs.add (obs t) ~rank:t.rank ~core:Obs.node_scope Metrics.Kernel.ras_emitted 1;
   Machine.ras_emit t.machine ~rank:t.rank ev
 
-let ras_note t severity text = ras t (Machine.Note { severity; text })
+let ras_note t severity text = ras t (Machine.Note { from = Kernel; severity; text })
 
 (* The residual noise floor: a consume spanning k refresh windows pays k
    short stalls. Deterministic in absolute time. Most consumes start and

@@ -974,7 +974,8 @@ let remote_designation t ~core =
   if core < 0 || core >= Array.length t.cores then None else t.cores.(core).cx.remote_pid
 
 let job_killed =
-  Machine.Note { severity = Bg_obs.Rasdb.Warn; text = "job killed by the control system" }
+  Machine.Note
+    { from = Kernel; severity = Bg_obs.Rasdb.Warn; text = "job killed by the control system" }
 
 (* Forcible job termination from the control system (walltime exceeded,
    operator action). Every live thread dies with code 137 (as a SIGKILL

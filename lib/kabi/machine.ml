@@ -9,12 +9,13 @@ type fault =
   | Ciod_restart of { io_node : int }
 
 type death_cause = Crashed of string | Unhandled_signal of int | Segv of string
+type note_from = Kernel | Sched | Heal
 
 type ras_event =
   | Fault of fault
   | Alert of Bg_obs.Health.alert
   | Thread_death of { tid : int; cause : death_cause }
-  | Note of { severity : Bg_obs.Rasdb.severity; text : string }
+  | Note of { from : note_from; severity : Bg_obs.Rasdb.severity; text : string }
 
 let fault_rank = function
   | L1_parity { rank; _ } | Node_death { rank } | Link_failure { rank; _ }
@@ -29,8 +30,8 @@ let fault_severity = function
 
 (* The one place a RAS event becomes text: the record's severity,
    component and message. A fault's component is the word after
-   "FAULT "; every kernel, scheduler and healing line files under
-   "kernel". *)
+   "FAULT "; a note files under its writer: "kernel", "sched" or
+   "heal". *)
 let ras_store db ~cycle ~rank ev =
   let severity, component, message =
     match ev with
@@ -60,7 +61,8 @@ let ras_store db ~cycle ~rank ev =
         | Crashed reason -> Printf.sprintf "tid %d crashed: %s" tid reason
         | Unhandled_signal signo -> Printf.sprintf "tid %d killed by unhandled signal %d" tid signo
         | Segv reason -> Printf.sprintf "tid %d segv: %s" tid reason )
-    | Note { severity; text } -> (severity, "kernel", text)
+    | Note { from; severity; text } ->
+      (severity, (match from with Kernel -> "kernel" | Sched -> "sched" | Heal -> "heal"), text)
   in
   Bg_obs.Rasdb.add db ~cycle ~rank ~severity ~component ~message
 
@@ -100,7 +102,7 @@ let rec deliver ~rank ev = function
     deliver ~rank ev rest
 
 let ras_emit t ~rank ev = deliver ~rank ev t.ras_subscribers
-let ras_note t ~rank severity text = ras_emit t ~rank (Note { severity; text })
+let ras_note t ~rank ~from severity text = ras_emit t ~rank (Note { from; severity; text })
 
 let create ?(params = Bg_hw.Params.bgp) ?(seed = 1L) ?nodes_per_io_node ?obs ?causal
     ?dma_fifo_depth ~dims () =

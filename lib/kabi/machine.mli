@@ -29,13 +29,17 @@ type death_cause =
       (** an access faulted and the process had no SIGSEGV handler (the
           FWK); the fault's text *)
 
+(** Who wrote a {!Note}: a kernel, the job scheduler or the healing
+    policy. A note files under that component. *)
+type note_from = Kernel | Sched | Heal
+
 type ras_event =
   | Fault of fault
   | Alert of Bg_obs.Health.alert  (** a firing health-service rule *)
   | Thread_death of { tid : int; cause : death_cause }
       (** a kernel killed an application thread; the control system
           gang-kills its job *)
-  | Note of { severity : Bg_obs.Rasdb.severity; text : string }
+  | Note of { from : note_from; severity : Bg_obs.Rasdb.severity; text : string }
       (** text nobody acts on: guard hits, parity lines, EIO, scheduler
           and healing notices *)
 
@@ -164,7 +168,7 @@ val on_ras : t -> (rank:int -> ras_event -> unit) -> unit
 
 val ras_emit : t -> rank:int -> ras_event -> unit
 
-val ras_note : t -> rank:int -> Bg_obs.Rasdb.severity -> string -> unit
+val ras_note : t -> rank:int -> from:note_from -> Bg_obs.Rasdb.severity -> string -> unit
 (** [ras_emit] of a {!Note}. *)
 
 (** {1 Snapshot / restore}

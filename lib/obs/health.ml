@@ -446,10 +446,12 @@ let evaluate t ~window ~now =
     t.rules
 
 (* A fatal fault landing in the database triggers the recorder too —
-   except health's own alert events, which already captured. *)
+   except health's own alert events, which already captured, and the
+   scheduler's and the healing policy's notes, which react to a fault
+   the recorder has already captured. *)
 let on_fault_record t (r : Rasdb.record) =
   if r.Rasdb.severity = Rasdb.Error
-     && not (String.equal r.Rasdb.component "health")
+     && not (List.mem r.Rasdb.component [ "health"; "sched"; "heal" ])
   then begin
     let b = Buffer.create 128 in
     Buffer.add_string b "{\"type\":\"fault\",\"record\":";

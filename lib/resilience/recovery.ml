@@ -59,7 +59,7 @@ let substitute t ~dead =
   | Some spare ->
     t.substitutions <- t.substitutions + 1;
     Obs.count (obs t) Metrics.Resilience.substitutions;
-    Machine.ras_note (machine t) ~rank:spare Bg_obs.Rasdb.Info
+    Machine.ras_note (machine t) ~from:Heal ~rank:spare Bg_obs.Rasdb.Info
       (Printf.sprintf "HEAL substitute dead=%d spare=%d" dead spare);
     Some spare
 
@@ -108,7 +108,7 @@ let rebuild_pset t ~io_node =
   Hashtbl.remove t.psets_seen io_node;
   if revived <> [] then begin
     Obs.count (obs t) Metrics.Resilience.psets_rebuilt;
-    Machine.ras_note (machine t)
+    Machine.ras_note (machine t) ~from:Heal
       ~rank:(List.hd revived)
       Bg_obs.Rasdb.Info
       (Printf.sprintf "HEAL pset_rebuilt io=%d ranks=%s" io_node

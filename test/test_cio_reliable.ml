@@ -412,7 +412,7 @@ let test_eio_after_retry_budget () =
     { Bg_hw.Collective_net.no_faults with Bg_hw.Collective_net.drop_rate = 1.0 };
   let ras_budget_exhausted = ref 0 in
   Machine.on_ras machine (fun ~rank:_ -> function
-      | Machine.Note { severity = Bg_obs.Rasdb.Error; text } ->
+      | Machine.Note { severity = Bg_obs.Rasdb.Error; text; _ } ->
         let has sub =
           let n = String.length sub and m = String.length text in
           let rec at i = i + n <= m && (String.sub text i n = sub || at (i + 1)) in

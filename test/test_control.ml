@@ -256,7 +256,7 @@ let test_ras_log_is_bounded () =
   for i = 1 to 20 do
     let severity = if i mod 5 = 0 then Rasdb.Error else Rasdb.Info in
     Machine.ras_emit machine ~rank:0
-      (Machine.Note { severity; text = Printf.sprintf "storm %d" i })
+      (Machine.Note { from = Kernel; severity; text = Printf.sprintf "storm %d" i })
   done;
   check_int "ring holds capacity" 8 (List.length (Rasdb.records ras ()));
   check_int "overwritten accounted" 12 (Rasdb.dropped ras);

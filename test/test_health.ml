@@ -198,7 +198,7 @@ let test_rule_parse_roundtrip () =
 
 let ras_text_rows =
   let fault f = Machine.Fault f in
-  let note severity text = Machine.Note { severity; text } in
+  let note from severity text = Machine.Note { from; severity; text } in
   [
     ( "faults",
       [
@@ -239,9 +239,11 @@ let ras_text_rows =
       ] );
     ( "notes",
       [
-        (0, note Rasdb.Warn "SCHED walltime job=1 rank=0 limit=500", Rasdb.Warn, "kernel",
+        (1, note Kernel Rasdb.Warn "L1 parity error on core 2", Rasdb.Warn, "kernel",
+         "L1 parity error on core 2");
+        (0, note Sched Rasdb.Warn "SCHED walltime job=1 rank=0 limit=500", Rasdb.Warn, "sched",
          "SCHED walltime job=1 rank=0 limit=500");
-        (7, note Rasdb.Info "HEAL substitute dead=3 spare=7", Rasdb.Info, "kernel",
+        (7, note Heal Rasdb.Info "HEAL substitute dead=3 spare=7", Rasdb.Info, "heal",
          "HEAL substitute dead=3 spare=7");
       ] );
   ]
@@ -327,6 +329,11 @@ let test_recorder_fault_trigger_and_bound () =
   in
   add 10 0 Rasdb.Info "kernel" "boot ok";
   check_int "info does not capture" 0 (List.length (Health.reports svc));
+  (* nor do the control plane's reactions to a fault, nor health's own *)
+  add 11 0 Rasdb.Error "health" "HEALTH alert rule=r";
+  add 12 0 Rasdb.Error "sched" "SCHED job_lost job=1 rank=0";
+  add 13 0 Rasdb.Error "heal" "HEAL pset_lost io=0";
+  check_int "control-plane errors do not capture" 0 (List.length (Health.reports svc));
   add 20 1 Rasdb.Error "ciod_crash" "FAULT ciod_crash io=0 fatal=1";
   add 30 2 Rasdb.Error "kernel" "tid 1 crashed: x";
   add 40 3 Rasdb.Error "kernel" "tid 2 crashed: y";

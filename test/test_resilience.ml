@@ -39,7 +39,9 @@ let exit_codes_after_ras attach ev =
    threads included. *)
 let test_ras_dispatch attach () =
   let run = exit_codes_after_ras attach in
-  let codes = run (Machine.Note { severity = Bg_obs.Rasdb.Error; text = "tid 1 crashed: not really" }) in
+  let codes = run
+      (Machine.Note
+         { from = Kernel; severity = Bg_obs.Rasdb.Error; text = "tid 1 crashed: not really" }) in
   check_bool "the job ran" true (codes <> []);
   check_bool "a note that mentions a crash kills nothing" true (List.for_all (( = ) 0) codes);
   let codes = run (Machine.Thread_death { tid = 1; cause = Crashed "Failure(\"boom\")" }) in
