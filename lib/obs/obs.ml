@@ -106,23 +106,12 @@ module Metric = struct
   type gauge = int
   type timer = int
 
-  module Name_tbl = Hashtbl.Make (struct
-    type t = string * string
+  (* [names] gives each (subsystem, name) its id; [infos.(id)] is [None]
+     for a name registered by the string API without a declaration. *)
+  type registry = { names : Fnv.Names.t; mutable infos : info option array }
 
-    let equal ((s1 : string), (n1 : string)) (s2, n2) = String.equal n1 n2 && String.equal s1 s2
-    let hash (s, n) = (Hashtbl.hash n + (31 * Hashtbl.hash s)) land max_int
-  end)
-
-  (* [infos.(id)] is [None] for a name registered by the string API
-     without a declaration. *)
-  type registry = {
-    ids : int Name_tbl.t;
-    mutable keys : (string * string) array;  (* (subsystem, name) by id *)
-    mutable infos : info option array;
-    mutable n : int;
-  }
-
-  let registry () = { ids = Name_tbl.create 64; keys = [||]; infos = [||]; n = 0 }
+  let registry () = { names = Fnv.Names.create (); infos = [||] }
+  let count reg = Fnv.Names.count reg.names
 
   let counters = registry ()
   let gauges = registry ()
@@ -132,41 +121,26 @@ module Metric = struct
   (* Declaration order, newest first, for the generated table. *)
   let declared_infos = ref []
 
-  let register reg key info =
-    let id = reg.n in
+  let resolve reg ~subsystem ~name =
+    let id = Fnv.Names.intern reg.names ~cat:subsystem ~name in
     if id = Array.length reg.infos then begin
-      let infos = Array.make (max 64 (2 * id)) None and keys = Array.make (max 64 (2 * id)) key in
+      let infos = Array.make (max 64 (2 * id)) None in
       Array.blit reg.infos 0 infos 0 id;
-      Array.blit reg.keys 0 keys 0 id;
-      reg.infos <- infos;
-      reg.keys <- keys
+      reg.infos <- infos
     end;
-    reg.infos.(id) <- info;
-    reg.keys.(id) <- key;
-    reg.n <- id + 1;
-    Name_tbl.add reg.ids key id;
     id
 
-  let resolve reg ~subsystem ~name =
-    match Name_tbl.find reg.ids (subsystem, name) with
-    | id -> id
-    | exception Not_found -> register reg (subsystem, name) None
-
-  let find reg ~subsystem ~name =
-    match Name_tbl.find reg.ids (subsystem, name) with id -> id | exception Not_found -> -1
+  let find reg ~subsystem ~name = Fnv.Names.find reg.names ~cat:subsystem ~name
 
   let default_hi = 1_048_576.0
   let default_bins = 64
 
   let declare_member reg info name =
-    let key = (info.subsystem, name) in
-    match Name_tbl.find_opt reg.ids key with
-    | Some id when reg.infos.(id) <> None ->
-      invalid_arg (Printf.sprintf "Obs.Metric: %s.%s declared twice" info.subsystem name)
-    | Some id ->
-      reg.infos.(id) <- Some info;
-      id
-    | None -> register reg key (Some info)
+    let id = resolve reg ~subsystem:info.subsystem ~name in
+    if reg.infos.(id) <> None then
+      invalid_arg (Printf.sprintf "Obs.Metric: %s.%s declared twice" info.subsystem name);
+    reg.infos.(id) <- Some info;
+    id
 
   let declare kind ~subsystem ~names ~pattern ~unit ~scopes ~hi doc =
     let info = { subsystem; name = pattern; unit; kind; scopes; doc; members = names; hi } in
@@ -198,9 +172,8 @@ module Metric = struct
   let is_declared ~subsystem ~name =
     List.exists
       (fun reg ->
-        match Name_tbl.find_opt reg.ids (subsystem, name) with
-        | Some id -> reg.infos.(id) <> None
-        | None -> false)
+        let id = find reg ~subsystem ~name in
+        id >= 0 && reg.infos.(id) <> None)
       [ counters; gauges; timers ]
 
   let schema () = List.rev !declared_infos
@@ -416,12 +389,12 @@ let grow_flags b n =
   g
 
 let reserve_counts s id =
-  let n = max (id + 1) Metric.counters.n in
+  let n = max (id + 1) (Metric.count Metric.counters) in
   s.counts <- grow_ints s.counts n;
   s.counted <- grow_flags s.counted n
 
 let reserve_gauges s id =
-  let n = max (id + 1) Metric.gauges.n in
+  let n = max (id + 1) (Metric.count Metric.gauges) in
   s.gauges <- grow_ints s.gauges n;
   s.gauged <- grow_flags s.gauged n
 
@@ -437,7 +410,7 @@ let[@inline] set_in s id v =
 
 let new_timer s id ~hi ~bins =
   if id >= Array.length s.timers then
-    s.timers <- grown_to s.timers (max (id + 1) Metric.timers.n) no_timer;
+    s.timers <- grown_to s.timers (max (id + 1) (Metric.count Metric.timers)) no_timer;
   let tm = { online = Stats.Online.create (); hist = Stats.Histogram.create ~lo:0.0 ~hi ~bins } in
   s.timers.(id) <- tm;
   tm
@@ -809,23 +782,27 @@ let timer_value tm =
     }
 
 let snapshot t =
-  let cn = Metric.counters.keys and gn = Metric.gauges.keys and tn = Metric.timers.keys in
-  let key (sub, name) s = { subsystem = sub; name; rank = s.s_rank; core = s.s_core } in
+  let key reg id s =
+    let names = reg.Metric.names in
+    { subsystem = Fnv.Names.cat names id; name = Fnv.Names.name names id;
+      rank = s.s_rank; core = s.s_core }
+  in
   (* [rank] orders the kinds of one key: timer, gauge, counter *)
   let out = ref [] in
   for i = 0 to t.n_scopes - 1 do
     let s = t.scopes.(i) in
     for id = 0 to Bytes.length s.counted - 1 do
       if Bytes.get s.counted id <> '\000' then
-        out := (2, { key = key cn.(id) s; value = Counter s.counts.(id) }) :: !out
+        out := (2, { key = key Metric.counters id s; value = Counter s.counts.(id) }) :: !out
     done;
     for id = 0 to Bytes.length s.gauged - 1 do
       if Bytes.get s.gauged id <> '\000' then
-        out := (1, { key = key gn.(id) s; value = Gauge s.gauges.(id) }) :: !out
+        out := (1, { key = key Metric.gauges id s; value = Gauge s.gauges.(id) }) :: !out
     done;
     Array.iteri
       (fun id tm ->
-        if tm != no_timer then out := (0, { key = key tn.(id) s; value = timer_value tm }) :: !out)
+        if tm != no_timer then
+          out := (0, { key = key Metric.timers id s; value = timer_value tm }) :: !out)
       s.timers
   done;
   List.sort
