@@ -291,11 +291,7 @@ let attach_health ?window ?ring ?db_capacity ?recorder ?(rules = []) t =
    module decides the region split. Kernel layers above (cnk, fwk, cio,
    control) append their own regions via [extra]. *)
 let capture t =
-  let region layer fill =
-    let b = Buffer.create 1024 in
-    fill b;
-    { Bg_snap.Snap.layer; layer_version = 1; payload = Buffer.to_bytes b }
-  in
+  let region = Bg_snap.Snap.region in
   [
     region "engine.sim" (fun b -> Bg_engine.Sim.capture t.sim b);
     region "hw.chips" (fun b ->

@@ -116,6 +116,11 @@ end
 
 type region = { layer : string; layer_version : int; payload : bytes }
 
+let region layer fill =
+  let b = Buffer.create 1024 in
+  fill b;
+  { layer; layer_version = 1; payload = Buffer.to_bytes b }
+
 type file = {
   format_version : int;
   scenario : string;

@@ -50,6 +50,10 @@ end
 
 type region = { layer : string; layer_version : int; payload : bytes }
 
+val region : string -> (Buf.writer -> unit) -> region
+(** [region layer fill]: the version-1 region whose payload [fill]
+    writes. *)
+
 type file = {
   format_version : int;
   scenario : string;

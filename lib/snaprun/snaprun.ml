@@ -47,11 +47,6 @@ let parse_knob s =
 
 (* --- scenario plumbing ------------------------------------------------ *)
 
-let region layer fill =
-  let b = Buffer.create 1024 in
-  fill b;
-  { Bg_snap.Snap.layer; layer_version = 1; payload = Buffer.to_bytes b }
-
 let enable_observability (m : Machine.t) =
   Bg_obs.Obs.set_enabled m.Machine.obs true;
   Bg_obs.Accounting.set_enabled m.Machine.acct true;
@@ -124,9 +119,9 @@ let build_cnk_io ~seed ~knobs =
     extra =
       (fun () ->
         [
-          region "cnk.nodes" (fun b ->
+          Bg_snap.Snap.region "cnk.nodes" (fun b ->
               Array.iter (fun n -> Cnk.Node.capture n b) (Cnk.Cluster.nodes cluster));
-          region "cio.ciods" (fun b ->
+          Bg_snap.Snap.region "cio.ciods" (fun b ->
               for io = 0 to Cnk.Cluster.io_node_count cluster - 1 do
                 Bg_cio.Ciod.capture (Cnk.Cluster.ciod cluster ~io_node:io) b
               done);
@@ -161,7 +156,7 @@ let build_fwk_noise ~seed ~knobs =
   schedule_glitch machine ~glitch ~glitch_cycle;
   {
     machine;
-    extra = (fun () -> [ region "fwk.node" (fun b -> Bg_fwk.Node.capture node b) ]);
+    extra = (fun () -> [ Bg_snap.Snap.region "fwk.node" (fun b -> Bg_fwk.Node.capture node b) ]);
   }
 
 let scenarios =
