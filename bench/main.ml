@@ -1022,12 +1022,12 @@ let run_msg () =
 
 let run_obs () =
   section "obs: collection overhead (off / spans / spans+causal)";
-  (* One seeded syscall-heavy CNK job per cell (every pwrite is a
+  (* One seeded syscall-heavy CNK job per run (every pwrite is a
      function-shipped span plus causal nodes and edges). The collectors
      are passive, so all three cells process the identical architectural
      event stream — the trace-record count is the (deterministic) work
      measure and wall time is the only thing that moves. *)
-  let cell ~name ~spans ~causal =
+  let job ~spans ~causal =
     let t0 = Unix.gettimeofday () in
     let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) ~seed:1L () in
     let machine = Cnk.Cluster.machine cluster in
@@ -1045,36 +1045,58 @@ let run_obs () =
     Cnk.Cluster.run_job cluster (Job.create ~name:"iobench" (Image.executable ~name:"iobench" entry));
     let wall = Unix.gettimeofday () -. t0 in
     let events = Bg_engine.Trace.count (Bg_engine.Sim.trace (Cnk.Cluster.sim cluster)) in
-    let spans_n = Bg_obs.Obs.span_count machine.Machine.obs in
-    let causal_n = Bg_obs.Causal.node_count (Machine.causal machine) in
-    let eps = float_of_int events /. wall in
-    Printf.printf "  %-14s %8d events  %6.3f s  %12.0f events/s  (%d spans, %d causal nodes)\n%!"
-      name events wall eps spans_n causal_n;
-    (name, events, wall, eps, spans_n, causal_n)
+    ( wall,
+      events,
+      Bg_obs.Obs.span_count machine.Machine.obs,
+      Bg_obs.Causal.node_count (Machine.causal machine) )
   in
-  (* List elements evaluate right to left, so name each cell in turn:
-     "off" must not inherit a heap the other cells warmed. A discarded
-     cell first warms the code paths for all three. *)
-  ignore (cell ~name:"(warm-up)" ~spans:true ~causal:true);
-  let off = cell ~name:"off" ~spans:false ~causal:false in
-  let spans = cell ~name:"spans" ~spans:true ~causal:false in
-  let both = cell ~name:"spans+causal" ~spans:true ~causal:true in
-  let cells = [ off; spans; both ] in
+  (* One job takes a few milliseconds, too short to time alone, so each
+     cell is the median of [jobs] jobs. A discarded job first warms the code
+     paths for all three cells; then each round runs one job of every
+     cell in turn, so drift in host speed reaches all three alike. *)
+  let jobs = 5 in
+  let settings = [| ("off", false, false); ("spans", true, false); ("spans+causal", true, true) |] in
+  ignore (job ~spans:true ~causal:true);
+  let runs = Array.map (fun _ -> Array.make jobs (0.0, 0, 0, 0)) settings in
+  for round = 0 to jobs - 1 do
+    Array.iteri
+      (fun c (_, spans, causal) -> runs.(c).(round) <- job ~spans ~causal)
+      settings
+  done;
+  Printf.printf "  median of %d jobs each [min, max]\n" jobs;
+  let cells =
+    Array.mapi
+      (fun c (name, _, _) ->
+        let walls = Array.map (fun (w, _, _, _) -> w) runs.(c) in
+        Array.sort compare walls;
+        let _, events, spans_n, causal_n = runs.(c).(0) in
+        let wall = walls.(jobs / 2) in
+        let eps = float_of_int events /. wall in
+        Printf.printf
+          "  %-14s %8d events  %6.4f s [%6.4f, %6.4f]  %12.0f events/s  (%d spans, %d causal nodes)\n%!"
+          name events wall walls.(0) walls.(jobs - 1) eps spans_n causal_n;
+        (name, events, wall, walls.(0), walls.(jobs - 1), eps, spans_n, causal_n))
+      settings
+  in
+  let off = cells.(0) and spans = cells.(1) and both = cells.(2) in
   (* the collection cost as a multiple of the collectors-off wall time *)
-  let ratio (_, _, wall, _, _, _) =
-    let _, _, off_wall, _, _, _ = off in
+  let ratio (_, _, wall, _, _, _, _, _) =
+    let _, _, off_wall, _, _, _, _, _ = off in
     wall /. off_wall
   in
   Printf.printf "  cost over off: spans %.2fx, spans+causal %.2fx\n%!" (ratio spans) (ratio both);
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"experiment\":\"obs\",\"workload\":\"cnk pwrite x2000\",\"cells\":[";
-  List.iteri
-    (fun i (name, events, wall, eps, spans_n, causal_n) ->
+  Buffer.add_string buf
+    (Printf.sprintf
+       "{\"experiment\":\"obs\",\"workload\":\"cnk pwrite x2000\",\"jobs_per_cell\":%d,\"cells\":["
+       jobs);
+  Array.iteri
+    (fun i (name, events, wall, lo, hi, eps, spans_n, causal_n) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"spans\":%d,\"causal_nodes\":%d}"
-           name events wall eps spans_n causal_n))
+           "{\"name\":\"%s\",\"events\":%d,\"wall_s\":%.6f,\"wall_min_s\":%.6f,\"wall_max_s\":%.6f,\"events_per_sec\":%.0f,\"spans\":%d,\"causal_nodes\":%d}"
+           name events wall lo hi eps spans_n causal_n))
     cells;
   Buffer.add_string buf
     (Printf.sprintf "],\"spans_over_off\":%.3f,\"both_over_off\":%.3f}" (ratio spans) (ratio both));
