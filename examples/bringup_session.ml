@@ -6,7 +6,8 @@
       golden waveform assembled from destructive scans;
    3. noisy reruns are compared scan-for-scan until a chip diverges;
    4. the divergence pinpoints the cycle, and the waveform pair is
-      exported as a VCD file for the logic designers.
+      exported as a VCD file, bringup_chip.vcd in the current directory,
+      for the logic designers.
 
    Run with: dune exec examples/bringup_session.exe *)
 
@@ -66,7 +67,7 @@ let () =
         ~rank ~from_cycle:119_744 ~cycles:8 ~stride:256 ()
     in
     let vcd = B.Vcd.diff_to_string ~golden ~suspect:noisy in
-    let path = "/tmp/bringup_chip.vcd" in
+    let path = "bringup_chip.vcd" in
     let oc = open_out path in
     output_string oc vcd;
     close_out oc;

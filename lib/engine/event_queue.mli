@@ -3,7 +3,11 @@
     Events are ordered by (timestamp, insertion sequence number): two events
     scheduled for the same cycle fire in insertion order. This total order
     is what makes the whole machine cycle-reproducible — the scheduler never
-    consults anything outside the queue to break ties. *)
+    consults anything outside the queue to break ties.
+
+    Events of one time wait in FIFO chains behind one heap entry, so an
+    event on a cycle already queued, the common case for ranks in
+    lockstep, is added and taken without a sift. *)
 
 type 'a t
 
@@ -33,20 +37,15 @@ val cancel : 'a t -> handle -> unit
 val pop : 'a t -> (Cycles.t * 'a) option
 (** Remove and return the earliest live event. *)
 
-val peek_time : 'a t -> Cycles.t option
-(** Timestamp of the earliest live event, without removing it. *)
-
 val top_time : 'a t -> Cycles.t
-(** Like {!peek_time} without the option: the timestamp of the earliest
-    live event, or [-1] when none is live. Allocates nothing. *)
+(** The timestamp of the earliest live event, without removing it, or
+    [-1] when none is live. Allocates nothing. *)
 
 val take_top : 'a t -> 'a
 (** Like {!pop} without the option and tuple: remove the earliest live
     event and return its payload, its time being {!top_time}. Allocates
     nothing.
     @raise Invalid_argument when no event is live. *)
-
-val is_empty : 'a t -> bool
 
 val length : 'a t -> int
 (** Number of live (non-cancelled) events. *)

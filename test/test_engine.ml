@@ -222,7 +222,8 @@ let test_queue_cancel () =
   check_int "one live" 1 (Event_queue.length q);
   Alcotest.(check (option (pair int string))) "live pops" (Some (2, "live"))
     (Event_queue.pop q);
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
+  check_int "empty" 0 (Event_queue.length q);
+  check_int "no top" (-1) (Event_queue.top_time q)
 
 let test_queue_cancel_after_fire () =
   let q = Event_queue.create () in
@@ -261,7 +262,68 @@ let test_queue_peek_skips_cancelled () =
   let h = Event_queue.add q ~time:1 "dead" in
   ignore (Event_queue.add q ~time:9 "live");
   Event_queue.cancel q h;
-  Alcotest.(check (option int)) "peek" (Some 9) (Event_queue.peek_time q)
+  check_int "peek" 9 (Event_queue.top_time q);
+  check_int "peek removes nothing" 1 (Event_queue.length q);
+  Alcotest.(check (option (pair int string))) "live pops" (Some (9, "live"))
+    (Event_queue.pop q)
+
+let drain q =
+  let rec go acc = match Event_queue.pop q with None -> List.rev acc | Some e -> go (e :: acc) in
+  go []
+
+(* 64 ranks in lockstep, as under CNK: each fires every cycle and
+   schedules its next step one cycle on, so every event after the first
+   cycle joins a chain. They must fire rank by rank within each cycle. *)
+let test_queue_lockstep_ranks () =
+  let ranks = 64 and cycles = 1_000 in
+  let q = Event_queue.create () in
+  for r = 0 to ranks - 1 do
+    ignore (Event_queue.add q ~time:0 r)
+  done;
+  for k = 0 to (ranks * cycles) - 1 do
+    let time = Event_queue.top_time q in
+    let r = Event_queue.take_top q in
+    if time <> k / ranks || r <> k mod ranks then
+      Alcotest.failf "event %d: rank %d at %d, want rank %d at %d" k r time (k mod ranks)
+        (k / ranks);
+    ignore (Event_queue.add q ~time:(time + 1) r)
+  done;
+  check_int "live" ranks (Event_queue.length q);
+  check_int "next_seq" (ranks * (cycles + 1)) (Event_queue.next_seq q);
+  Alcotest.(check (list (pair int int)))
+    "shape" (List.init ranks (fun r -> (cycles, (ranks * cycles) + r)))
+    (Event_queue.live q);
+  Alcotest.(check (list (pair int int)))
+    "last cycle" (List.init ranks (fun r -> (cycles, r)))
+    (drain q)
+
+(* A cancelled chain tail cannot take an append, so the next event at
+   its time starts a new chain; it still fires after every earlier event
+   at that time, and later events join it. *)
+let test_queue_cancelled_tail () =
+  let q = Event_queue.create () in
+  ignore (Event_queue.add q ~time:5 "a");
+  ignore (Event_queue.add q ~time:5 "b");
+  let c = Event_queue.add q ~time:5 "c" in
+  ignore (Event_queue.add q ~time:3 "early");
+  Event_queue.cancel q c;
+  ignore (Event_queue.add q ~time:5 "d");
+  ignore (Event_queue.add q ~time:5 "e");
+  Alcotest.(check (list (pair int int)))
+    "live" [ (3, 3); (5, 0); (5, 1); (5, 4); (5, 5) ] (Event_queue.live q);
+  Alcotest.(check (list (pair int string)))
+    "order" [ (3, "early"); (5, "a"); (5, "b"); (5, "d"); (5, "e") ] (drain q)
+
+(* Times 10 and 74 share a chain-table entry: added alternately, each
+   add evicts the other's chain, and both times still fire in order. *)
+let test_queue_table_collision () =
+  let q = Event_queue.create () in
+  for i = 0 to 9 do
+    ignore (Event_queue.add q ~time:(if i mod 2 = 0 then 74 else 10) i)
+  done;
+  Alcotest.(check (list (pair int int)))
+    "order" [ (10, 1); (10, 3); (10, 5); (10, 7); (10, 9); (74, 0); (74, 2); (74, 4); (74, 6); (74, 8) ]
+    (drain q)
 
 let prop_queue_sorted =
   QCheck.Test.make ~name:"event_queue pops in nondecreasing time order"
@@ -281,13 +343,19 @@ let prop_queue_sorted =
       List.length popped = List.length times)
 
 (* Model-based check: [Event_queue] against a sorted list of live
-   (time, seq) pairs driven by the same ops. Times come from a tiny
-   range so ties are common; cancels pick any handle ever issued, so
-   they hit live, fired and already-cancelled events alike. *)
-type queue_op = Add of int | Cancel of int | Pop | Peek | Top | Take
+   (time, seq) pairs driven by the same ops. Each add lands at or after
+   the last popped time, as [Sim] schedules: mostly a few cycles on, so
+   ties and chains are common, and sometimes 64k cycles further, where
+   its time shares a chain-table entry with a nearer one. Now and then an
+   add goes to an absolute time in 0-6, which may lie before the last
+   popped time: [Sim] never does that, but the queue allows it. Cancels pick
+   any handle ever issued, so they hit live, fired and already-cancelled
+   events alike, chain tails among them. *)
+type queue_op = Add of int | Add_at of int | Cancel of int | Pop | Peek | Top | Take
 
 let show_queue_op = function
   | Add t -> Printf.sprintf "Add %d" t
+  | Add_at t -> Printf.sprintf "Add_at %d" t
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Pop -> "Pop"
   | Peek -> "Peek"
@@ -299,7 +367,9 @@ let prop_queue_model =
     QCheck.Gen.(
       frequency
         [
-          (5, map (fun t -> Add t) (int_bound 6));
+          (3, map (fun t -> Add t) (int_bound 6));
+          (1, map (fun (k, t) -> Add ((64 * k) + t)) (pair (1 -- 3) (int_bound 2)));
+          (1, map (fun t -> Add_at t) (int_bound 6));
           (3, map (fun k -> Cancel k) nat);
           (2, return Pop);
           (1, return Peek);
@@ -310,37 +380,45 @@ let prop_queue_model =
   QCheck.Test.make ~name:"event_queue matches a sorted-list model" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
-       QCheck.Gen.(list_size (0 -- 300) gen_op))
+       QCheck.Gen.(list_size (0 -- 2000) gen_op))
     (fun ops ->
       let q = Event_queue.create () in
       (* model: live (time, seq) pairs, sorted; payload = seq *)
-      let model = ref [] and next = ref 0 and handles = ref [||] in
+      let model = ref [] and next = ref 0 and handles = Hashtbl.create 64 in
+      (* the last popped time, below which [Sim] never schedules *)
+      let floor = ref 0 in
+      let add time =
+        let h = Event_queue.add q ~time !next in
+        model := List.merge compare !model [ (time, !next) ];
+        Hashtbl.replace handles !next h;
+        incr next
+      in
       let pop_model () =
         match !model with
         | [] -> None
-        | top :: rest ->
+        | ((time, _) as top) :: rest ->
           model := rest;
+          floor := time;
           Some top
       in
       List.iter
         (fun op ->
           (match op with
-          | Add time ->
-            let h = Event_queue.add q ~time !next in
-            model := List.merge compare !model [ (time, !next) ];
-            handles := Array.append !handles [| (h, !next) |];
-            incr next
+          | Add delta -> add (!floor + delta)
+          | Add_at time -> add time
           | Cancel k ->
-            if Array.length !handles > 0 then begin
-              let h, seq = !handles.(k mod Array.length !handles) in
-              Event_queue.cancel q h;
+            if !next > 0 then begin
+              let seq = k mod !next in
+              Event_queue.cancel q (Hashtbl.find handles seq);
               model := List.filter (fun (_, s) -> s <> seq) !model
             end
           | Pop ->
             if Event_queue.pop q <> pop_model () then failwith "pop differs"
           | Peek ->
-            if Event_queue.peek_time q <> Option.map fst (List.nth_opt !model 0) then
-              failwith "peek_time differs"
+            (* a peek removes nothing: asked twice, it answers the same *)
+            let want = match !model with [] -> -1 | (t, _) :: _ -> t in
+            if Event_queue.top_time q <> want || Event_queue.top_time q <> want then
+              failwith "a second top_time differs"
           | Top ->
             let want = match !model with [] -> -1 | (t, _) :: _ -> t in
             if Event_queue.top_time q <> want then failwith "top_time differs"
@@ -353,7 +431,7 @@ let prop_queue_model =
             | Some (_, seq) ->
               if Event_queue.take_top q <> seq then failwith "take_top differs"));
           if Event_queue.length q <> List.length !model then failwith "length differs";
-          if Event_queue.is_empty q <> (!model = []) then failwith "is_empty differs";
+          if (Event_queue.length q = 0) <> (!model = []) then failwith "emptiness differs";
           if Event_queue.next_seq q <> !next then failwith "next_seq differs";
           if Event_queue.live q <> !model then failwith "live differs")
         ops;
@@ -736,7 +814,8 @@ let test_sim_run_alloc () =
   check_alloc "Sim.run ~stop" ~calls:1 ~per_call:2 words
 
 (* An event handle is an immediate int, so scheduling a thunk built
-   beforehand allocates nothing once the queue has grown. *)
+   beforehand allocates nothing once the queue has grown, whether the
+   event starts a heap entry or joins the chain of its time. *)
 let test_sim_schedule_alloc () =
   let n = 10_000 in
   let sim = Sim.create () in
@@ -749,7 +828,7 @@ let test_sim_schedule_alloc () =
   let words =
     minor_words (fun () ->
         for i = 1 to n do
-          ignore (Sys.opaque_identity (Sim.schedule_at sim (base + i) thunk))
+          ignore (Sys.opaque_identity (Sim.schedule_at sim (base + (i / 2)) thunk))
         done)
   in
   check_int "all scheduled" n (Sim.pending sim);
@@ -984,6 +1063,9 @@ let suite =
     Alcotest.test_case "queue: cancel after fire" `Quick test_queue_cancel_after_fire;
     Alcotest.test_case "queue: peek skips cancelled" `Quick test_queue_peek_skips_cancelled;
     Alcotest.test_case "queue: cancel after slot reuse" `Quick test_queue_cancel_after_slot_reuse;
+    Alcotest.test_case "queue: 64 ranks in lockstep" `Quick test_queue_lockstep_ranks;
+    Alcotest.test_case "queue: cancelled chain tail" `Quick test_queue_cancelled_tail;
+    Alcotest.test_case "queue: times sharing a table entry" `Quick test_queue_table_collision;
     Alcotest.test_case "sim: ordering and clock" `Quick test_sim_ordering_and_clock;
     Alcotest.test_case "sim: schedule from event" `Quick test_sim_schedule_from_event;
     Alcotest.test_case "sim: until limit" `Quick test_sim_until;
